@@ -1,27 +1,42 @@
 (** Pre-decoded threaded execution engine: the fast path behind {!Sim.run}.
 
-    [decode] compiles a linked {!Asm.program} once into a flat
-    struct-of-arrays form — an int opcode per pc with the {!Ir.binop} /
-    {!Ir.relop} / {!Asm.tag} variant folded into the opcode number and all
-    operands pre-resolved into three int operand arrays — plus a per-pc
-    procedure-meta index replacing the metas hashtable.  [execute] then
-    interprets that form in a tight loop whose dispatch is a single dense
-    integer match (a jump table), with no per-cycle variant walking and no
-    hashing on the call path.
+    [decode] compiles a linked {!Asm.program} once into one flat int array,
+    four words per pc: an opcode with the {!Ir.binop} / {!Ir.relop} /
+    {!Asm.tag} variant folded into its number, then three pre-resolved
+    operands.  Every register operand is validated here, so [execute]
+    indexes the register file without bounds checks.  [execute] interprets
+    the form in a tight loop whose dispatch is a single dense integer match
+    (a jump table); the program counter and cycle count are locals of that
+    loop, handed to the call, return and trap paths as arguments rather
+    than captured by them, so they stay in registers.
+
+    Decode also proves, from the linked code alone, which registers each
+    procedure's activation may write ([may_write]), and keeps of each
+    published contract only [preserved ∩ may_write], in contract order.
+    The checker snapshots and compares just those: a register that no
+    instruction reachable in the activation writes cannot differ at
+    return, so every verdict, and the first clobbered register a message
+    names, are those of the full check.
 
     The dynamic contract checker is allocation-free: the shadow stack is a
     set of parallel int arrays (return pc, sp at entry, meta index, snapshot
     base) and the per-call register snapshots live in one flat int buffer
     indexed by frame; both grow geometrically and are reused across the
-    run.  The decoded engine is behaviourally identical to
-    {!Sim.run_reference} — same outcomes, counters, block profiles and
-    [Runtime_error] messages — which the differential test suite enforces
-    on every workload and on random programs.
+    run.  The memory image is reused too: each domain keeps one array,
+    which a run takes for its own use, re-zeroes, and puts back once its
+    outcome is built ([take_mem]).
+
+    The decoded engine is behaviourally identical to {!Sim.run_reference}
+    — same outcomes, counters, block profiles and [Runtime_error] messages
+    — which the differential test suite enforces on every workload, under
+    every allocator, and on random and mutated programs.
 
     Decode is total on linked programs: the only {!Asm.inst} constructors
     it cannot specialize ([Jal], [Lproc]) are pre-link artifacts, decoded
     to a poison opcode that traps exactly like the reference engine does,
-    and only if actually executed. *)
+    and only if actually executed.  An instruction naming a register
+    outside the file decodes to a second poison opcode, which raises the
+    [Invalid_argument] the reference engine's register access raises. *)
 
 module Machine = Chow_machine.Machine
 module Asm = Chow_codegen.Asm
@@ -63,7 +78,8 @@ type outcome = {
 
 (* Opcode numbering: dense from 0 so the dispatch match compiles to a jump
    table.  Variant sub-codes (binop, relop, tag) are folded in as offsets:
-   [k_add + binop], [k_beq + relop], [k_lw + tag]. *)
+   [k_add + binop], [k_beq + relop], [k_lw + tag].  Opcodes [k_li] up to
+   the last [k_lw] write register [a]. *)
 let k_halt = 0
 let k_li = 1 (* a=dst  b=imm *)
 let k_move = 2 (* a=dst  b=src *)
@@ -82,6 +98,7 @@ let k_jalr = 55 (* a=reg *)
 let k_jr = 56
 let k_print = 57 (* a=reg *)
 let k_unlinked = 58
+let k_badreg = 59
 
 let binop_code = function
   | Ir.Add -> 0
@@ -104,16 +121,15 @@ let relop_code = function
   | Ir.Ge -> 5
 
 type t = {
-  ops : int array;
-  fa : int array;
-  fb : int array;
-  fc : int array;
+  code : int array;  (** four words per pc: opcode, a, b, c *)
   prog : Asm.program;  (** retained for data layout and block pcs *)
   entries : int array;  (** procedure entries sorted by address *)
   names : string array;
   meta_of_pc : int array;  (** pc -> index into the meta arrays, or -1 *)
   meta_name : string array;  (** last slot is the "<unknown>" sentinel *)
-  meta_preserved : int array array;
+  meta_checked : int array array;
+      (** the preserved registers each activation may write, in contract
+          order; -1 stands for a register outside the file *)
   unknown_meta : int;
   has_metas : bool;
 }
@@ -143,66 +159,167 @@ type hooks = {
     unit;
 }
 
+let valid r = r >= 0 && r < Machine.nregs
+
+let operands_valid = function
+  | Asm.Halt | Asm.Lproc _ | Asm.Jal _ | Asm.J _ | Asm.Jal_pc _ | Asm.Jr ->
+      true
+  | Asm.Li (r, _) | Asm.Jalr r | Asm.Print r -> valid r
+  | Asm.Move (d, s)
+  | Asm.Neg (d, s)
+  | Asm.Not (d, s)
+  | Asm.Binopi (_, d, s, _)
+  | Asm.Cmpi (_, d, s, _)
+  | Asm.Lw (d, s, _, _)
+  | Asm.Sw (d, s, _, _)
+  | Asm.B (_, d, s, _) ->
+      valid d && valid s
+  | Asm.Binop (_, d, a, b) | Asm.Cmp (_, d, a, b) ->
+      valid d && valid a && valid b
+
 (* Writes to the hardwired zero register are discarded by redirecting them
    to a dump slot one past the real register file; reads then never need a
    zero check because regs.(0) is never written. *)
 let dst r = if r = Machine.zero then Machine.nregs else r
 
-let decode (prog : Asm.program) : t =
-  let code = prog.Asm.code in
-  let n = Array.length code in
-  let ops = Array.make n 0 in
-  let fa = Array.make n 0 in
-  let fb = Array.make n 0 in
-  let fc = Array.make n 0 in
-  for i = 0 to n - 1 do
-    let op, a, b, c =
-      match code.(i) with
-      | Asm.Halt -> (k_halt, 0, 0, 0)
-      | Asm.Li (r, imm) -> (k_li, dst r, imm, 0)
-      | Asm.Lproc _ | Asm.Jal _ -> (k_unlinked, 0, 0, 0)
-      | Asm.Move (d, s) -> (k_move, dst d, s, 0)
-      | Asm.Neg (d, s) -> (k_neg, dst d, s, 0)
-      | Asm.Not (d, s) -> (k_not, dst d, s, 0)
-      | Asm.Binop (op, d, a, b) -> (k_add + binop_code op, dst d, a, b)
-      | Asm.Binopi (op, d, a, imm) -> (k_addi + binop_code op, dst d, a, imm)
-      | Asm.Cmp (op, d, a, b) -> (k_cmp + relop_code op, dst d, a, b)
-      | Asm.Cmpi (op, d, a, imm) -> (k_cmpi + relop_code op, dst d, a, imm)
-      | Asm.Lw (d, b, off, tag) -> (k_lw + tag_index tag, dst d, b, off)
-      | Asm.Sw (s, b, off, tag) -> (k_sw + tag_index tag, s, b, off)
-      | Asm.B (op, a, b, l) -> (k_b + relop_code op, a, b, l)
-      | Asm.J l -> (k_j, l, 0, 0)
-      | Asm.Jal_pc t -> (k_jal, t, 0, 0)
-      | Asm.Jalr r -> (k_jalr, r, 0, 0)
-      | Asm.Jr -> (k_jr, 0, 0, 0)
-      | Asm.Print r -> (k_print, r, 0, 0)
+let decode_inst = function
+  | Asm.Halt -> (k_halt, 0, 0, 0)
+  | Asm.Li (r, imm) -> (k_li, dst r, imm, 0)
+  | Asm.Lproc _ | Asm.Jal _ -> (k_unlinked, 0, 0, 0)
+  | Asm.Move (d, s) -> (k_move, dst d, s, 0)
+  | Asm.Neg (d, s) -> (k_neg, dst d, s, 0)
+  | Asm.Not (d, s) -> (k_not, dst d, s, 0)
+  | Asm.Binop (op, d, a, b) -> (k_add + binop_code op, dst d, a, b)
+  | Asm.Binopi (op, d, a, imm) -> (k_addi + binop_code op, dst d, a, imm)
+  | Asm.Cmp (op, d, a, b) -> (k_cmp + relop_code op, dst d, a, b)
+  | Asm.Cmpi (op, d, a, imm) -> (k_cmpi + relop_code op, dst d, a, imm)
+  | Asm.Lw (d, b, off, tag) -> (k_lw + tag_index tag, dst d, b, off)
+  | Asm.Sw (s, b, off, tag) -> (k_sw + tag_index tag, s, b, off)
+  | Asm.B (op, a, b, l) -> (k_b + relop_code op, a, b, l)
+  | Asm.J l -> (k_j, l, 0, 0)
+  | Asm.Jal_pc t -> (k_jal, t, 0, 0)
+  | Asm.Jalr r -> (k_jalr, r, 0, 0)
+  | Asm.Jr -> (k_jr, 0, 0, 0)
+  | Asm.Print r -> (k_print, r, 0, 0)
+
+(** [may_write code meta_entry meta_of_pc] is, for each meta, a bitmask of
+    the registers its activation may write, from the call that enters it
+    to the return that pops its frame.  Reachability runs from the entry
+    over fall-through, [B] and [J] targets (into any procedure's body:
+    layout is not trusted) and call continuations.  An instruction writes
+    its destination; [jal] and [jalr] write [ra].  A static [jal] to a meta
+    entry adds that meta's set, a [jalr] every meta's set (a call that
+    lands elsewhere is a wild-call trap), to a fixpoint.  A path ends at
+    [halt], at [jr] (the checker pops this frame there, having verified
+    the return target), and at an instruction that traps unconditionally:
+    an unlinked or bad-register one, or an out-of-range pc. *)
+let may_write code meta_entry meta_of_pc =
+  let n = Array.length code / 4 in
+  let nm = Array.length meta_entry in
+  let may = Array.make nm 0 in
+  let indirect = Array.make nm false in
+  let callees = Array.make nm [||] in
+  let seen = Array.make n (-1) in
+  (* each pc is pushed at most once per meta, and holds at most one call *)
+  let work = Array.make n 0 and found = Array.make n 0 in
+  let ra_bit = 1 lsl Machine.ra in
+  for m = 0 to nm - 1 do
+    let top = ref 0 and nfound = ref 0 and mask = ref 0 in
+    let push pc =
+      if pc >= 0 && pc < n && seen.(pc) <> m then begin
+        seen.(pc) <- m;
+        work.(!top) <- pc;
+        incr top
+      end
     in
-    ops.(i) <- op;
-    fa.(i) <- a;
-    fb.(i) <- b;
-    fc.(i) <- c
+    push meta_entry.(m);
+    while !top > 0 do
+      decr top;
+      let pc = work.(!top) in
+      let op = code.(4 * pc) and a = code.((4 * pc) + 1) in
+      if op >= k_li && op < k_sw && a < Machine.nregs then
+        mask := !mask lor (1 lsl a);
+      if op = k_halt || op = k_jr || op = k_unlinked || op = k_badreg then ()
+      else if op >= k_b && op < k_j then begin
+        push (pc + 1);
+        push code.((4 * pc) + 3)
+      end
+      else if op = k_j then push a
+      else begin
+        if op = k_jalr then begin
+          mask := !mask lor ra_bit;
+          indirect.(m) <- true
+        end
+        else if op = k_jal then begin
+          mask := !mask lor ra_bit;
+          if a >= 0 && a < n && meta_of_pc.(a) >= 0 then begin
+            found.(!nfound) <- meta_of_pc.(a);
+            incr nfound
+          end
+        end;
+        push (pc + 1)
+      end
+    done;
+    may.(m) <- !mask;
+    callees.(m) <- Array.sub found 0 !nfound
   done;
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    let any = Array.fold_left ( lor ) 0 may in
+    for m = 0 to nm - 1 do
+      let v = ref (if indirect.(m) then may.(m) lor any else may.(m)) in
+      Array.iter (fun c -> v := !v lor may.(c)) callees.(m);
+      if !v <> may.(m) then begin
+        may.(m) <- !v;
+        changed := true
+      end
+    done
+  done;
+  may
+
+let decode (prog : Asm.program) : t =
+  let insts = prog.Asm.code in
+  let n = Array.length insts in
+  let code = Array.make (4 * n) 0 in
+  Array.iteri
+    (fun i inst ->
+      let op, a, b, c =
+        if operands_valid inst then decode_inst inst else (k_badreg, 0, 0, 0)
+      in
+      code.(4 * i) <- op;
+      code.((4 * i) + 1) <- a;
+      code.((4 * i) + 2) <- b;
+      code.((4 * i) + 3) <- c)
+    insts;
   let entries, names = Asm.proc_table prog in
   let meta_of_pc, metas = Asm.meta_table prog in
   let nmetas = Array.length metas in
+  let may =
+    may_write code (Array.of_list (List.map fst prog.Asm.metas)) meta_of_pc
+  in
   let meta_name = Array.make (nmetas + 1) "<unknown>" in
-  let meta_preserved = Array.make (nmetas + 1) [||] in
+  let meta_checked = Array.make (nmetas + 1) [||] in
   Array.iteri
     (fun i (m : Asm.meta) ->
       meta_name.(i) <- m.Asm.m_name;
-      meta_preserved.(i) <- Array.of_list m.Asm.m_preserved)
+      meta_checked.(i) <-
+        Array.of_list
+          (List.filter_map
+             (fun r ->
+               if not (valid r) then Some (-1)
+               else if may.(i) land (1 lsl r) <> 0 then Some r
+               else None)
+             m.Asm.m_preserved))
     metas;
   {
-    ops;
-    fa;
-    fb;
-    fc;
+    code;
     prog;
     entries;
     names;
     meta_of_pc;
     meta_name;
-    meta_preserved;
+    meta_checked;
     unknown_meta = nmetas;
     has_metas = nmetas > 0;
   }
@@ -289,11 +406,32 @@ let publish_metrics (o : outcome) =
       o.proc_cycles
   end
 
+(* One memory image per domain, reused across runs.  A run takes it out of
+   the slot (so a concurrent run on another thread of the domain, or a run
+   nested inside a hook, finds the slot empty and allocates its own),
+   zeroes it before use, and puts it back once its outcome is built.  A run
+   that traps drops its image; the next run allocates afresh. *)
+let mem_slot : int array option Atomic.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Atomic.make None)
+
+let take_mem mem_words =
+  match Atomic.exchange (Domain.DLS.get mem_slot) None with
+  | Some mem when Array.length mem = mem_words ->
+      Array.fill mem 0 mem_words 0;
+      mem
+  | _ -> Array.make mem_words 0
+
+let release_mem mem = Atomic.set (Domain.DLS.get mem_slot) (Some mem)
+
+(* unchecked register-file access, for the operands [decode] validated *)
+let[@inline] get (regs : int array) r = Array.unsafe_get regs r
+let[@inline] set (regs : int array) r v = Array.unsafe_set regs r v
+
 let execute ?(fuel = 500_000_000) ?(mem_words = 1 lsl 20) ?(check = true)
     ?(profile = false) ?hooks ?pc_buf (t : t) : outcome =
   let prog = t.prog in
-  let ops = t.ops and fa = t.fa and fb = t.fb and fc = t.fc in
-  let ncode = Array.length ops in
+  let code = t.code in
+  let ncode = Array.length code / 4 in
   (* a caller-supplied buffer makes per-pc counts observable without
      adding fields to the outcome; [profile] alone uses a private one *)
   let count_pcs = profile || pc_buf <> None in
@@ -306,13 +444,13 @@ let execute ?(fuel = 500_000_000) ?(mem_words = 1 lsl 20) ?(check = true)
         a
     | None -> if profile then Array.make ncode 0 else [||]
   in
-  let mem = Array.make mem_words 0 in
+  let mem = take_mem mem_words in
   List.iter (fun (addr, v) -> mem.(addr) <- v) prog.Asm.data_init;
   (* one extra slot past the register file: the dump target for writes to
      the zero register (see [dst]) *)
   let regs = Array.make (Machine.nregs + 1) 0 in
   regs.(Machine.sp) <- mem_words;
-  let cycles = ref 0 and calls = ref 0 in
+  let calls = ref 0 in
   let loads = Array.make 5 0 and stores = Array.make 5 0 in
   let output = ref [] in
   (* contract-checker shadow stack: parallel int arrays, no allocation per
@@ -351,37 +489,36 @@ let execute ?(fuel = 500_000_000) ?(mem_words = 1 lsl 20) ?(check = true)
     snap_cap := !c
   in
   let overflow_limit = prog.Asm.data_size + 64 in
-  let pc = ref prog.Asm.entry in
-  let oob addr =
-    error "memory access out of bounds: %d (pc %d, in %s)" addr !pc
-      (attribute_pc t.entries t.names !pc)
+  let where pc = attribute_pc t.entries t.names pc in
+  let oob addr pc =
+    error "memory access out of bounds: %d (pc %d, in %s)" addr pc (where pc)
   in
   (* tracing is sampled on the call path only (every 256th call), and the
      enabled check is hoisted out of the loop: the hot path is untouched
      when tracing is off *)
   let tr = Trace.is_on () in
-  let do_call target return_pc =
+  (* [pc] is the call instruction's, [cycles] the count including it *)
+  let do_call pc cycles target =
     incr calls;
     if tr && !calls land 255 = 0 then
       Trace.counter "sim.traffic"
         [
-          ("cycles", !cycles);
+          ("cycles", cycles);
           ("calls", !calls);
           ("scalar_loads", loads.(1) + loads.(2) + loads.(3) + loads.(4));
           ("scalar_stores", stores.(1) + stores.(2) + stores.(3) + stores.(4));
         ];
     if regs.(Machine.sp) <= overflow_limit then
-      error "stack overflow (pc %d, in %s)" !pc
-        (attribute_pc t.entries t.names !pc);
+      error "stack overflow (pc %d, in %s)" pc (where pc);
     if target < 0 || target >= ncode then
-      error "call to invalid address %d (pc %d, in %s)" target !pc
-        (attribute_pc t.entries t.names !pc);
+      error "call to invalid address %d (pc %d, in %s)" target pc (where pc);
+    let return_pc = pc + 1 in
     regs.(Machine.ra) <- return_pc;
     (match hooks with
     | Some h ->
-        h.h_call ~site:(return_pc - 1) ~target ~cycles:!cycles
-          ~contract_saves:stores.(2) ~contract_restores:loads.(2)
-          ~call_saves:stores.(3) ~call_restores:loads.(3)
+        h.h_call ~site:pc ~target ~cycles ~contract_saves:stores.(2)
+          ~contract_restores:loads.(2) ~call_saves:stores.(3)
+          ~call_restores:loads.(3)
     | None -> ());
     if check then begin
       let m =
@@ -389,8 +526,7 @@ let execute ?(fuel = 500_000_000) ?(mem_words = 1 lsl 20) ?(check = true)
         if m >= 0 then m
         else if t.has_metas then
           error "call to %d, which is not a procedure entry (pc %d, in %s)"
-            target !pc
-            (attribute_pc t.entries t.names !pc)
+            target pc (where pc)
         else t.unknown_meta
       in
       if !depth = !frame_cap then grow_frames ();
@@ -400,29 +536,28 @@ let execute ?(fuel = 500_000_000) ?(mem_words = 1 lsl 20) ?(check = true)
       !fr_meta.(d) <- m;
       !fr_base.(d) <- !snap_top;
       depth := d + 1;
-      let pres = t.meta_preserved.(m) in
-      let n = Array.length pres in
+      let regs_m = t.meta_checked.(m) in
+      let n = Array.length regs_m in
       if !snap_top + n > !snap_cap then grow_snap (!snap_top + n);
       let sn = !snap and top = !snap_top in
       for k = 0 to n - 1 do
-        sn.(top + k) <- regs.(pres.(k))
+        sn.(top + k) <- regs.(regs_m.(k))
       done;
       snap_top := top + n
     end;
     target
   in
-  let do_return () =
+  let do_return pc cycles =
     let target = regs.(Machine.ra) in
     (match hooks with
     | Some h ->
-        h.h_return ~cycles:!cycles ~contract_saves:stores.(2)
+        h.h_return ~cycles ~contract_saves:stores.(2)
           ~contract_restores:loads.(2) ~call_saves:stores.(3)
           ~call_restores:loads.(3)
     | None -> ());
     if check then begin
       if !depth = 0 then
-        error "return with empty call stack (pc %d, in %s)" !pc
-          (attribute_pc t.entries t.names !pc);
+        error "return with empty call stack (pc %d, in %s)" pc (where pc);
       let d = !depth - 1 in
       depth := d;
       let m = !fr_meta.(d) in
@@ -432,11 +567,11 @@ let execute ?(fuel = 500_000_000) ?(mem_words = 1 lsl 20) ?(check = true)
       if regs.(Machine.sp) <> !fr_sp.(d) then
         error "%s: stack pointer not restored (%d <> %d)" callee
           regs.(Machine.sp) !fr_sp.(d);
-      let pres = t.meta_preserved.(m) in
+      let regs_m = t.meta_checked.(m) in
       let base = !fr_base.(d) in
       let sn = !snap in
-      for k = 0 to Array.length pres - 1 do
-        let r = pres.(k) in
+      for k = 0 to Array.length regs_m - 1 do
+        let r = regs_m.(k) in
         if regs.(r) <> sn.(base + k) then
           error "%s: clobbered preserved register %s (%d <> %d)" callee
             (Machine.name r) regs.(r)
@@ -446,219 +581,170 @@ let execute ?(fuel = 500_000_000) ?(mem_words = 1 lsl 20) ?(check = true)
     end;
     target
   in
+  (* [pc] and [cycles] are captured by no closure, so they live in
+     registers; every register operand was validated by [decode] *)
+  let pc = ref prog.Asm.entry and cycles = ref 0 in
   let running = ref true in
   while !running do
-    if !cycles >= fuel then
-      error "out of fuel after %d cycles (pc %d, in %s)" fuel !pc
-        (attribute_pc t.entries t.names !pc);
     let i = !pc in
+    if !cycles >= fuel then
+      error "out of fuel after %d cycles (pc %d, in %s)" fuel i (where i);
     if i < 0 || i >= ncode then error "pc out of range: %d" i;
-    if count_pcs then pc_counts.(i) <- pc_counts.(i) + 1;
+    if count_pcs then
+      Array.unsafe_set pc_counts i (Array.unsafe_get pc_counts i + 1);
     incr cycles;
     let next = i + 1 in
-    let a = Array.unsafe_get fa i
-    and b = Array.unsafe_get fb i
-    and c = Array.unsafe_get fc i in
-    match Array.unsafe_get ops i with
+    let base = i lsl 2 in
+    let a = Array.unsafe_get code (base + 1)
+    and b = Array.unsafe_get code (base + 2)
+    and c = Array.unsafe_get code (base + 3) in
+    match Array.unsafe_get code base with
     | 0 (* halt *) -> running := false
     | 1 (* li *) ->
-        regs.(a) <- b;
+        set regs a b;
         pc := next
     | 2 (* move *) ->
-        regs.(a) <- regs.(b);
+        set regs a (get regs b);
         pc := next
     | 3 (* neg *) ->
-        regs.(a) <- -regs.(b);
+        set regs a (-get regs b);
         pc := next
     | 4 (* not *) ->
-        regs.(a) <- (if regs.(b) = 0 then 1 else 0);
+        set regs a (if get regs b = 0 then 1 else 0);
         pc := next
     | 5 (* add *) ->
-        regs.(a) <- regs.(b) + regs.(c);
+        set regs a (get regs b + get regs c);
         pc := next
     | 6 (* sub *) ->
-        regs.(a) <- regs.(b) - regs.(c);
+        set regs a (get regs b - get regs c);
         pc := next
     | 7 (* mul *) ->
-        regs.(a) <- regs.(b) * regs.(c);
+        set regs a (get regs b * get regs c);
         pc := next
     | 8 (* div *) ->
-        let d = regs.(c) in
-        if d = 0 then
-          error "division by zero (pc %d, in %s)" i
-            (attribute_pc t.entries t.names i);
-        regs.(a) <- regs.(b) / d;
+        let d = get regs c in
+        if d = 0 then error "division by zero (pc %d, in %s)" i (where i);
+        set regs a (get regs b / d);
         pc := next
     | 9 (* rem *) ->
-        let d = regs.(c) in
-        if d = 0 then
-          error "remainder by zero (pc %d, in %s)" i
-            (attribute_pc t.entries t.names i);
-        regs.(a) <- regs.(b) mod d;
+        let d = get regs c in
+        if d = 0 then error "remainder by zero (pc %d, in %s)" i (where i);
+        set regs a (get regs b mod d);
         pc := next
     | 10 (* and *) ->
-        regs.(a) <- regs.(b) land regs.(c);
+        set regs a (get regs b land get regs c);
         pc := next
     | 11 (* or *) ->
-        regs.(a) <- regs.(b) lor regs.(c);
+        set regs a (get regs b lor get regs c);
         pc := next
     | 12 (* xor *) ->
-        regs.(a) <- regs.(b) lxor regs.(c);
+        set regs a (get regs b lxor get regs c);
         pc := next
     | 13 (* shl *) ->
-        regs.(a) <- regs.(b) lsl regs.(c);
+        set regs a (get regs b lsl get regs c);
         pc := next
     | 14 (* shr *) ->
-        regs.(a) <- regs.(b) asr regs.(c);
+        set regs a (get regs b asr get regs c);
         pc := next
     | 15 (* addi *) ->
-        regs.(a) <- regs.(b) + c;
+        set regs a (get regs b + c);
         pc := next
     | 16 (* subi *) ->
-        regs.(a) <- regs.(b) - c;
+        set regs a (get regs b - c);
         pc := next
     | 17 (* muli *) ->
-        regs.(a) <- regs.(b) * c;
+        set regs a (get regs b * c);
         pc := next
     | 18 (* divi *) ->
-        if c = 0 then
-          error "division by zero (pc %d, in %s)" i
-            (attribute_pc t.entries t.names i);
-        regs.(a) <- regs.(b) / c;
+        if c = 0 then error "division by zero (pc %d, in %s)" i (where i);
+        set regs a (get regs b / c);
         pc := next
     | 19 (* remi *) ->
-        if c = 0 then
-          error "remainder by zero (pc %d, in %s)" i
-            (attribute_pc t.entries t.names i);
-        regs.(a) <- regs.(b) mod c;
+        if c = 0 then error "remainder by zero (pc %d, in %s)" i (where i);
+        set regs a (get regs b mod c);
         pc := next
     | 20 (* andi *) ->
-        regs.(a) <- regs.(b) land c;
+        set regs a (get regs b land c);
         pc := next
     | 21 (* ori *) ->
-        regs.(a) <- regs.(b) lor c;
+        set regs a (get regs b lor c);
         pc := next
     | 22 (* xori *) ->
-        regs.(a) <- regs.(b) lxor c;
+        set regs a (get regs b lxor c);
         pc := next
     | 23 (* shli *) ->
-        regs.(a) <- regs.(b) lsl c;
+        set regs a (get regs b lsl c);
         pc := next
     | 24 (* shri *) ->
-        regs.(a) <- regs.(b) asr c;
+        set regs a (get regs b asr c);
         pc := next
     | 25 (* cmp eq *) ->
-        regs.(a) <- (if regs.(b) = regs.(c) then 1 else 0);
+        set regs a (if get regs b = get regs c then 1 else 0);
         pc := next
     | 26 (* cmp ne *) ->
-        regs.(a) <- (if regs.(b) <> regs.(c) then 1 else 0);
+        set regs a (if get regs b <> get regs c then 1 else 0);
         pc := next
     | 27 (* cmp lt *) ->
-        regs.(a) <- (if regs.(b) < regs.(c) then 1 else 0);
+        set regs a (if get regs b < get regs c then 1 else 0);
         pc := next
     | 28 (* cmp le *) ->
-        regs.(a) <- (if regs.(b) <= regs.(c) then 1 else 0);
+        set regs a (if get regs b <= get regs c then 1 else 0);
         pc := next
     | 29 (* cmp gt *) ->
-        regs.(a) <- (if regs.(b) > regs.(c) then 1 else 0);
+        set regs a (if get regs b > get regs c then 1 else 0);
         pc := next
     | 30 (* cmp ge *) ->
-        regs.(a) <- (if regs.(b) >= regs.(c) then 1 else 0);
+        set regs a (if get regs b >= get regs c then 1 else 0);
         pc := next
     | 31 (* cmpi eq *) ->
-        regs.(a) <- (if regs.(b) = c then 1 else 0);
+        set regs a (if get regs b = c then 1 else 0);
         pc := next
     | 32 (* cmpi ne *) ->
-        regs.(a) <- (if regs.(b) <> c then 1 else 0);
+        set regs a (if get regs b <> c then 1 else 0);
         pc := next
     | 33 (* cmpi lt *) ->
-        regs.(a) <- (if regs.(b) < c then 1 else 0);
+        set regs a (if get regs b < c then 1 else 0);
         pc := next
     | 34 (* cmpi le *) ->
-        regs.(a) <- (if regs.(b) <= c then 1 else 0);
+        set regs a (if get regs b <= c then 1 else 0);
         pc := next
     | 35 (* cmpi gt *) ->
-        regs.(a) <- (if regs.(b) > c then 1 else 0);
+        set regs a (if get regs b > c then 1 else 0);
         pc := next
     | 36 (* cmpi ge *) ->
-        regs.(a) <- (if regs.(b) >= c then 1 else 0);
+        set regs a (if get regs b >= c then 1 else 0);
         pc := next
-    | 37 (* lw data *) ->
-        let addr = regs.(b) + c in
-        if addr < 0 || addr >= mem_words then oob addr;
-        regs.(a) <- Array.unsafe_get mem addr;
-        loads.(0) <- loads.(0) + 1;
+    | (37 | 38 | 39 | 40 | 41) as op (* lw, by tag *) ->
+        let addr = get regs b + c in
+        if addr < 0 || addr >= mem_words then oob addr i;
+        set regs a (Array.unsafe_get mem addr);
+        let k = op - k_lw in
+        Array.unsafe_set loads k (Array.unsafe_get loads k + 1);
         pc := next
-    | 38 (* lw scalar *) ->
-        let addr = regs.(b) + c in
-        if addr < 0 || addr >= mem_words then oob addr;
-        regs.(a) <- Array.unsafe_get mem addr;
-        loads.(1) <- loads.(1) + 1;
+    | (42 | 43 | 44 | 45 | 46) as op (* sw, by tag *) ->
+        let addr = get regs b + c in
+        if addr < 0 || addr >= mem_words then oob addr i;
+        Array.unsafe_set mem addr (get regs a);
+        let k = op - k_sw in
+        Array.unsafe_set stores k (Array.unsafe_get stores k + 1);
         pc := next
-    | 39 (* lw save *) ->
-        let addr = regs.(b) + c in
-        if addr < 0 || addr >= mem_words then oob addr;
-        regs.(a) <- Array.unsafe_get mem addr;
-        loads.(2) <- loads.(2) + 1;
-        pc := next
-    | 40 (* lw callsave *) ->
-        let addr = regs.(b) + c in
-        if addr < 0 || addr >= mem_words then oob addr;
-        regs.(a) <- Array.unsafe_get mem addr;
-        loads.(3) <- loads.(3) + 1;
-        pc := next
-    | 41 (* lw stackarg *) ->
-        let addr = regs.(b) + c in
-        if addr < 0 || addr >= mem_words then oob addr;
-        regs.(a) <- Array.unsafe_get mem addr;
-        loads.(4) <- loads.(4) + 1;
-        pc := next
-    | 42 (* sw data *) ->
-        let addr = regs.(b) + c in
-        if addr < 0 || addr >= mem_words then oob addr;
-        Array.unsafe_set mem addr regs.(a);
-        stores.(0) <- stores.(0) + 1;
-        pc := next
-    | 43 (* sw scalar *) ->
-        let addr = regs.(b) + c in
-        if addr < 0 || addr >= mem_words then oob addr;
-        Array.unsafe_set mem addr regs.(a);
-        stores.(1) <- stores.(1) + 1;
-        pc := next
-    | 44 (* sw save *) ->
-        let addr = regs.(b) + c in
-        if addr < 0 || addr >= mem_words then oob addr;
-        Array.unsafe_set mem addr regs.(a);
-        stores.(2) <- stores.(2) + 1;
-        pc := next
-    | 45 (* sw callsave *) ->
-        let addr = regs.(b) + c in
-        if addr < 0 || addr >= mem_words then oob addr;
-        Array.unsafe_set mem addr regs.(a);
-        stores.(3) <- stores.(3) + 1;
-        pc := next
-    | 46 (* sw stackarg *) ->
-        let addr = regs.(b) + c in
-        if addr < 0 || addr >= mem_words then oob addr;
-        Array.unsafe_set mem addr regs.(a);
-        stores.(4) <- stores.(4) + 1;
-        pc := next
-    | 47 (* b eq *) -> pc := (if regs.(a) = regs.(b) then c else next)
-    | 48 (* b ne *) -> pc := (if regs.(a) <> regs.(b) then c else next)
-    | 49 (* b lt *) -> pc := (if regs.(a) < regs.(b) then c else next)
-    | 50 (* b le *) -> pc := (if regs.(a) <= regs.(b) then c else next)
-    | 51 (* b gt *) -> pc := (if regs.(a) > regs.(b) then c else next)
-    | 52 (* b ge *) -> pc := (if regs.(a) >= regs.(b) then c else next)
+    | 47 (* b eq *) -> pc := if get regs a = get regs b then c else next
+    | 48 (* b ne *) -> pc := if get regs a <> get regs b then c else next
+    | 49 (* b lt *) -> pc := if get regs a < get regs b then c else next
+    | 50 (* b le *) -> pc := if get regs a <= get regs b then c else next
+    | 51 (* b gt *) -> pc := if get regs a > get regs b then c else next
+    | 52 (* b ge *) -> pc := if get regs a >= get regs b then c else next
     | 53 (* j *) -> pc := a
-    | 54 (* jal *) -> pc := do_call a next
-    | 55 (* jalr *) -> pc := do_call regs.(a) next
-    | 56 (* jr *) -> pc := do_return ()
+    | 54 (* jal *) -> pc := do_call i !cycles a
+    | 55 (* jalr *) -> pc := do_call i !cycles (get regs a)
+    | 56 (* jr *) -> pc := do_return i !cycles
     | 57 (* print *) ->
-        output := regs.(a) :: !output;
+        output := get regs a :: !output;
         pc := next
     | 58 (* unlinked Jal/Lproc *) ->
-        error "unlinked instruction at %d (in %s)" i
-          (attribute_pc t.entries t.names i)
+        error "unlinked instruction at %d (in %s)" i (where i)
+    | 59 (* register operand outside the file *) ->
+        invalid_arg "index out of bounds"
     | _ -> assert false
   done;
   let block_counts =
@@ -686,5 +772,6 @@ let execute ?(fuel = 500_000_000) ?(mem_words = 1 lsl 20) ?(check = true)
       proc_cycles;
     }
   in
+  release_mem mem;
   publish_metrics outcome;
   outcome

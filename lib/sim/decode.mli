@@ -1,11 +1,16 @@
 (** Pre-decoded threaded execution engine behind {!Sim.run}.
 
-    [decode] compiles a linked program once into a flat struct-of-arrays
-    form (int opcodes with the binop/relop/tag variant folded in, operands
-    pre-resolved, per-pc procedure-meta indices); [execute] interprets it
-    with a jump-table dispatch loop and an allocation-free contract
-    checker.  Behaviourally identical to {!Sim.run_reference}, which the
-    differential test suite enforces. *)
+    [decode] compiles a linked program once into one flat int array, four
+    words per pc (an opcode with the binop/relop/tag variant folded in,
+    then pre-resolved operands), with every register operand validated
+    and a per-pc procedure-meta index.  It also proves, from the code
+    alone, which registers each procedure's activation may write, and
+    keeps of each preserved-register contract only the registers that can
+    change.  [execute] interprets the form with a jump-table dispatch loop,
+    an allocation-free contract checker over those pruned contracts, and a
+    memory image reused across runs of the same domain.  Behaviourally
+    identical to {!Sim.run_reference}, which the differential test suite
+    enforces. *)
 
 exception Runtime_error of string
 
@@ -42,7 +47,10 @@ type outcome = {
 type t
 (** A program decoded for execution.  Decoding is total on linked
     programs; pre-link instructions ([Jal], [Lproc]) decode to a poison
-    opcode that traps only if executed, matching the reference engine. *)
+    opcode that traps only if executed, matching the reference engine.
+    So does an instruction naming a register outside the file: executing
+    it raises [Invalid_argument "index out of bounds"], as the reference
+    engine's register access does. *)
 
 (** Call-path probes for {!execute}: [h_call] fires once per call
     transfer (with the call instruction's pc as [site] and the callee
@@ -85,7 +93,13 @@ val execute :
     supplies a buffer (at least as long as the code) that receives the
     per-pc execution counts — it is zeroed on entry and filled whether or
     not [profile] is set, letting a profiler read the counts without the
-    outcome carrying them. *)
+    outcome carrying them.
+
+    The memory image comes from a per-domain slot: a run takes the
+    domain's array (or allocates one when the slot is empty or sized
+    differently), zeroes it before use, and puts it back once its outcome
+    is built, so runs on other threads of the domain, and runs nested in a
+    hook, never share it. *)
 
 val proc_name_of : Chow_codegen.Asm.program -> int -> string
 (** The procedure containing the given pc (nearest entry at or below it),

@@ -19,8 +19,11 @@
 
     Two engines implement the same semantics.  {!run} is the pre-decoded
     threaded engine ({!Decode}): a one-time pass specializes the program
-    into flat int-coded arrays interpreted by a tight jump-table loop with
-    an allocation-free contract checker.  {!run_reference} is the original
+    into a flat int-coded array interpreted by a tight jump-table loop,
+    and proves statically which preserved registers each procedure's
+    activation may write, so its allocation-free contract checker
+    snapshots and compares only those; the memory image is reused across
+    runs of a domain.  {!run_reference} is the original
     direct interpreter over {!Asm.inst} variants, retained as the
     executable specification; the differential test suite holds the two to
     identical outcomes — outputs, cycle counts, per-tag traffic, block

@@ -45,10 +45,12 @@ type outcome = Decode.outcome = {
     fuel.
 
     This is the pre-decoded threaded engine ({!Decode}): the program is
-    specialized once into flat int-coded arrays and interpreted by a
-    jump-table dispatch loop with an allocation-free contract checker.
-    The decode pass runs on every call and is amortized over the
-    execution. *)
+    specialized once into a flat int-coded array and interpreted by a
+    jump-table dispatch loop with an allocation-free contract checker,
+    which checks only the preserved registers that decode finds some
+    reachable instruction may write (the others cannot change, so the
+    verdicts are those of the full check).  The decode pass runs on every
+    call and is amortized over the execution. *)
 val run :
   ?fuel:int ->
   ?mem_words:int ->

@@ -254,7 +254,7 @@ let with_server ?(workers = 2) ?(queue_bound = 16) name f =
       f socket_path)
 
 let compile_req ?(action = Protocol.Run) ?(priority = 0) ?(id = -1)
-    ?(alloc = "chow") srcs =
+    ?(alloc = "chow") ?fuel srcs =
   Protocol.Compile
     {
       id;
@@ -264,7 +264,7 @@ let compile_req ?(action = Protocol.Run) ?(priority = 0) ?(id = -1)
       shrinkwrap = true;
       global_promo = false;
       alloc;
-      fuel = None;
+      fuel;
       priority;
     }
 
@@ -436,11 +436,11 @@ let test_server_busy_backpressure () =
             "overload answered Busy, not blocking" true (!busy >= 1)))
 
 (* health: a fresh daemon is ready with every check passing; wedge the
-   admission queue (one worker, bound 1, a pipelined burst of distinct
-   cold compiles keeping the queue at its bound) and the probe — answered
-   from the connection thread, never through the queue — must report
-   degraded naming the queue check; once the burst drains it is ready
-   again *)
+   admission queue (one worker, bound 1, pinned by a run that never halts
+   until its fuel runs out, then a pipelined burst keeping the queue at
+   its bound) and the probe — answered from the connection thread, never
+   through the queue — must report degraded naming the queue check; once
+   the burst drains it is ready again *)
 let test_server_health_probe () =
   with_server ~workers:1 ~queue_bound:1 "health" (fun socket_path ->
       let probe () =
@@ -460,11 +460,28 @@ let test_server_health_probe () =
             (name ^ " check present") true
             (List.exists (fun (n, _, _) -> n = name) checks))
         [ "listener"; "workers"; "queue"; "cache" ];
+      let workers_busy () =
+        Client.with_connection ~socket_path (fun c ->
+            match Client.request c Protocol.Stats with
+            | Protocol.Stats_reply rows ->
+                Option.value ~default:0
+                  (List.assoc_opt "server.workers_busy" rows)
+            | _ -> Alcotest.fail "Stats request failed")
+      in
       Client.with_connection ~socket_path (fun c ->
           let burst = 32 in
-          (* distinct sources so every request compiles cold: the single
-             worker stays busy and the queue stays at its bound for the
-             whole burst *)
+          (* pin the single worker for the whole burst, however fast the
+             simulator is: the run loops forever, bounded by its fuel *)
+          Protocol.send_request (Client.fd c)
+            (compile_req ~fuel:300_000_000
+               [ "proc main() { var x = 1; while (x == 1) { x = 1; } }" ]);
+          let deadline = Unix.gettimeofday () +. 10. in
+          while workers_busy () = 0 do
+            if Unix.gettimeofday () > deadline then
+              Alcotest.fail "the pinning run never started";
+            Unix.sleepf 0.005
+          done;
+          (* distinct sources so every request compiles cold *)
           let src i =
             Printf.sprintf
               "proc main() { var i = 0; var acc = %d; while (i < 500) { acc \
@@ -488,13 +505,19 @@ let test_server_health_probe () =
             else poll_degraded ()
           in
           poll_degraded ();
-          (* drain: every burst frame still gets SOME reply *)
-          for _ = 1 to burst do
+          (* drain: every burst frame still gets SOME reply, and the
+             pinning run ends out of fuel *)
+          let out_of_fuel = ref 0 in
+          for _ = 1 to burst + 1 do
             match Protocol.recv_reply (Client.fd c) with
             | Some (Protocol.Done _ | Protocol.Busy) -> ()
+            | Some (Protocol.Error { kind = "runtime"; message })
+              when contains "out of fuel" message ->
+                incr out_of_fuel
             | Some _ -> Alcotest.fail "unexpected reply under load"
             | None -> Alcotest.fail "connection died under load"
-          done);
+          done;
+          Alcotest.(check int) "the pinning run ran out of fuel" 1 !out_of_fuel);
       let ready, _ = probe () in
       Alcotest.(check bool) "ready again after drain" true ready)
 

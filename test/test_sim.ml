@@ -6,44 +6,71 @@ module Machine = Chow_machine.Machine
 module Asm = Chow_codegen.Asm
 module Ir = Chow_ir.Ir
 module Sim = Chow_sim.Sim
+module Decode = Chow_sim.Decode
 module Config = Chow_compiler.Config
 module Pipeline = Chow_compiler.Pipeline
 
-(* hand-assembled program: main calls f; pc 0/1 is the startup stub *)
-let program ~f_body ~preserved =
-  let main_body =
-    [
-      Asm.Binopi (Ir.Sub, Machine.sp, Machine.sp, 1);
-      Asm.Sw (Machine.ra, Machine.sp, 0, Asm.Tsave);
-      Asm.Li (Machine.s0, 77);
-      Asm.Jal_pc (-1) (* patched below *);
-      Asm.Print (Machine.s0);
-      Asm.Lw (Machine.ra, Machine.sp, 0, Asm.Tsave);
-      Asm.Binopi (Ir.Add, Machine.sp, Machine.sp, 1);
-      Asm.Jr;
-    ]
-  in
-  let stub = [ Asm.Jal_pc 2; Asm.Halt ] in
-  let f_addr = 2 + List.length main_body in
-  let main_body =
+(* Hand-assembled program: a two-instruction startup stub calls the first
+   procedure, then halts.  [procs] are (name, preserved, body) laid out in
+   order from pc 2; each body is built from [addr], the entry pc of a
+   procedure by name. *)
+let link_procs procs =
+  let entries =
+    let pc = ref 2 in
     List.map
-      (function Asm.Jal_pc n when n < 0 -> Asm.Jal_pc f_addr | i -> i)
-      main_body
+      (fun (name, _, body) ->
+        let e = !pc in
+        pc := e + List.length (body (fun _ -> 0));
+        (name, e))
+      procs
   in
-  let code = Array.of_list (stub @ main_body @ f_body) in
+  let addr name = List.assoc name entries in
   {
-    Asm.code;
+    Asm.code =
+      Array.of_list
+        (Asm.Jal_pc (snd (List.hd entries))
+        :: Asm.Halt
+        :: List.concat_map (fun (_, _, body) -> body addr) procs);
     entry = 0;
-    proc_addrs = [ ("main", 2); ("f", f_addr) ];
+    proc_addrs = entries;
     metas =
-      [
-        (2, { Asm.m_name = "main"; m_preserved = Machine.callee_saved });
-        (f_addr, { Asm.m_name = "f"; m_preserved = preserved });
-      ];
+      List.map2
+        (fun (name, preserved, _) (_, e) ->
+          (e, { Asm.m_name = name; m_preserved = preserved }))
+        procs entries;
     data_size = 0;
     data_init = [];
     block_pcs = [];
   }
+
+(* [body] inside a one-word frame that saves and restores ra, then returns *)
+let framed body =
+  [
+    Asm.Binopi (Ir.Sub, Machine.sp, Machine.sp, 1);
+    Asm.Sw (Machine.ra, Machine.sp, 0, Asm.Tsave);
+  ]
+  @ body
+  @ [
+      Asm.Lw (Machine.ra, Machine.sp, 0, Asm.Tsave);
+      Asm.Binopi (Ir.Add, Machine.sp, Machine.sp, 1);
+      Asm.Jr;
+    ]
+
+(* main sets s0, calls f, prints s0; f's body starts at pc 10 *)
+let program ~f_body ~preserved =
+  link_procs
+    [
+      ( "main",
+        Machine.callee_saved,
+        fun addr ->
+          framed
+            [
+              Asm.Li (Machine.s0, 77);
+              Asm.Jal_pc (addr "f");
+              Asm.Print Machine.s0;
+            ] );
+      ("f", preserved, fun _ -> f_body);
+    ]
 
 let test_checker_catches_clobber () =
   let prog =
@@ -258,24 +285,188 @@ let test_diff_profile_counts () =
   Alcotest.(check bool) "profiles equal" true
     (d.Sim.block_counts = r.Sim.block_counts)
 
+(* ---- the decoded engine's pruned contract checker ------------------- *)
+
+let expect_clobber name reg prog =
+  check_engines_agree name prog;
+  match capture (fun () -> Sim.run prog) with
+  | Ok _ -> Alcotest.failf "%s: expected a contract violation" name
+  | Error msg ->
+      let has s = Str.string_match (Str.regexp (".*" ^ Str.quote s)) msg 0 in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s names %s (%s)" name (Machine.name reg) msg)
+        true
+        (has ("clobbered preserved register " ^ Machine.name reg))
+
+let test_checker_call_clobber () =
+  (* f promises to keep s1 and never writes it; the clobber happens in g,
+     whose own contract allows it, reached through a static call or only
+     through a register call *)
+  let s1 = Machine.s0 + 1 in
+  let prog call =
+    link_procs
+      [
+        ("main", [], fun addr -> framed [ Asm.Jal_pc (addr "f") ]);
+        ("f", [ s1 ], fun addr -> framed (call (addr "g")));
+        ("g", [], fun _ -> [ Asm.Li (s1, 5); Asm.Jr ]);
+      ]
+  in
+  expect_clobber "jal" s1 (prog (fun g -> [ Asm.Jal_pc g ]));
+  expect_clobber "jalr" s1
+    (prog (fun g -> [ Asm.Li (Machine.t0, g); Asm.Jalr Machine.t0 ]))
+
+let test_checker_branch_clobber () =
+  (* f clobbers s0 only when its branch is taken *)
+  let prog taken =
+    link_procs
+      [
+        ( "main",
+          [],
+          fun addr ->
+            framed
+              [
+                Asm.Li (Machine.s0, 77);
+                Asm.Jal_pc (addr "f");
+                Asm.Print Machine.s0;
+              ] );
+        ( "f",
+          Machine.callee_saved,
+          fun addr ->
+            [
+              Asm.Li (Machine.t0, if taken then 0 else 1);
+              Asm.B (Ir.Eq, Machine.t0, Machine.zero, addr "f" + 3);
+              Asm.Jr;
+              Asm.Li (Machine.s0, 0);
+              Asm.Jr;
+            ] );
+      ]
+  in
+  check_engines_agree "branch not taken" (prog false);
+  Alcotest.(check (list int))
+    "not taken: clean run" [ 77 ] (Sim.run (prog false)).Sim.output;
+  expect_clobber "branch taken" Machine.s0 (prog true)
+
+(* Memory-image reuse: [store_high] leaves a value near the top of memory;
+   a later run must find zero there. *)
+let high = (1 lsl 20) - 4096
+
+let bare code =
+  {
+    Asm.code = Array.of_list code;
+    entry = 0;
+    proc_addrs = [];
+    metas = [];
+    data_size = 0;
+    data_init = [];
+    block_pcs = [];
+  }
+
+let store_high =
+  bare
+    [
+      Asm.Li (Machine.t0, 12345);
+      Asm.Li (Machine.a0, high);
+      Asm.Sw (Machine.t0, Machine.a0, 0, Asm.Tdata);
+      Asm.Halt;
+    ]
+
+let load_high =
+  bare
+    [
+      Asm.Li (Machine.a0, high);
+      Asm.Lw (Machine.t0, Machine.a0, 0, Asm.Tdata);
+      Asm.Print Machine.t0;
+      Asm.Halt;
+    ]
+
+let fresh_load () =
+  ignore (Sim.run store_high);
+  (Sim.run load_high).Sim.output
+
+let test_mem_reuse_sequential () =
+  Alcotest.(check (list int))
+    "reference reads zero" [ 0 ] (Sim.run_reference load_high).Sim.output;
+  for _ = 1 to 3 do
+    Alcotest.(check (list int)) "decoded reads zero" [ 0 ] (fresh_load ())
+  done
+
+let test_mem_reuse_domains () =
+  let worker () = List.init 20 (fun _ -> fresh_load ()) in
+  let d1 = Domain.spawn worker and d2 = Domain.spawn worker in
+  List.iter
+    (fun outs ->
+      List.iter (Alcotest.(check (list int)) "each domain reads zero" [ 0 ]) outs)
+    [ Domain.join d1; Domain.join d2 ]
+
+let test_mem_reuse_nested () =
+  (* main stores 777 high, calls f, then reads it back; each call runs the
+     two programs above inside the call hook.  Sharing main's image with
+     those nested runs would zero its 777. *)
+  let prog =
+    link_procs
+      [
+        ( "main",
+          [],
+          fun addr ->
+            framed
+              [
+                Asm.Li (Machine.t0, 777);
+                Asm.Li (Machine.a0, high);
+                Asm.Sw (Machine.t0, Machine.a0, 0, Asm.Tdata);
+                Asm.Jal_pc (addr "f");
+                Asm.Lw (Machine.t0, Machine.a0, 0, Asm.Tdata);
+                Asm.Print Machine.t0;
+              ] );
+        ("f", [], fun _ -> [ Asm.Jr ]);
+      ]
+  in
+  let nested = ref [] in
+  let hooks =
+    {
+      Decode.h_call =
+        (fun ~site:_ ~target:_ ~cycles:_ ~contract_saves:_
+             ~contract_restores:_ ~call_saves:_ ~call_restores:_ ->
+          nested := fresh_load () :: !nested);
+      h_return =
+        (fun ~cycles:_ ~contract_saves:_ ~contract_restores:_ ~call_saves:_
+             ~call_restores:_ -> ());
+    }
+  in
+  let o = Decode.execute ~hooks (Decode.decode prog) in
+  Alcotest.(check (list int))
+    "outer image untouched" (Sim.run_reference prog).Sim.output o.Sim.output;
+  Alcotest.(check (list int)) "outer output" [ 777 ] o.Sim.output;
+  Alcotest.(check (list (list int)))
+    "nested runs read zero" [ [ 0 ]; [ 0 ] ] !nested;
+  Alcotest.(check (list int)) "then a plain run reads zero" [ 0 ] (fresh_load ())
+
 (* Random differential testing: compile a random Genprog program, run both
-   engines on it, then mutate one instruction of the linked image into a
-   trap (division by zero, out-of-bounds access, or a wild call) and insist
-   the engines still agree — including on the exact error message. *)
+   engines on it, then mutate one instruction of the linked image and
+   insist the engines still agree — including on the exact error message.
+   The mutations are traps (division by zero, out-of-bounds access, a wild
+   call) and the two the decoded engine's pruned contract checker must
+   see through: a clobber of an allocatable register, and a jump to any pc,
+   which can carry control into another procedure's body. *)
+
+let allocatable = Array.of_list Machine.full.Machine.allocatable
 
 let mutate rng (prog : Asm.program) =
   let code = Array.copy prog.Asm.code in
   let n = Array.length code in
   let pc = 2 + Random.State.int rng (max 1 (n - 2)) in
   let kind, inst =
-    match Random.State.int rng 3 with
+    match Random.State.int rng 5 with
     | 0 -> ("divzero", Asm.Binopi (Ir.Div, Machine.t0, Machine.t0, 0))
     | 1 ->
         ( "oob",
           Asm.Lw
             (Machine.t0, Machine.zero, -1 - Random.State.int rng 7, Asm.Tdata)
         )
-    | _ -> ("wildcall", Asm.Jal_pc (Random.State.int rng (n + 8)))
+    | 2 -> ("wildcall", Asm.Jal_pc (Random.State.int rng (n + 8)))
+    | 3 ->
+        let r = allocatable.(Random.State.int rng (Array.length allocatable)) in
+        ("clobber", Asm.Li (r, Random.State.int rng 1000))
+    | _ -> ("wildjump", Asm.J (Random.State.int rng n))
   in
   code.(pc) <- inst;
   (Printf.sprintf "%s@%d" kind pc, { prog with Asm.code = code })
@@ -323,5 +514,15 @@ let suite =
         test_diff_division_by_zero;
       Alcotest.test_case "diff: profile block counts" `Quick
         test_diff_profile_counts;
+      Alcotest.test_case "checker: clobber behind jal and jalr" `Quick
+        test_checker_call_clobber;
+      Alcotest.test_case "checker: clobber on one branch" `Quick
+        test_checker_branch_clobber;
+      Alcotest.test_case "memory image: sequential reuse" `Quick
+        test_mem_reuse_sequential;
+      Alcotest.test_case "memory image: two domains" `Quick
+        test_mem_reuse_domains;
+      Alcotest.test_case "memory image: nested in a hook" `Quick
+        test_mem_reuse_nested;
       QCheck_alcotest.to_alcotest prop_differential;
     ] )

@@ -1,8 +1,10 @@
 (** Differential sweep: the decoded engine ({!Sim.run}) against the
     reference engine ({!Sim.run_reference}) on all thirteen workloads,
-    under the baseline and the full -O3+sw configurations, with block
-    profiling on.  Outcomes must match exactly: output, cycle count,
-    calls, per-tag load/store counters and block profiles.
+    under the baseline configuration and under -O3+sw with each register
+    allocator (each publishes different usage masks, so the decoded
+    engine prunes different contracts), with block profiling on.
+    Outcomes must match exactly: output, cycle count, calls, per-tag
+    load/store counters and block profiles.
 
     This is its own test executable (see test/dune) so plain
     [dune runtest] always exercises the engine equivalence even when the
@@ -45,9 +47,13 @@ let test_workload (w : W.t) () =
     (fun (config : Config.t) ->
       let c = Pipeline.compile_source config (Pipeline.Src w.W.source) in
       check_agree
-        (Printf.sprintf "%s/%s" w.W.name config.Config.name)
+        (Printf.sprintf "%s/%s/%s" w.W.name config.Config.name
+           (Chow_core.Allocator.to_string config.Config.alloc))
         (Pipeline.program c))
-    [ Config.baseline; Config.o3_sw ]
+    (Config.baseline
+    :: List.map
+         (fun a -> Config.with_alloc a Config.o3_sw)
+         Chow_core.Allocator.all)
 
 let () =
   Alcotest.run "sim-diff"
