@@ -55,6 +55,7 @@ type stats = Alloc_shared.stats = {
 }
 
 let save_restore_cost = float_of_int (Machine.load_cost + Machine.store_cost)
+let move_bonus = float_of_int Machine.move_cost
 
 (** The §2 decision audit trail behind [pawnc compile --explain]: for one
     live range, the priority each candidate register scored and the
@@ -125,11 +126,14 @@ let allocate_once ?weights ?explain (config : Machine.config) (mode : mode)
            in
            compare (pr b) (pr a))
   in
-  let pos_in_allocatable =
-    let tbl = Hashtbl.create 32 in
-    List.iteri (fun i r -> Hashtbl.replace tbl r i) config.Machine.allocatable;
-    tbl
-  in
+  (* the per-range score table: [around.(r)] and [argb.(r)] accumulate the
+     §2 around-call penalty and §4 argument bonus of register [r], walking
+     the range's call sites in list order so each sum is the same float a
+     per-register fold would produce; [score.(r)] is the composed
+     priority.  Selection and the --explain record both read these. *)
+  let around = Array.make Machine.nregs 0. in
+  let argb = Array.make Machine.nregs 0. in
+  let score = Array.make Machine.nregs 0. in
   let color_one v =
     let range = lr.Liverange.ranges.(v) in
     let forbidden = Machine.Set.empty () in
@@ -139,18 +143,30 @@ let allocate_once ?weights ?explain (config : Machine.config) (mode : mode)
         | Lreg r -> Bitset.set forbidden r
         | Lstack -> ())
       (Interference.neighbors ig v);
-    (* the four cost-model components of the §2/§4 per-register priority,
-       exposed separately so the --explain report can attribute the final
-       score; [score] composes them on the selection path *)
-    let around_calls_of r =
-      List.fold_left
-        (fun acc cs_id ->
-          if Bitset.mem site_clobber.(cs_id) r then
-            acc
-            +. (save_restore_cost
-               *. lr.Liverange.call_sites.(cs_id).Liverange.cs_weight)
-          else acc)
-        0. range.Liverange.calls_across
+    Array.fill around 0 Machine.nregs 0.;
+    Array.fill argb 0 Machine.nregs 0.;
+    List.iter
+      (fun cs_id ->
+        let cost =
+          save_restore_cost
+          *. lr.Liverange.call_sites.(cs_id).Liverange.cs_weight
+        in
+        Bitset.iter
+          (fun r -> around.(r) <- around.(r) +. cost)
+          site_clobber.(cs_id))
+      range.Liverange.calls_across;
+    List.iter
+      (fun (cs_id, pos) ->
+        match List.nth_opt site_arg_locs.(cs_id) pos with
+        | Some (Preg r) ->
+            argb.(r) <-
+              argb.(r)
+              +. (move_bonus
+                 *. lr.Liverange.call_sites.(cs_id).Liverange.cs_weight)
+        | Some Pstack | None -> ())
+      range.Liverange.arg_moves;
+    let arrival =
+      match Hashtbl.find_opt default_arrival v with Some r -> r | None -> -1
     in
     let contract_of r =
       if
@@ -161,51 +177,31 @@ let allocate_once ?weights ?explain (config : Machine.config) (mode : mode)
       then save_restore_cost
       else 0.
     in
-    let arg_bonus_of r =
-      List.fold_left
-        (fun acc (cs_id, pos) ->
-          match List.nth_opt site_arg_locs.(cs_id) pos with
-          | Some (Preg pr) when pr = r ->
-              acc
-              +. (float_of_int Machine.move_cost
-                 *. lr.Liverange.call_sites.(cs_id).Liverange.cs_weight)
-          | Some (Preg _ | Pstack) | None -> acc)
-        0. range.Liverange.arg_moves
-    in
-    let arrival_bonus_of r =
-      match Hashtbl.find_opt default_arrival v with
-      | Some ar when ar = r -> float_of_int Machine.move_cost
-      | Some _ | None -> 0.
-    in
-    let score r =
-      range.Liverange.weighted_refs +. arg_bonus_of r +. arrival_bonus_of r
-      -. around_calls_of r -. contract_of r
-    in
-    let best =
-      List.fold_left
-        (fun best r ->
-          if Bitset.mem forbidden r then best
-          else
-            let s = score r in
-            let better =
-              match best with
-              | None -> true
-              | Some (_, bs, btree, bpos) ->
-                  let tree = Bitset.mem tree_used r in
-                  let pos = Hashtbl.find pos_in_allocatable r in
-                  s > bs
-                  || (s = bs && tree && not btree)
-                  || (s = bs && tree = btree && pos < bpos)
-            in
-            if better then
-              Some
-                ( r,
-                  s,
-                  Bitset.mem tree_used r,
-                  Hashtbl.find pos_in_allocatable r )
-            else best)
-        None config.Machine.allocatable
-    in
+    (* scanning in allocatable order and replacing only on a strictly
+       better (score, tree-used) pair keeps the earliest register on a
+       full tie *)
+    let best = ref (-1) and best_tree = ref false in
+    List.iter
+      (fun r ->
+        let s =
+          range.Liverange.weighted_refs +. argb.(r)
+          +. (if r = arrival then move_bonus else 0.)
+          -. around.(r) -. contract_of r
+        in
+        score.(r) <- s;
+        if not (Bitset.mem forbidden r) then begin
+          let tree = Bitset.mem tree_used r in
+          if
+            !best < 0
+            || s > score.(!best)
+            || (s = score.(!best) && tree && not !best_tree)
+          then begin
+            best := r;
+            best_tree := tree
+          end
+        end)
+      config.Machine.allocatable;
+    let best = if !best < 0 then None else Some (!best, score.(!best)) in
     (* the audit record is taken before the assignment mutates the
        tie-break and contract state, so the recorded scores are exactly
        the ones the decision just ranked *)
@@ -216,18 +212,18 @@ let allocate_once ?weights ?explain (config : Machine.config) (mode : mode)
             {
               x_reg = r;
               x_forbidden = Bitset.mem forbidden r;
-              x_score = score r;
-              x_call_penalty = around_calls_of r;
+              x_score = score.(r);
+              x_call_penalty = around.(r);
               x_entry_penalty = contract_of r;
-              x_arg_bonus = arg_bonus_of r;
-              x_arrival_bonus = arrival_bonus_of r;
+              x_arg_bonus = argb.(r);
+              x_arrival_bonus = (if r = arrival then move_bonus else 0.);
             })
           config.Machine.allocatable
       in
       let chosen, denied =
         match best with
-        | Some (r, s, _, _) when s > 0. -> (Some r, None)
-        | Some (r, s, _, _) ->
+        | Some (r, s) when s > 0. -> (Some r, None)
+        | Some (r, s) ->
             ( None,
               Some
                 (Printf.sprintf
@@ -274,7 +270,7 @@ let allocate_once ?weights ?explain (config : Machine.config) (mode : mode)
         :: !explained
     end;
     match best with
-    | Some (r, s, _, _) when s > 0. ->
+    | Some (r, s) when s > 0. ->
         assignment.(v) <- Lreg r;
         Bitset.set tree_used r;
         if Machine.class_of r = Machine.Callee_saved then

@@ -3,19 +3,6 @@
 
 exception Error of string * int  (** message, line *)
 
-let keywords =
-  [
-    ("var", Token.KW_VAR);
-    ("proc", Token.KW_PROC);
-    ("export", Token.KW_EXPORT);
-    ("extern", Token.KW_EXTERN);
-    ("if", Token.KW_IF);
-    ("else", Token.KW_ELSE);
-    ("while", Token.KW_WHILE);
-    ("return", Token.KW_RETURN);
-    ("print", Token.KW_PRINT);
-  ]
-
 let is_ident_start c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
 let is_ident_char c = is_ident_start c || (c >= '0' && c <= '9')
 let is_digit c = c >= '0' && c <= '9'
@@ -51,16 +38,26 @@ let tokenize src =
     else if is_digit c then begin
       let start = !i in
       while !i < n && is_digit src.[!i] do incr i done;
-      push (Token.INT (int_of_string (String.sub src start (!i - start))))
+      match int_of_string_opt (String.sub src start (!i - start)) with
+      | Some k -> push (Token.INT k)
+      | None -> raise (Error ("integer literal out of range", !line))
     end
     else if is_ident_start c then begin
       let start = !i in
       while !i < n && is_ident_char src.[!i] do incr i done;
       let word = String.sub src start (!i - start) in
       push
-        (match List.assoc_opt word keywords with
-        | Some kw -> kw
-        | None -> Token.IDENT word)
+        (match word with
+        | "var" -> Token.KW_VAR
+        | "proc" -> Token.KW_PROC
+        | "export" -> Token.KW_EXPORT
+        | "extern" -> Token.KW_EXTERN
+        | "if" -> Token.KW_IF
+        | "else" -> Token.KW_ELSE
+        | "while" -> Token.KW_WHILE
+        | "return" -> Token.KW_RETURN
+        | "print" -> Token.KW_PRINT
+        | _ -> Token.IDENT word)
     end
     else begin
       let two tok = push tok; i := !i + 2 in

@@ -7,6 +7,7 @@ module Parser = Chow_frontend.Parser
 module Ast = Chow_frontend.Ast
 module Check = Chow_frontend.Check
 module Lower = Chow_frontend.Lower
+module Diag = Chow_frontend.Diag
 module Ir = Chow_ir.Ir
 
 let tokens src = List.map fst (Lexer.tokenize src)
@@ -31,19 +32,86 @@ let test_lexer_comments () =
     "comments skipped" true
     (ts = Token.[ IDENT "x"; IDENT "y"; EOF ])
 
+let keywords =
+  Token.
+    [
+      ("var", KW_VAR);
+      ("proc", KW_PROC);
+      ("export", KW_EXPORT);
+      ("extern", KW_EXTERN);
+      ("if", KW_IF);
+      ("else", KW_ELSE);
+      ("while", KW_WHILE);
+      ("return", KW_RETURN);
+      ("print", KW_PRINT);
+    ]
+
 let test_lexer_keywords () =
   Alcotest.(check bool)
     "keywords vs idents" true
     (tokens "while whiles"
-    = Token.[ KW_WHILE; IDENT "whiles"; EOF ])
+    = Token.[ KW_WHILE; IDENT "whiles"; EOF ]);
+  List.iter
+    (fun (word, kw) ->
+      Alcotest.(check bool) word true (tokens word = [ kw; Token.EOF ]))
+    keywords;
+  List.iter
+    (fun word ->
+      Alcotest.(check bool)
+        (word ^ " is an identifier")
+        true
+        (tokens word = Token.[ IDENT word; EOF ]))
+    [
+      "variable"; "procs"; "exported"; "externs"; "iff"; "elsewhere";
+      "returned"; "printer"; "_if"; "If";
+    ]
 
 let test_lexer_errors () =
   (match Lexer.tokenize "a $ b" with
   | _ -> Alcotest.fail "expected lexer error"
   | exception Lexer.Error (_, 1) -> ());
-  match Lexer.tokenize "a\n/* no end" with
+  (match Lexer.tokenize "a\n/* no end" with
   | _ -> Alcotest.fail "expected unterminated comment error"
-  | exception Lexer.Error (_, _) -> ()
+  | exception Lexer.Error (_, _) -> ());
+  (match
+     Diag.catch (fun () ->
+         Lexer.tokenize "proc main() {\n  print(99999999999999999999999);\n}")
+   with
+  | Ok _ -> Alcotest.fail "expected an out-of-range literal error"
+  | Error e ->
+      Alcotest.(check bool) "lex phase" true (e.Diag.phase = Diag.Lex);
+      Alcotest.(check int) "line" 2 e.Diag.line;
+      Alcotest.(check string)
+        "message" "integer literal out of range" e.Diag.message);
+  Alcotest.(check bool)
+    "max_int still lexes" true
+    (tokens (string_of_int max_int) = Token.[ INT max_int; EOF ])
+
+(* a word lexes to a keyword token exactly when it is one of the nine *)
+let prop_keyword_iff_listed =
+  let gen =
+    QCheck.Gen.(
+      let letter =
+        oneof [ char_range 'a' 'z'; char_range 'A' 'Z'; return '_' ]
+      in
+      let word =
+        map2
+          (fun c cs -> String.of_seq (List.to_seq (c :: cs)))
+          letter
+          (list_size (int_bound 6) (oneof [ letter; char_range '0' '9' ]))
+      in
+      (* random words almost never spell a keyword, so draw the nine
+         directly half of the time *)
+      oneof [ word; oneofl (List.map fst keywords) ])
+  in
+  QCheck.Test.make ~count:1000 ~name:"lexer: keyword token iff keyword word"
+    (QCheck.make ~print:Fun.id gen) (fun word ->
+      let expected =
+        match List.assoc_opt word keywords with
+        | Some kw -> kw
+        | None -> Token.IDENT word
+      in
+      tokens word = [ expected; Token.EOF ])
 
 let test_parser_precedence () =
   let prog = Parser.parse "proc f() { return 1 + 2 * 3 - 4; }" in
@@ -190,6 +258,7 @@ let suite =
       Alcotest.test_case "lexer basics" `Quick test_lexer_basics;
       Alcotest.test_case "lexer comments" `Quick test_lexer_comments;
       Alcotest.test_case "lexer keywords" `Quick test_lexer_keywords;
+      QCheck_alcotest.to_alcotest prop_keyword_iff_listed;
       Alcotest.test_case "lexer errors" `Quick test_lexer_errors;
       Alcotest.test_case "parser precedence" `Quick test_parser_precedence;
       Alcotest.test_case "parser else-if" `Quick test_parser_else_if;

@@ -29,6 +29,7 @@ let () =
       Test_split.suite;
       Test_equivalence.suite;
       Test_alloc_strategies.suite;
+      Test_code_digests.suite;
       Test_parallel.suite;
       Test_obs.suite;
       Test_log.suite;
