@@ -22,8 +22,9 @@
       default) — the pair that measures what background sampling costs
       (the regression gate holds its p50 within 1.1x of the silent warm
       mix);
-    - [warm-logged]: the warm mix re-run with the structured log enabled
-      at info — the pair that measures what logging costs (the
+    - [warm-logged]: the warm mix re-run with the structured log
+      streaming at info into a file in the run's temp directory — the
+      pair that measures what [serve --log] costs (the
       regression gate holds its p50 within 2x of the silent warm mix).
       Both re-runs sit directly after [warm] so each pair shares machine
       conditions: mixes late in the sequence drift upward on a loaded
@@ -43,7 +44,7 @@ module Server = Chow_server.Server
 module Client = Chow_server.Client
 module Protocol = Chow_server.Protocol
 module Metrics = Chow_obs.Metrics
-module Log = Chow_obs.Log
+module Event = Chow_obs.Event
 
 (* a unit heavy enough that allocation dominates a cold compile and the
    artifact load is real work on the warm path; [salt] makes distinct
@@ -238,13 +239,14 @@ let run_mix ~name ~shards ~workers ~concurrency ~total ?(logged = false)
          mix's own histogram deltas even though the in-process metrics
          registry is shared across mixes (and with the seeding above) *)
       let before = stats_snapshot r.sock in
-      if logged then Log.enable Log.Info;
+      if logged then
+        Event.enable_log ~sink:(Filename.concat r.dir "serve.log") Event.Info;
       let p50_ns, p99_ns, throughput =
         Fun.protect
           ~finally:(fun () ->
             if logged then begin
-              Log.disable ();
-              Log.reset ()
+              Event.disable_log ();
+              Event.reset ()
             end)
           (fun () -> drive ~sock:r.sock ~concurrency ~total make_req)
       in

@@ -13,8 +13,7 @@ module Cache = Chow_compiler.Cache
 module Sim = Chow_sim.Sim
 module W = Chow_workloads.Workloads
 module Allocator = Chow_core.Allocator
-module Trace = Chow_obs.Trace
-module Metrics = Chow_obs.Metrics
+module Event = Chow_obs.Event
 
 let source_of name =
   match W.find name with
@@ -169,30 +168,6 @@ let tests () =
 
 let json_path = "BENCH_timing.json"
 
-(* Per-config counter snapshot: compile one workload (and simulate it under
-   the two headline configurations) with the metrics registry armed, one
-   row per counter.  Registered in BENCH_timing.json next to the timings,
-   so successive PRs can diff work counts (ranges colored, worklist pops,
-   shrink-wrap rounds, sim cycles...) as well as wall time. *)
-let metrics_rows ~smoke () =
-  let workload = if smoke then "nim" else "uopt" in
-  let src = source_of workload in
-  List.concat_map
-    (fun (config : Config.t) ->
-      Metrics.reset ();
-      Metrics.enable ();
-      let compiled = Pipeline.compile_source config (Pipeline.Src src) in
-      if config.Config.name = "-O2" || config.Config.name = "-O3+sw" then
-        ignore (Sim.run (Pipeline.program compiled));
-      Metrics.disable ();
-      List.map
-        (fun (metric, v) ->
-          ( Printf.sprintf "metrics/%s%s/%s" workload config.Config.name
-              metric,
-            v ))
-        (Metrics.dump ()))
-    Config.all
-
 (* Dynamic-penalty trajectory: the paper's headline metric as exact
    integer rows.  For each workload and configuration, run once under the
    penalty profiler and report the executed save/restore memory
@@ -329,11 +304,11 @@ let alloc_rows ~smoke () =
     workloads
 
 (* machine-readable perf trajectory: one [{name; ns_per_run}] row per test
-   plus one [{name; value}] row per metric, so successive PRs can diff
-   compile-time cost without scraping stdout *)
-let write_json rows metrics =
+   plus one [{name; value}] row per exact count, so successive PRs can
+   diff compile-time cost without scraping stdout *)
+let write_json rows values =
   let oc = open_out json_path in
-  let total = List.length rows + List.length metrics in
+  let total = List.length rows + List.length values in
   let sep i = if i < total - 1 then "," else "" in
   Printf.fprintf oc "[\n";
   List.iteri
@@ -346,7 +321,7 @@ let write_json rows metrics =
     (fun i (name, v) ->
       Printf.fprintf oc "  {\"name\": %S, \"value\": %d}%s\n" name v
         (sep (List.length rows + i)))
-    metrics;
+    values;
   Printf.fprintf oc "]\n";
   close_out oc;
   Format.printf "wrote %s (%d entries)@." json_path total
@@ -355,14 +330,13 @@ let write_json rows metrics =
     configuration at [-j4] — the Chrome-loadable timeline showing the
     wave-parallel allocation spans next to the simulator counters. *)
 let write_trace path =
-  Trace.reset ();
-  Trace.enable ();
+  Event.reset ();
+  Event.enable_trace ~sink:path ();
   let compiled =
     Pipeline.compile_source (Config.with_jobs 4 Config.o3_sw) (Pipeline.Src (source_of "uopt"))
   in
   ignore (Sim.run (Pipeline.program compiled));
-  Trace.disable ();
-  Trace.write_file path;
+  Event.disable_trace ();
   Format.printf "wrote %s@." path
 
 let run ?(json = false) ?(smoke = false) ?(penalty = false) ?(pgo = false)
@@ -403,8 +377,7 @@ let run ?(json = false) ?(smoke = false) ?(penalty = false) ?(pgo = false)
   in
   if json then
     write_json (rows @ serve_ns)
-      (metrics_rows ~smoke ()
-      @ (if penalty then penalty_rows ~smoke () else [])
+      ((if penalty then penalty_rows ~smoke () else [])
       @ (if pgo then pgo_rows ~smoke () else [])
       @ (if alloc then alloc_rows ~smoke () else [])
       @ serve_values);

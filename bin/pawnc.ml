@@ -52,9 +52,8 @@ module Allocator = Chow_core.Allocator
 module Coloring = Chow_core.Coloring
 module Sim = Chow_sim.Sim
 module Profile = Chow_sim.Profile
-module Trace = Chow_obs.Trace
+module Event = Chow_obs.Event
 module Metrics = Chow_obs.Metrics
-module Log = Chow_obs.Log
 module Server = Chow_server.Server
 module Client = Chow_server.Client
 module Protocol = Chow_server.Protocol
@@ -185,18 +184,27 @@ let pgo_of ~config ~srcs ~budget = function
   | None -> None
   | Some path -> Some (Pipeline.load_pgo ~budget ~config ~srcs path)
 
-(** Arm tracing/metrics around [f] per the [--trace]/[--stats] flags; the
-    trace file is written even when [f] exits through an exception, so a
-    failing compile still leaves its partial timeline. *)
+(** Open the file sink behind [flag] before any work, so an unwritable
+    path fails at once with a named error (exit 2) instead of at exit. *)
+let open_sink flag enable =
+  try enable () with Sys_error msg ->
+    Printf.eprintf "error: cannot open %s file: %s\n" flag msg;
+    exit 2
+
+(** Arm tracing/metrics around [f] per the [--trace]/[--stats] flags.  The
+    trace streams into its file as it is recorded, and the file is closed
+    even when [f] exits through an exception, so a failing compile still
+    leaves its partial timeline. *)
 let with_obs ~trace ~stats f =
-  if trace <> None then Trace.enable ();
+  Option.iter
+    (fun path -> open_sink "--trace" (fun () -> Event.enable_trace ~sink:path ()))
+    trace;
   if stats then Metrics.enable ();
   Fun.protect
     ~finally:(fun () ->
       Option.iter
         (fun path ->
-          Trace.disable ();
-          Trace.write_file path;
+          Event.disable_trace ();
           Printf.eprintf "trace written to %s\n%!" path)
         trace)
     f
@@ -743,7 +751,7 @@ let serve_cmd =
       & opt (some string) None
       & info [ "log" ] ~docv:"FILE"
           ~doc:
-            "Write the structured log to $(docv): one JSON object per \
+            "Stream the structured log to $(docv): one JSON object per \
              line, each carrying a timestamp, level, event and the \
              request id that caused it.")
   in
@@ -751,14 +759,14 @@ let serve_cmd =
     let level_conv =
       Arg.enum
         [
-          ("error", Log.Error);
-          ("warn", Log.Warn);
-          ("info", Log.Info);
-          ("debug", Log.Debug);
+          ("error", Event.Error);
+          ("warn", Event.Warn);
+          ("info", Event.Info);
+          ("debug", Event.Debug);
         ]
     in
     Arg.(
-      value & opt level_conv Log.Info
+      value & opt level_conv Event.Info
       & info [ "log-level" ] ~docv:"LEVEL"
           ~doc:
             "Log severity threshold: $(b,error), $(b,warn), $(b,info) \
@@ -805,18 +813,20 @@ let serve_cmd =
       stats =
     handle_errors @@ fun () ->
     with_obs ~trace ~stats @@ fun () ->
-    if log <> None then Log.enable log_level;
+    Option.iter
+      (fun path ->
+        open_sink "--log" (fun () -> Event.enable_log ~sink:path log_level))
+      log;
     let flight_path =
       match flight_dump with Some p -> p | None -> socket ^ ".flight.json"
     in
-    (* the log is written even when serve dies on an exception — that is
-       exactly when it is wanted *)
+    (* the log streams as the daemon runs; closing it drains the rest,
+       even when serve dies on an exception *)
     Fun.protect
       ~finally:(fun () ->
         Option.iter
           (fun path ->
-            Log.disable ();
-            Log.write_file path;
+            Event.disable_log ();
             Printf.eprintf "log written to %s\n%!" path)
           log)
     @@ fun () ->
@@ -970,18 +980,18 @@ let request_cmd =
        the reply.  Same ids as the daemon's own spans, so the two traces
        merge into one correlated picture. *)
     let rpc c =
-      let t_send = Trace.elapsed_ns () in
+      let t_send = Event.elapsed_ns () in
       let reply = Client.request c req in
-      let rtt_ns = Trace.elapsed_ns () - t_send in
+      let rtt_ns = Event.elapsed_ns () - t_send in
       (match reply with
-      | Protocol.Done { queue_wait_ns; service_ns; _ } when Trace.is_on () ->
-          let args = [ ("req", Trace.Int id) ] in
-          Trace.span_at ~args ~ts_ns:t_send ~dur_ns:queue_wait_ns
+      | Protocol.Done { queue_wait_ns; service_ns; _ } when Event.trace_on () ->
+          let args = [ ("req", Event.Int id) ] in
+          Event.span_at ~args ~ts_ns:t_send ~dur_ns:queue_wait_ns
             "enqueue-wait";
-          Trace.span_at ~args
+          Event.span_at ~args
             ~ts_ns:(t_send + queue_wait_ns)
             ~dur_ns:service_ns "service";
-          Trace.span_at ~args
+          Event.span_at ~args
             ~ts_ns:(t_send + queue_wait_ns + service_ns)
             ~dur_ns:(max 0 (rtt_ns - queue_wait_ns - service_ns))
             "read-reply"
@@ -991,8 +1001,8 @@ let request_cmd =
     let reply =
       try
         let c =
-          Trace.span "connect"
-            ~args:[ ("req", Trace.Int id) ]
+          Event.span "connect"
+            ~args:[ ("req", Event.Int id) ]
             (fun () -> Client.connect ~socket_path:socket)
         in
         Fun.protect ~finally:(fun () -> Client.close c) (fun () -> rpc c)

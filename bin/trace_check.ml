@@ -73,10 +73,12 @@
     [cache.hit] = 1 and the per-class histograms accounting both
     requests phase by phase, pulls a flight-recorder dump over the wire
     (it must parse and hold both request lifecycles), and shuts the
-    daemon down, requiring a clean exit 0, a postmortem flight dump on
-    disk from the protocol errors, and a log where every line parses via
-    [Obs.Json] in timestamp order and every request-scoped line carries
-    one of the smoke's ids.
+    daemon down.  Before the shutdown, both requests' [done] lines must
+    already be in the log file (the log streams).  After it, the smoke
+    requires a clean exit 0, a postmortem flight dump on disk from the
+    protocol errors, and a log where every line parses via [Obs.Json] in
+    timestamp order and every request-scoped line carries one of the
+    smoke's ids.
 
     [trace_check --telemetry-smoke PAWNC SRC.pawn] is the continuous
     telemetry CI smoke: it starts [PAWNC serve] with 100ms sampling into
@@ -930,7 +932,33 @@ let check_serve_smoke pawnc src_path =
   (match request Protocol.Dump with
   | Protocol.Dump_reply json -> check_flight ~what:"Dump reply" json
   | _ -> fail "serve smoke: Dump request failed");
-  (* 6. clean shutdown *)
+  (* 6. the log streams: both requests' done lines are on disk while the
+     daemon still runs.  A worker logs [done] just after its reply goes
+     out, so allow it a moment *)
+  let streamed () =
+    let text = if Sys.file_exists log_path then read_file log_path else "" in
+    List.for_all
+      (fun req ->
+        List.exists
+          (fun line ->
+            match Json.parse line with
+            | Ok obj ->
+                Json.member "event" obj = Some (Json.Str "done")
+                && Json.member "req" obj = Some (Json.Num (float_of_int req))
+            | Error _ -> false)
+          (String.split_on_char '\n' text))
+      [ cold_id; warm_id ]
+  in
+  let deadline = Unix.gettimeofday () +. 10. in
+  while (not (streamed ())) && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.02
+  done;
+  if not (streamed ()) then
+    fail
+      "serve smoke: %s lacks a request's done line before shutdown (the log \
+       does not stream)"
+      log_path;
+  (* 7. clean shutdown *)
   (match request Protocol.Shutdown with
   | Protocol.Bye -> ()
   | _ -> fail "serve smoke: Shutdown did not answer Bye");
@@ -939,12 +967,12 @@ let check_serve_smoke pawnc src_path =
   | _, Unix.WEXITED n -> fail "serve smoke: daemon exited %d, want 0" n
   | _, (Unix.WSIGNALED n | Unix.WSTOPPED n) ->
       fail "serve smoke: daemon killed/stopped by signal %d" n);
-  (* 7. the protocol errors must have dumped the flight recorder to the
+  (* 8. the protocol errors must have dumped the flight recorder to the
      postmortem file *)
   if not (Sys.file_exists flight_path) then
     fail "serve smoke: protocol error left no flight dump at %s" flight_path;
   check_flight ~what:flight_path (read_file flight_path);
-  (* 8. the structured log: every line parses as a JSON object, every
+  (* 9. the structured log: every line parses as a JSON object, every
      request-scoped line names one of the smoke's ids, and both requests
      reached their 'done' line *)
   check_serve_log log_path;

@@ -23,8 +23,7 @@
 
 module Objfile = Chow_codegen.Objfile
 module Metrics = Chow_obs.Metrics
-module Log = Chow_obs.Log
-module Flight = Chow_obs.Flight
+module Event = Chow_obs.Event
 
 let m_hit = Metrics.counter "cache.hit"
 let m_miss = Metrics.counter "cache.miss"
@@ -143,8 +142,8 @@ let find t key =
   Mutex.protect t.locks.(idx) (fun () ->
       if not (Sys.file_exists path) then begin
         Metrics.incr m_miss;
-        if Flight.is_on () then Flight.record ~detail:key "cache-miss";
-        Log.debug "cache-miss" [];
+        if Event.flight_on () then Event.mark ~detail:key "cache-miss";
+        Event.debug "cache-miss" [];
         None
       end
       else
@@ -153,8 +152,8 @@ let find t key =
             match Objfile.contract_check art with
             | Ok () ->
                 Metrics.incr m_hit;
-                if Flight.is_on () then Flight.record ~detail:key "cache-hit";
-                Log.debug "cache-hit" [];
+                if Event.flight_on () then Event.mark ~detail:key "cache-hit";
+                Event.debug "cache-hit" [];
                 (* refresh the entry's age: eviction is least-recently-USED,
                    not least-recently-stored *)
                 (try Unix.utimes path 0. 0. with Unix.Unix_error _ -> ());
@@ -164,16 +163,16 @@ let find t key =
                    or tampering — drop it and recompile *)
                 Metrics.incr m_corrupt;
                 Metrics.incr m_miss;
-                if Flight.is_on () then
-                  Flight.record ~detail:key "cache-corrupt";
-                Log.warn "cache-corrupt" [];
+                if Event.flight_on () then
+                  Event.mark ~detail:key "cache-corrupt";
+                Event.warn "cache-corrupt" [];
                 (try Sys.remove path with Sys_error _ -> ());
                 None)
         | exception (Objfile.Corrupt _ | Sys_error _) ->
             Metrics.incr m_corrupt;
             Metrics.incr m_miss;
-            if Flight.is_on () then Flight.record ~detail:key "cache-corrupt";
-            Log.warn "cache-corrupt" [];
+            if Event.flight_on () then Event.mark ~detail:key "cache-corrupt";
+            Event.warn "cache-corrupt" [];
             (try Sys.remove path with Sys_error _ -> ());
             None)
 
@@ -204,9 +203,9 @@ let evict_locked t idx =
             if i < over then begin
               (try Sys.remove p with Sys_error _ -> ());
               Metrics.incr m_evict;
-              if Flight.is_on () then Flight.record ~detail:n "cache-evict";
-              if Log.is_on Log.Info then
-                Log.info "cache-evict" [ ("entry", Log.Str n) ]
+              if Event.flight_on () then Event.mark ~detail:n "cache-evict";
+              if Event.log_on Event.Info then
+                Event.info "cache-evict" [ ("entry", Event.Str n) ]
             end)
           aged
       end

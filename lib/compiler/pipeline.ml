@@ -35,16 +35,15 @@ module Inline = Chow_ir.Inline
 module Callgraph = Chow_core.Callgraph
 module Bitset = Chow_support.Bitset
 module Pool = Chow_support.Pool
-module Trace = Chow_obs.Trace
+module Event = Chow_obs.Event
 module Metrics = Chow_obs.Metrics
-module Log = Chow_obs.Log
 
 (* A pipeline phase is a trace span that also leaves a structured log
    line at its boundary, so a server request's log tells which phase it
    was in (the ambient request scope tags the line). *)
 let phase ?args name f =
-  Log.debug "phase" [ ("name", Log.Str name) ];
-  Trace.span ?args name f
+  Event.debug "phase" [ ("name", Event.Str name) ];
+  Event.span ?args name f
 
 let m_units = Metrics.counter "pipeline.units"
 let m_code_words = Metrics.counter "pipeline.code_words"
@@ -261,8 +260,8 @@ let allocate_unit ?profile ?pool ?explain (config : Config.t) ~unit_idx
       ~shrinkwrap:config.Config.shrinkwrap ~strategy:config.Config.alloc
       ?profile ?pool ?explain config.Config.machine unit_ir
   in
-  if Trace.is_on () then
-    phase ~args:[ ("unit", Trace.Int unit_idx) ] "allocate-unit" alloc
+  if Event.trace_on () then
+    phase ~args:[ ("unit", Event.Int unit_idx) ] "allocate-unit" alloc
   else alloc ()
 
 (** Lay every unit out after its predecessors; returns per-unit

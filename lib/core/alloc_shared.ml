@@ -24,7 +24,7 @@ module Cfg = Chow_ir.Cfg
 module Dom = Chow_ir.Dom
 module Loops = Chow_ir.Loops
 module Machine = Chow_machine.Machine
-module Trace = Chow_obs.Trace
+module Event = Chow_obs.Event
 module Metrics = Chow_obs.Metrics
 open Alloc_types
 
@@ -85,11 +85,11 @@ let analyze ?weights (config : Machine.config) (mode : mode) (p : Ir.proc) =
   let cfg = Cfg.of_proc p in
   let dom = Dom.compute cfg in
   let loops = Loops.compute cfg dom in
-  let lv = Trace.span "liveness" (fun () -> Liveness.compute p cfg) in
+  let lv = Event.span "liveness" (fun () -> Liveness.compute p cfg) in
   let lr =
-    Trace.span "ranges" (fun () -> Liverange.compute ?weights p cfg loops lv)
+    Event.span "ranges" (fun () -> Liverange.compute ?weights p cfg loops lv)
   in
-  let ig = Trace.span "interference" (fun () -> Interference.build p lv) in
+  let ig = Event.span "interference" (fun () -> Interference.build p lv) in
   let honor_contract = (not mode.ipra) || mode.is_open in
   let usage = if mode.ipra then mode.usage else Usage.create_table () in
   let site_clobber =
@@ -178,7 +178,7 @@ let finish (config : Machine.config) (mode : mode) (p : Ir.proc)
     (if has_calls then [ Machine.ra ] else []) @ candidates
   in
   let placement =
-    Trace.span "shrinkwrap" (fun () ->
+    Event.span "shrinkwrap" (fun () ->
         if mode.shrinkwrap then Shrinkwrap.compute cfg loops ~app sw_candidates
         else Shrinkwrap.entry_exit_placement cfg sw_candidates)
   in

@@ -33,7 +33,7 @@
 module Bitset = Chow_support.Bitset
 module Ir = Chow_ir.Ir
 module Machine = Chow_machine.Machine
-module Trace = Chow_obs.Trace
+module Event = Chow_obs.Event
 open Alloc_types
 
 type mode = Alloc_shared.mode = {
@@ -277,7 +277,7 @@ let allocate_once ?weights ?explain (config : Machine.config) (mode : mode)
           Bitset.set callee_saved_in_use r
     | Some _ | None -> ()
   in
-  Trace.span "color" (fun () -> List.iter color_one order);
+  Event.span "color" (fun () -> List.iter color_one order);
   Option.iter (fun b -> b := List.rev !explained) explain;
   let result, info, stats = Alloc_shared.finish config mode p a assignment in
   (result, info, stats, a.Alloc_shared.loops, lr)

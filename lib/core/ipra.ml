@@ -19,7 +19,7 @@
 module Ir = Chow_ir.Ir
 module Machine = Chow_machine.Machine
 module Pool = Chow_support.Pool
-module Trace = Chow_obs.Trace
+module Event = Chow_obs.Event
 module Metrics = Chow_obs.Metrics
 
 let m_waves = Metrics.counter "ipra.waves"
@@ -64,12 +64,12 @@ let allocate_program ?(ipra = false) ?(shrinkwrap = false)
         let result, info, st =
           (* the span name and args are built only when tracing is armed:
              the disabled path must not allocate per procedure *)
-          if Trace.is_on () then
-            Trace.span
+          if Event.trace_on () then
+            Event.span
               ~args:
                 [
-                  ("wave", Trace.Int wave_idx);
-                  ("open", Trace.Str (if is_open then "yes" else "no"));
+                  ("wave", Event.Int wave_idx);
+                  ("open", Event.Str (if is_open then "yes" else "no"));
                 ]
               ("alloc:" ^ name)
               (fun () ->
@@ -100,12 +100,12 @@ let allocate_program ?(ipra = false) ?(shrinkwrap = false)
                     info)
             allocated
         in
-        if Trace.is_on () then
-          Trace.span
+        if Event.trace_on () then
+          Event.span
             ~args:
               [
-                ("wave", Trace.Int wave_idx);
-                ("procs", Trace.Int (List.length wave));
+                ("wave", Event.Int wave_idx);
+                ("procs", Event.Int (List.length wave));
               ]
             "wave" do_wave
         else do_wave ())

@@ -25,7 +25,7 @@
 module Bitset = Chow_support.Bitset
 module Ir = Chow_ir.Ir
 module Machine = Chow_machine.Machine
-module Trace = Chow_obs.Trace
+module Event = Chow_obs.Event
 open Alloc_types
 
 let name = "linear"
@@ -90,7 +90,7 @@ let allocate ?weights ?explain:_ (config : Machine.config)
     | Some r -> assignment.(v) <- Lreg r
     | None -> ()
   in
-  Trace.span "linear_scan" (fun () -> List.iter scan_one order);
+  Event.span "linear_scan" (fun () -> List.iter scan_one order);
   let result, info, stats = Alloc_shared.finish config mode p a assignment in
   Alloc_shared.publish_metrics result stats;
   (result, info, stats)

@@ -254,4 +254,4 @@ let lower_program ?(require_main = true) (prog : Ast.program) : Ir.prog =
 (** [compile_unit src] parses, checks and lowers Pawn source text. *)
 let compile_unit ?(require_main = true) src =
   let ast = Parser.parse src in
-  Chow_obs.Trace.span "lower" (fun () -> lower_program ~require_main ast)
+  Chow_obs.Event.span "lower" (fun () -> lower_program ~require_main ast)

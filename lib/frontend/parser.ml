@@ -311,9 +311,9 @@ let parse_top st : Ast.top =
 (** [parse src] lexes and parses a full compilation unit. *)
 let parse src : Ast.program =
   let toks =
-    Chow_obs.Trace.span "lex" (fun () -> Array.of_list (Lexer.tokenize src))
+    Chow_obs.Event.span "lex" (fun () -> Array.of_list (Lexer.tokenize src))
   in
-  Chow_obs.Trace.span "parse" (fun () ->
+  Chow_obs.Event.span "parse" (fun () ->
       let st = { toks; pos = 0 } in
       let rec go acc =
         if peek st = Token.EOF then List.rev acc else go (parse_top st :: acc)

@@ -169,3 +169,16 @@ let parse src =
   | exception Fail msg -> Error msg
 
 let member k = function Obj fields -> List.assoc_opt k fields | _ -> None
+
+let add_escaped b s =
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | '\n' -> Buffer.add_string b "\\n"
+      | '\t' -> Buffer.add_string b "\\t"
+      | c when Char.code c < 0x20 ->
+          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char b c)
+    s

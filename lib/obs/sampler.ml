@@ -48,7 +48,7 @@ let write_line t =
     (fun k (name, v) ->
       if k > 0 then out ",";
       out "\"";
-      Trace.escape_into out name;
+      Json.add_escaped b name;
       out (Printf.sprintf "\":%d" v))
     rows;
   out "}}\n";

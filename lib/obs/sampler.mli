@@ -1,7 +1,7 @@
 (** Continuous telemetry: a background thread that snapshots the metrics
     registry every interval into a bounded on-disk time-series ring.
 
-    The flight recorder (see {!Flight}) answers "what were the last 512
+    The flight recorder (see {!Event}) answers "what were the last
     events before the trap"; the sampler answers "what did the daemon
     look like over the minutes before that" — queue depth, cache
     footprint, GC pressure, worker utilisation, sampled once per

@@ -86,7 +86,7 @@ type reply =
   | Pong
   | Stats_reply of (string * int) list
   | Bye  (** shutdown acknowledged *)
-  | Dump_reply of string  (** {!Chow_obs.Flight.dump_json} output *)
+  | Dump_reply of string  (** {!Chow_obs.Event.flight_json} output *)
   | Health_reply of { ready : bool; checks : (string * bool * string) list }
       (** [ready] is the conjunction of the [checks]; each check is
           [(name, ok, detail)] — the daemon is degraded, not dead, when

@@ -11,10 +11,8 @@ module Link = Chow_codegen.Link
 module Objfile = Chow_codegen.Objfile
 module Sim = Chow_sim.Sim
 module Profile = Chow_sim.Profile
-module Trace = Chow_obs.Trace
+module Event = Chow_obs.Event
 module Metrics = Chow_obs.Metrics
-module Log = Chow_obs.Log
-module Flight = Chow_obs.Flight
 module Context = Chow_obs.Context
 module Export = Chow_obs.Export
 module Sampler = Chow_obs.Sampler
@@ -183,11 +181,11 @@ let flight_dump ~path reason =
   match path with
   | None -> ()
   | Some path -> (
-      Log.error "flight-dump"
-        [ ("path", Log.Str path); ("reason", Log.Str reason) ];
+      Event.error "flight-dump"
+        [ ("path", Event.Str path); ("reason", Event.Str reason) ];
       try
         let oc = open_out path in
-        output_string oc (Flight.dump_json ());
+        output_string oc (Event.flight_json ());
         close_out oc
       with Sys_error _ -> ())
 
@@ -268,8 +266,8 @@ let now_ns () = int_of_float (Unix.gettimeofday () *. 1e9)
 (** Runs on a worker domain: account the queue wait, execute under the
     request's ambient scope (so every span, log line and flight event the
     work emits carries the request id), attach the per-request metric
-    deltas and server-side timings, and reply on the requesting
-    connection.  [send] is the connection's serialized writer; it raises
+    deltas and server-side timings, reply on the requesting connection,
+    and drain the event rings into any open sinks.  [send] is the connection's serialized writer; it raises
     if the peer vanished, which counts the request as failed, not
     completed. *)
 let run_job t ~send ~req ~submit_ns ~submit_trace_ns ~action ~srcs ~o3
@@ -277,17 +275,17 @@ let run_job t ~send ~req ~submit_ns ~submit_trace_ns ~action ~srcs ~o3
   let wait_ns = max 0 (now_ns () - submit_ns) in
   Metrics.observe h_queue_wait (wait_ns / 1000);
   Metrics.observe (class_hist action "queue_wait_us") (wait_ns / 1000);
-  if Trace.is_on () then
-    Trace.span_at ~ts_ns:submit_trace_ns ~dur_ns:wait_ns
-      ~args:[ ("req", Trace.Int req) ]
+  if Event.trace_on () then
+    Event.span_at ~ts_ns:submit_trace_ns ~dur_ns:wait_ns
+      ~args:[ ("req", Event.Int req) ]
       "queue-wait";
-  Flight.record ~req "exec-start";
+  Event.mark ~req "exec-start";
   Context.set_request req;
   let before = Metrics.snapshot () in
   let t0 = now_ns () in
   let reply =
-    Trace.span "request"
-      ~args:[ ("req", Trace.Int req) ]
+    Event.span "request"
+      ~args:[ ("req", Event.Int req) ]
       (exec ?cache:t.cache ~action ~srcs ~o3 ~shrinkwrap ~global_promo ~alloc
          ~fuel)
   in
@@ -298,7 +296,7 @@ let run_job t ~send ~req ~submit_ns ~submit_trace_ns ~action ~srcs ~o3
   let reply =
     match reply with
     | Protocol.Done d ->
-        Flight.record ~req "exec-done";
+        Event.mark ~req "exec-done";
         Protocol.Done
           {
             d with
@@ -307,8 +305,8 @@ let run_job t ~send ~req ~submit_ns ~submit_trace_ns ~action ~srcs ~o3
             service_ns;
           }
     | other ->
-        if Flight.is_on () then
-          Flight.record ~req
+        if Event.flight_on () then
+          Event.mark ~req
             ~detail:
               (match other with
               | Protocol.Error { kind; _ } -> kind
@@ -325,28 +323,31 @@ let run_job t ~send ~req ~submit_ns ~submit_trace_ns ~action ~srcs ~o3
   | Protocol.Done _ -> Metrics.incr m_completed
   | _ -> Metrics.incr m_failed);
   let t1 = now_ns () in
+  (* the end of a request is a drain point: its log lines and spans reach
+     their sinks now, not at shutdown *)
+  Fun.protect ~finally:Event.drain @@ fun () ->
   match
-    Trace.span "reply" ~args:[ ("req", Trace.Int req) ] (fun () -> send reply)
+    Event.span "reply" ~args:[ ("req", Event.Int req) ] (fun () -> send reply)
   with
   | () ->
       let reply_ns = now_ns () - t1 in
       Metrics.observe (class_hist action "reply_us") (reply_ns / 1000);
-      Flight.record ~req "reply-sent";
-      if Log.is_on Log.Info then
-        Log.info ~req "done"
+      Event.mark ~req "reply-sent";
+      if Event.log_on Event.Info then
+        Event.info ~req "done"
           [
-            ("class", Log.Str (class_name action));
+            ("class", Event.Str (class_name action));
             ("ok",
-             Log.Bool (match reply with Protocol.Done _ -> true | _ -> false));
-            ("queue_wait_us", Log.Int (wait_ns / 1000));
-            ("service_us", Log.Int (service_ns / 1000));
-            ("reply_us", Log.Int (reply_ns / 1000));
+             Event.Bool (match reply with Protocol.Done _ -> true | _ -> false));
+            ("queue_wait_us", Event.Int (wait_ns / 1000));
+            ("service_us", Event.Int (service_ns / 1000));
+            ("reply_us", Event.Int (reply_ns / 1000));
           ]
   | exception _ -> (
-      Flight.record ~req "reply-failed";
-      if Log.is_on Log.Warn then
-        Log.warn ~req "reply-failed"
-          [ ("class", Log.Str (class_name action)) ];
+      Event.mark ~req "reply-failed";
+      if Event.log_on Event.Warn then
+        Event.warn ~req "reply-failed"
+          [ ("class", Event.Str (class_name action)) ];
       match reply with
       | Protocol.Done _ ->
           Metrics.add m_completed (-1);
@@ -362,11 +363,11 @@ let handle_connection t id conn =
     | None -> ()
     | exception Protocol.Malformed msg ->
         Metrics.incr m_protocol_errors;
-        if Log.is_on Log.Warn then
-          Log.warn "protocol-error"
-            [ ("conn", Log.Int id); ("message", Log.Str msg) ];
-        if Flight.is_on () then
-          Flight.record ~req:(-1) ~detail:msg "protocol-error";
+        if Event.log_on Event.Warn then
+          Event.warn "protocol-error"
+            [ ("conn", Event.Int id); ("message", Event.Str msg) ];
+        if Event.flight_on () then
+          Event.mark ~req:(-1) ~detail:msg "protocol-error";
         flight_dump ~path:t.flight_path "protocol-error";
         (* best-effort: the stream may already be gone *)
         (try send (Protocol.Error { kind = "protocol"; message = msg })
@@ -377,26 +378,26 @@ let handle_connection t id conn =
         send Protocol.Pong;
         loop ()
     | Some Protocol.Stats ->
-        Log.debug "stats" [ ("conn", Log.Int id) ];
+        Event.debug "stats" [ ("conn", Event.Int id) ];
         refresh_gauges t;
         send (Protocol.Stats_reply (Metrics.snapshot ()));
         loop ()
     | Some Protocol.Health ->
-        Log.debug "health" [ ("conn", Log.Int id) ];
+        Event.debug "health" [ ("conn", Event.Int id) ];
         let ready, checks = health t in
         send (Protocol.Health_reply { ready; checks });
         loop ()
     | Some Protocol.Metrics_text ->
-        Log.debug "metrics" [ ("conn", Log.Int id) ];
+        Event.debug "metrics" [ ("conn", Event.Int id) ];
         refresh_gauges t;
         send (Protocol.Metrics_reply (Export.page ()));
         loop ()
     | Some Protocol.Dump ->
-        Log.debug "dump" [ ("conn", Log.Int id) ];
-        send (Protocol.Dump_reply (Flight.dump_json ()));
+        Event.debug "dump" [ ("conn", Event.Int id) ];
+        send (Protocol.Dump_reply (Event.flight_json ()));
         loop ()
     | Some Protocol.Shutdown ->
-        Log.info "shutdown" [ ("conn", Log.Int id) ];
+        Event.info "shutdown" [ ("conn", Event.Int id) ];
         send Protocol.Bye;
         Atomic.set t.stop true
         (* stop reading; the refcounted close runs when the reader's
@@ -405,15 +406,15 @@ let handle_connection t id conn =
         (Protocol.Compile
            { id = req; action; srcs; o3; shrinkwrap; global_promo; alloc;
              fuel; priority }) ->
-        if Log.is_on Log.Debug then
-          Log.debug ~req "submit"
+        if Event.log_on Event.Debug then
+          Event.debug ~req "submit"
             [
-              ("conn", Log.Int id);
-              ("class", Log.Str (class_name action));
-              ("units", Log.Int (List.length srcs));
-              ("priority", Log.Int priority);
+              ("conn", Event.Int id);
+              ("class", Event.Str (class_name action));
+              ("units", Event.Int (List.length srcs));
+              ("priority", Event.Int priority);
             ];
-        Flight.record ~req ~detail:(class_name action) "submit";
+        Event.mark ~req ~detail:(class_name action) "submit";
         match Allocator.of_string alloc with
         | None ->
             (try
@@ -428,7 +429,7 @@ let handle_connection t id conn =
             loop ()
         | Some alloc ->
         let submit_ns = now_ns () in
-        let submit_trace_ns = Trace.elapsed_ns () in
+        let submit_trace_ns = Event.elapsed_ns () in
         let work =
           run_job t ~send ~req ~submit_ns ~submit_trace_ns ~action ~srcs ~o3
             ~shrinkwrap ~global_promo ~alloc ~fuel
@@ -445,9 +446,9 @@ let handle_connection t id conn =
         | Scheduler.Rejected ->
             conn_job_unref t id conn;
             Metrics.incr m_busy;
-            if Log.is_on Log.Warn then
-              Log.warn ~req "busy" [ ("conn", Log.Int id) ];
-            Flight.record ~req "busy";
+            if Event.log_on Event.Warn then
+              Event.warn ~req "busy" [ ("conn", Event.Int id) ];
+            Event.mark ~req "busy";
             (try send Protocol.Busy with _ -> ()));
         loop ()
   in
@@ -464,7 +465,7 @@ let create ?(workers = 4) ?(queue_bound = 64) ?cache_dir ?(cache_shards = 4)
   Metrics.enable ();
   (* the flight recorder is cheap enough to leave armed for the daemon's
      whole lifetime — that is the point of it *)
-  Flight.enable ();
+  Event.enable_flight ();
   let cache =
     Option.map
       (fun dir ->
@@ -479,8 +480,8 @@ let create ?(workers = 4) ?(queue_bound = 64) ?cache_dir ?(cache_shards = 4)
      the postmortem case the flight recorder exists for *)
   let on_error e =
     let msg = Printexc.to_string e in
-    Log.error "worker-trap" [ ("exn", Log.Str msg) ];
-    if Flight.is_on () then Flight.record ~req:(-1) ~detail:msg "worker-trap";
+    Event.error "worker-trap" [ ("exn", Event.Str msg) ];
+    if Event.flight_on () then Event.mark ~req:(-1) ~detail:msg "worker-trap";
     flight_dump ~path:flight_path "worker-trap"
   in
   let cache_shard_gauges =
@@ -550,8 +551,8 @@ let serve t =
               Hashtbl.replace t.conns id conn;
               id)
         in
-        Log.info "accept" [ ("conn", Log.Int id) ];
-        Flight.record ~req:(-1) "accept";
+        Event.info "accept" [ ("conn", Event.Int id) ];
+        Event.mark ~req:(-1) "accept";
         Metrics.gauge_add g_conns 1;
         let th =
           Thread.create
@@ -570,8 +571,8 @@ let serve t =
   while not (Atomic.get t.stop) do
     accept_one ()
   done;
-  Log.info "drain" [];
-  Flight.record ~req:(-1) "drain";
+  Event.info "drain" [];
+  Event.mark ~req:(-1) "drain";
   (* 1. no new connections *)
   (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
   (* 2. unblock reader threads still parked in [recv_request] — receive
@@ -614,4 +615,5 @@ let serve t =
       refresh_gauges t;
       Sampler.stop s;
       t.sampler <- None);
-  Log.info "stopped" []
+  Event.info "stopped" [];
+  Event.drain ()

@@ -22,9 +22,11 @@
     went, plus the cache and pipeline counters the work itself
     publishes); when tracing is enabled each request contributes
     queue-wait, request and reply spans tagged with the client-generated
-    request id, and when {!Chow_obs.Log} is enabled the accept / submit /
+    request id, and when logging is enabled the accept / submit /
     busy / done / protocol-error / shutdown path emits structured lines
-    carrying the same id.  A [Stats] request returns the registry
+    carrying the same id.  All of them are {!Chow_obs.Event}s: the end of
+    each request drains the rings into the [--trace] / [--log] files, so
+    a killed daemon has already written every finished request.  A [Stats] request returns the registry
     snapshot over the wire; [Done] replies carry their own queue-wait and
     service times, so a client can reconstruct the server-side phases of
     its request on its own timeline.
@@ -47,7 +49,7 @@
     time-series ring, stopped (with one final post-drain sample) as the
     last step of shutdown.
 
-    The {!Chow_obs.Flight} recorder is armed for the daemon's lifetime:
+    The {!Chow_obs.Event} flight recorder is armed for the daemon's lifetime:
     request lifecycle steps (submit / exec-start / exec-done / reply-sent
     and their failure variants), accepts and protocol errors land in the
     per-domain rings.  A [Dump] request returns the rings as JSON; a

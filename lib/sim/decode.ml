@@ -41,7 +41,7 @@
 module Machine = Chow_machine.Machine
 module Asm = Chow_codegen.Asm
 module Ir = Chow_ir.Ir
-module Trace = Chow_obs.Trace
+module Event = Chow_obs.Event
 module Metrics = Chow_obs.Metrics
 
 exception Runtime_error of string
@@ -496,12 +496,12 @@ let execute ?(fuel = 500_000_000) ?(mem_words = 1 lsl 20) ?(check = true)
   (* tracing is sampled on the call path only (every 256th call), and the
      enabled check is hoisted out of the loop: the hot path is untouched
      when tracing is off *)
-  let tr = Trace.is_on () in
+  let tr = Event.trace_on () in
   (* [pc] is the call instruction's, [cycles] the count including it *)
   let do_call pc cycles target =
     incr calls;
     if tr && !calls land 255 = 0 then
-      Trace.counter "sim.traffic"
+      Event.counter "sim.traffic"
         [
           ("cycles", cycles);
           ("calls", !calls);

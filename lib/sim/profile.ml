@@ -13,7 +13,7 @@
     the call tree itself. *)
 
 module Asm = Chow_codegen.Asm
-module Trace = Chow_obs.Trace
+module Event = Chow_obs.Event
 module Metrics = Chow_obs.Metrics
 
 type counters = {
@@ -135,7 +135,7 @@ let run ?fuel ?mem_words ?check ?trace ?(trace_depth = 16)
   let ncode = Array.length code in
   let entries, names = Asm.proc_table prog in
   let proc_at pc = lookup entries names pc in
-  let t = Trace.span "decode" (fun () -> Decode.decode prog) in
+  let t = Event.span "decode" (fun () -> Decode.decode prog) in
   let pc_buf = Array.make (max ncode 1) 0 in
   (* ----- call-tree nodes, id order = creation order (parents first) ----- *)
   let cap = ref 64 in
@@ -208,7 +208,7 @@ let run ?fuel ?mem_words ?check ?trace ?(trace_depth = 16)
     seg_ar := ar;
     seg_cyc := cyc
   in
-  let tr = match trace with Some b -> b | None -> Trace.is_on () in
+  let tr = match trace with Some b -> b | None -> Event.trace_on () in
   let spans_emitted = ref 0 in
   (* spans are emitted when the activation ends, on the simulated
      timebase: 1 cycle = 1000 ns, i.e. 1 us in the trace viewer *)
@@ -219,8 +219,8 @@ let run ?fuel ?mem_words ?check ?trace ?(trace_depth = 16)
       && !nd_depth.(!st_node.(d)) <= trace_depth
     then begin
       incr spans_emitted;
-      Trace.span_at
-        ~args:[ ("site", Trace.Int !st_site.(d)) ]
+      Event.span_at
+        ~args:[ ("site", Event.Int !st_site.(d)) ]
         ~ts_ns:(!st_cyc0.(d) * 1000)
         ~dur_ns:((cyc_end - !st_cyc0.(d)) * 1000)
         !nd_name.(!st_node.(d))
@@ -283,7 +283,7 @@ let run ?fuel ?mem_words ?check ?trace ?(trace_depth = 16)
     }
   in
   let outcome =
-    Trace.span "sim-profile" (fun () ->
+    Event.span "sim-profile" (fun () ->
         Decode.execute ?fuel ?mem_words ?check ~profile:true ~hooks ~pc_buf t)
   in
   (* the final segment (last boundary to halt) and frames still live at

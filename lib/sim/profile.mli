@@ -84,7 +84,7 @@ type report = {
     profiling probes installed.  [fuel], [mem_words] and [check] are as in
     {!Sim.run}.  With [trace] (default: whether tracing is enabled),
     call/return spans at depth <= [trace_depth] are pushed into
-    {!Chow_obs.Trace} on the simulated timebase, at most [trace_limit] of
+    {!Chow_obs.Event} on the simulated timebase, at most [trace_limit] of
     them.  Publishes [sim.penalty.*] counters into {!Chow_obs.Metrics}
     when armed (including [sim.penalty.tree_capped], the report's
     [tree_capped] figure).  [max_nodes] bounds the call tree (default

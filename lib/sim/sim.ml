@@ -107,7 +107,7 @@ let eval_relop op a b =
     differentially tested against. *)
 let run_reference ?(fuel = 500_000_000) ?(mem_words = 1 lsl 20)
     ?(check = true) ?(profile = false) (prog : Asm.program) : outcome =
-  Chow_obs.Trace.span "sim-reference" @@ fun () ->
+  Chow_obs.Event.span "sim-reference" @@ fun () ->
   let code = prog.Asm.code in
   let ncode = Array.length code in
   let pc_counts = if profile then Array.make ncode 0 else [||] in
@@ -267,6 +267,6 @@ let run_reference ?(fuel = 500_000_000) ?(mem_words = 1 lsl 20)
     form.  The decode cost is linear in code size and amortized over the
     run (it is included in every [run] call, not cached). *)
 let run ?fuel ?mem_words ?check ?profile (prog : Asm.program) : outcome =
-  let t = Chow_obs.Trace.span "decode" (fun () -> Decode.decode prog) in
-  Chow_obs.Trace.span "sim" (fun () ->
+  let t = Chow_obs.Event.span "decode" (fun () -> Decode.decode prog) in
+  Chow_obs.Event.span "sim" (fun () ->
       Decode.execute ?fuel ?mem_words ?check ?profile t)

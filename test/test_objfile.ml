@@ -12,7 +12,7 @@ module Objfile = Chow_codegen.Objfile
 module Machine = Chow_machine.Machine
 module Diag = Chow_frontend.Diag
 module Sim = Chow_sim.Sim
-module Trace = Chow_obs.Trace
+module Event = Chow_obs.Event
 module Metrics = Chow_obs.Metrics
 
 let unit_main =
@@ -162,17 +162,17 @@ let test_warm_rebuild_identical_and_allocation_free () =
   Alcotest.(check bool)
     "cold cached build = cache-less build" true
     (Pipeline.program seed = Pipeline.program cold);
-  Trace.reset ();
-  Trace.enable ();
+  Event.reset ();
+  Event.enable_trace ();
   let warm =
     with_metrics (fun () ->
         Pipeline.compile_source ~cache Config.o3_sw (Pipeline.Srcs two_units))
   in
   let hits = counter_value "cache.hit"
   and misses = counter_value "cache.miss" in
-  Trace.disable ();
-  let trace = Trace.to_string () in
-  Trace.reset ();
+  Event.disable_trace ();
+  let trace = Event.chrome_json () in
+  Event.reset ();
   Alcotest.(check bool)
     "warm build byte-identical" true
     (Pipeline.program warm = Pipeline.program cold);

@@ -6,7 +6,7 @@
     rotation, sample shape), and the [--explain] report (golden output
     for a §2-style program). *)
 
-module Trace = Chow_obs.Trace
+module Event = Chow_obs.Event
 module Metrics = Chow_obs.Metrics
 module Export = Chow_obs.Export
 module Sampler = Chow_obs.Sampler
@@ -100,15 +100,15 @@ let check_nesting spans =
     by_tid
 
 let test_trace_pipeline () =
-  Trace.reset ();
-  Trace.enable ();
+  Event.reset ();
+  Event.enable_trace ();
   let compiled =
     Pipeline.compile_source (Config.with_jobs 4 Config.o3_sw) (Pipeline.Src (source_of "nim"))
   in
   ignore (Sim.run (Pipeline.program compiled));
-  Trace.disable ();
-  let txt = Trace.to_string () in
-  Trace.reset ();
+  Event.disable_trace ();
+  let txt = Event.chrome_json () in
+  Event.reset ();
   let spans = spans_of_trace txt in
   check_nesting spans;
   let names = List.map (fun s -> s.s_name) spans in
@@ -143,21 +143,21 @@ let test_trace_pipeline () =
        spans)
 
 let test_trace_disabled_records_nothing () =
-  Trace.reset ();
-  Trace.span "should-not-appear" (fun () -> ());
-  let txt = Trace.to_string () in
+  Event.reset ();
+  Event.span "should-not-appear" (fun () -> ());
+  let txt = Event.chrome_json () in
   let spans = spans_of_trace txt in
   Alcotest.(check bool)
     "no span recorded while disabled" true
     (not (List.exists (fun s -> s.s_name = "should-not-appear") spans))
 
 let test_trace_exception_closes_span () =
-  Trace.reset ();
-  Trace.enable ();
-  (try Trace.span "raising" (fun () -> failwith "boom") with Failure _ -> ());
-  Trace.disable ();
-  let spans = spans_of_trace (Trace.to_string ()) in
-  Trace.reset ();
+  Event.reset ();
+  Event.enable_trace ();
+  (try Event.span "raising" (fun () -> failwith "boom") with Failure _ -> ());
+  Event.disable_trace ();
+  let spans = spans_of_trace (Event.chrome_json ()) in
+  Event.reset ();
   Alcotest.(check bool)
     "span recorded despite the exception" true
     (List.exists (fun s -> s.s_name = "raising") spans)
@@ -167,19 +167,19 @@ let test_trace_multi_domain_merge () =
      timelines of their own.  (Pipeline traces can legitimately be
      single-tid — the pool's caller lane helps drain the queue and often
      wins every task — so this drives the worker domains directly.) *)
-  Trace.reset ();
-  Trace.enable ();
+  Event.reset ();
+  Event.enable_trace ();
   let names = [ "merge:a"; "merge:b"; "merge:c" ] in
   let domains =
     List.map
-      (fun n -> Domain.spawn (fun () -> Trace.span n (fun () -> ())))
+      (fun n -> Domain.spawn (fun () -> Event.span n (fun () -> ())))
       names
   in
   List.iter Domain.join domains;
-  Trace.span "merge:caller" (fun () -> ());
-  Trace.disable ();
-  let spans = spans_of_trace (Trace.to_string ()) in
-  Trace.reset ();
+  Event.span "merge:caller" (fun () -> ());
+  Event.disable_trace ();
+  let spans = spans_of_trace (Event.chrome_json ()) in
+  Event.reset ();
   let find n = List.find_opt (fun s -> s.s_name = n) spans in
   List.iter
     (fun n ->

@@ -10,7 +10,7 @@ module Server = Chow_server.Server
 module Client = Chow_server.Client
 module Cache = Chow_compiler.Cache
 module Metrics = Chow_obs.Metrics
-module Flight = Chow_obs.Flight
+module Event = Chow_obs.Event
 module Json = Chow_obs.Json
 
 let contains needle hay =
@@ -234,7 +234,7 @@ let with_server ?(workers = 2) ?(queue_bound = 16) name f =
      residues; the daemon tests assert exact counter values and event
      sets, so start both from zero *)
   Metrics.reset ();
-  Flight.reset ();
+  Event.reset ();
   let dir = fresh_dir name in
   let socket_path = Filename.concat dir "s.sock" in
   let server =
@@ -648,17 +648,17 @@ let test_server_graceful_shutdown () =
 (* ----- flight recorder rings ----- *)
 
 let test_flight_wraparound () =
-  Flight.reset ();
-  Flight.enable ();
+  Event.reset ();
+  Event.enable_flight ();
   let extra = 37 in
-  for i = 1 to Flight.capacity + extra do
-    Flight.record ~req:i "wrap"
+  for i = 1 to Event.capacity + extra do
+    Event.mark ~req:i "wrap"
   done;
-  let evs = Flight.events () in
+  let evs = Event.marks () in
   Alcotest.(check int)
-    "live events = capacity" Flight.capacity (List.length evs);
+    "live events = capacity" Event.capacity (List.length evs);
   Alcotest.(check int)
-    "dropped counts the overwritten" extra (Flight.dropped ());
+    "dropped counts the overwritten" extra (Event.dropped ());
   (* the survivors are exactly the newest [capacity] events, oldest
      first: the ring overwrote 1..extra and kept extra+1..capacity+extra
      in order *)
@@ -669,20 +669,20 @@ let test_flight_wraparound () =
       if r <> extra + 1 + k then
         Alcotest.failf "event %d: expected req %d, got %d" k (extra + 1 + k) r)
     reqs;
-  Flight.reset ();
-  Alcotest.(check int) "reset empties the rings" 0 (List.length (Flight.events ()));
-  Alcotest.(check int) "reset clears dropped" 0 (Flight.dropped ())
+  Event.reset ();
+  Alcotest.(check int) "reset empties the rings" 0 (List.length (Event.marks ()));
+  Alcotest.(check int) "reset clears dropped" 0 (Event.dropped ())
 
 let test_flight_concurrent_writers () =
-  Flight.reset ();
-  Flight.enable ();
-  let writers = 8 and per_writer = 200 in
+  Event.reset ();
+  Event.enable_flight ();
+  let writers = 8 and per_writer = Event.capacity / 2 in
   let threads =
     List.init writers (fun w ->
         Thread.create
           (fun () ->
             for i = 1 to per_writer do
-              Flight.record ~req:w ~detail:(string_of_int i) "concurrent"
+              Event.mark ~req:w ~detail:(string_of_int i) "concurrent"
             done)
           ())
   in
@@ -690,24 +690,24 @@ let test_flight_concurrent_writers () =
   (* sys-threads share domain 0's ring: every write landed, the newest
      [capacity] survive, the rest are accounted dropped — none lost *)
   let total = writers * per_writer in
-  let live = List.length (Flight.events ()) in
+  let live = List.length (Event.marks ()) in
   Alcotest.(check int)
-    "live + dropped = total writes" total (live + Flight.dropped ());
-  Alcotest.(check int) "ring is full" Flight.capacity live;
-  (match Json.parse (Flight.dump_json ()) with
+    "live + dropped = total writes" total (live + Event.dropped ());
+  Alcotest.(check int) "ring is full" Event.capacity live;
+  (match Json.parse (Event.flight_json ()) with
   | Error msg -> Alcotest.failf "concurrent dump does not parse: %s" msg
   | Ok _ -> ());
-  Flight.reset ()
+  Event.reset ()
 
 let test_flight_dump_during_write () =
-  Flight.reset ();
-  Flight.enable ();
+  Event.reset ();
+  Event.enable_flight ();
   let writing = Atomic.make true in
   let writer =
     Thread.create
       (fun () ->
-        for i = 1 to 5000 do
-          Flight.record ~req:i ~detail:"payload" "racing"
+        for i = 1 to 4 * Event.capacity do
+          Event.mark ~req:i ~detail:"payload" "racing"
         done;
         Atomic.set writing false)
       ()
@@ -716,11 +716,11 @@ let test_flight_dump_during_write () =
      must still be complete, parseable JSON with sane bookkeeping *)
   let dumps = ref 0 in
   while Atomic.get writing do
-    (match Json.parse (Flight.dump_json ()) with
+    (match Json.parse (Event.flight_json ()) with
     | Error msg -> Alcotest.failf "mid-write dump does not parse: %s" msg
     | Ok j ->
         (match Json.member "capacity" j with
-        | Some (Json.Num f) when int_of_float f = Flight.capacity -> ()
+        | Some (Json.Num f) when int_of_float f = Event.capacity -> ()
         | _ -> Alcotest.fail "dump lost its capacity field");
         (match Json.member "events" j with
         | Some (Json.Arr evs) ->
@@ -736,7 +736,7 @@ let test_flight_dump_during_write () =
   done;
   Thread.join writer;
   Alcotest.(check bool) "dumped at least once mid-write" true (!dumps >= 1);
-  Flight.reset ()
+  Event.reset ()
 
 (* ----- the pawnc client's exit codes ----- *)
 
@@ -745,17 +745,18 @@ let test_flight_dump_during_write () =
    from a broken request.  Driven against a fake daemon that answers
    every compile with [Busy]: the real admission queue can't be wedged
    deterministically from outside. *)
+(* [dune runtest] runs this binary from the test directory, [dune exec]
+   from the workspace root — find the CLI from either *)
+let pawnc_exe () =
+  match
+    List.find_opt Sys.file_exists
+      [ "../bin/pawnc.exe"; "_build/default/bin/pawnc.exe" ]
+  with
+  | Some p -> p
+  | None -> Alcotest.fail "pawnc binary not built (dune deps?)"
+
 let test_request_busy_exits_3 () =
-  (* [dune runtest] runs this binary from the test directory,
-     [dune exec] from the workspace root — find the CLI from either *)
-  let pawnc =
-    match
-      List.find_opt Sys.file_exists
-        [ "../bin/pawnc.exe"; "_build/default/bin/pawnc.exe" ]
-    with
-    | Some p -> p
-    | None -> Alcotest.fail "pawnc binary not built (dune deps?)"
-  in
+  let pawnc = pawnc_exe () in
   let dir = fresh_dir "busy3" in
   let socket_path = Filename.concat dir "s.sock" in
   let listen_fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -786,6 +787,129 @@ let test_request_busy_exits_3 () =
       in
       Thread.join fake_daemon;
       Alcotest.(check int) "Busy exits 3" 3 code)
+
+(* Start [pawnc args] with stdout captured to a file and stderr
+   silenced. *)
+let spawn_pawnc ~out args =
+  let pawnc = pawnc_exe () in
+  let fd = Unix.openfile out [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o600
+  and null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+  let pid =
+    Unix.create_process pawnc
+      (Array.of_list (pawnc :: args))
+      Unix.stdin fd null
+  in
+  Unix.close fd;
+  Unix.close null;
+  pid
+
+(* Wait for [pid]'s exit code, killing it after [timeout] seconds: a
+   command that should fail at once but serves instead must not hang the
+   suite. *)
+let exit_code ?(timeout = 20.) pid =
+  let deadline = Unix.gettimeofday () +. timeout in
+  let rec wait () =
+    match Unix.waitpid [ Unix.WNOHANG ] pid with
+    | 0, _ when Unix.gettimeofday () < deadline ->
+        Unix.sleepf 0.02;
+        wait ()
+    | 0, _ ->
+        Unix.kill pid Sys.sigkill;
+        ignore (Unix.waitpid [] pid);
+        Alcotest.failf "pawnc still running after %.0fs" timeout
+    | _, Unix.WEXITED n -> n
+    | _, (Unix.WSIGNALED n | Unix.WSTOPPED n) -> 128 + n
+  in
+  wait ()
+
+(* [--trace] and [--log] open their files before any work, so an
+   unwritable path is a named error and exit 2 up front — not a program
+   that runs (or a daemon that serves) and then dies at exit *)
+let test_unwritable_sink_exits_2 () =
+  let dir = fresh_dir "sink2" in
+  let src = Filename.concat dir "x.p" in
+  Out_channel.with_open_bin src (fun oc -> output_string oc good_src);
+  let bad = Filename.concat dir "missing/out.json" in
+  let out = Filename.concat dir "stdout" in
+  let code =
+    exit_code (spawn_pawnc ~out [ "run"; src; "--O3"; "--trace"; bad ])
+  in
+  Alcotest.(check int) "run --trace UNWRITABLE exits 2" 2 code;
+  Alcotest.(check string)
+    "and fails before the program runs" ""
+    (In_channel.with_open_bin out In_channel.input_all);
+  let sock = Filename.concat dir "s.sock" in
+  let code =
+    exit_code (spawn_pawnc ~out [ "serve"; "--socket"; sock; "--log"; bad ])
+  in
+  Alcotest.(check int) "serve --log UNWRITABLE exits 2" 2 code;
+  Alcotest.(check bool)
+    "and fails before it listens" false (Sys.file_exists sock)
+
+(* The log streams: a daemon killed with SIGKILL after serving requests
+   has already written their lines, whole and in timestamp order *)
+let test_log_survives_kill_9 () =
+  let dir = fresh_dir "kill9" in
+  let sock = Filename.concat dir "s.sock"
+  and log = Filename.concat dir "serve.log" in
+  let pid =
+    spawn_pawnc ~out:(Filename.concat dir "stdout")
+      [
+        "serve"; "--socket"; sock; "--workers"; "1"; "--log"; log;
+        "--log-level"; "debug";
+      ]
+  in
+  let killed = ref false in
+  Fun.protect
+    ~finally:(fun () ->
+      if not !killed then begin
+        Unix.kill pid Sys.sigkill;
+        ignore (Unix.waitpid [] pid)
+      end)
+    (fun () ->
+      Alcotest.(check bool)
+        "daemon answers" true
+        (Client.wait_ready ~socket_path:sock ());
+      (* one worker runs jobs in submission order, so the third reply
+         proves the first two finished — done line and drain included *)
+      Client.with_connection ~socket_path:sock (fun c ->
+          List.iter
+            (fun id ->
+              match Client.request c (compile_req ~id [ good_src ]) with
+              | Protocol.Done _ -> ()
+              | _ -> Alcotest.failf "request %d failed" id)
+            [ 601; 602; 603 ]);
+      Unix.kill pid Sys.sigkill;
+      ignore (Unix.waitpid [] pid);
+      killed := true);
+  let lines =
+    List.filter (fun l -> l <> "")
+      (String.split_on_char '\n'
+         (In_channel.with_open_bin log In_channel.input_all))
+  in
+  let last_ts = ref neg_infinity and done_ids = ref [] in
+  List.iter
+    (fun line ->
+      match Json.parse line with
+      | Error msg -> Alcotest.failf "log line %S does not parse: %s" line msg
+      | Ok j -> (
+          (match Json.member "ts" j with
+          | Some (Json.Num ts) ->
+              if ts < !last_ts then
+                Alcotest.failf "log ts decreases at %S" line;
+              last_ts := ts
+          | _ -> Alcotest.failf "log line %S has no ts" line);
+          match (Json.member "event" j, Json.member "req" j) with
+          | Some (Json.Str "done"), Some (Json.Num r) ->
+              done_ids := int_of_float r :: !done_ids
+          | _ -> ()))
+    lines;
+  List.iter
+    (fun id ->
+      Alcotest.(check bool)
+        (Printf.sprintf "request %d's done line survived kill -9" id)
+        true (List.mem id !done_ids))
+    [ 601; 602 ]
 
 (* ----- shard routing ----- *)
 
@@ -870,6 +994,10 @@ let suite =
         `Quick test_flight_dump_during_write;
       Alcotest.test_case "client: Busy exits with code 3" `Quick
         test_request_busy_exits_3;
+      Alcotest.test_case "cli: unwritable --trace/--log exit 2 up front"
+        `Quick test_unwritable_sink_exits_2;
+      Alcotest.test_case "daemon: streamed log survives kill -9" `Quick
+        test_log_survives_kill_9;
       Alcotest.test_case "cache: shard routing deterministic and spread"
         `Quick test_shard_routing;
     ] )
