@@ -30,6 +30,7 @@ let () =
       Test_equivalence.suite;
       Test_alloc_strategies.suite;
       Test_code_digests.suite;
+      Test_code_digests.explain_suite;
       Test_parallel.suite;
       Test_obs.suite;
       Test_log.suite;
