@@ -257,6 +257,9 @@ let handle_errors f =
   | Chow_codegen.Link.Undefined_procedure name ->
       Printf.eprintf "link error: undefined procedure %s\n" name;
       exit 2
+  | Chow_codegen.Link.Error msg ->
+      Printf.eprintf "link error: %s\n" msg;
+      exit 2
   | Objfile.Corrupt msg ->
       Printf.eprintf "error: corrupt artifact: %s\n" msg;
       exit 2

@@ -30,27 +30,51 @@ let layout ?(base = 0) (prog : Ir.prog) =
   (table, !next, List.rev !init)
 
 exception Undefined_procedure of string
+exception Error of string
+
+let error fmt = Printf.ksprintf (fun msg -> raise (Error msg)) fmt
+
+module Names = Hashtbl.Make (String)
 
 let link ~(metas : (string * Asm.meta) list) (procs : Asm.proc_code list)
     ~data_size ~data_init : Asm.program =
-  (* pass 1: assign addresses.  The stub occupies pc 0 and 1. *)
+  (* pass 1: assign addresses.  The stub occupies pc 0 and 1.  Each
+     procedure's labels resolve through an array sized by its item count
+     (every label precedes an item of its own, so a well-formed label is
+     below it); labels come from artifacts, so one out of that range is
+     rejected before it can size anything. *)
   let stub_len = 2 in
-  let proc_addrs = ref [] in
-  let label_addr = Hashtbl.create 64 in
+  let entries = Names.create 64 in
+  let proc_addrs = ref [] and block_pcs = ref [] in
   let pc = ref stub_len in
-  List.iter
-    (fun p ->
-      proc_addrs := (p.Asm.pc_name, !pc) :: !proc_addrs;
-      List.iter
-        (function
-          | Asm.Label l -> Hashtbl.replace label_addr (p.Asm.pc_name, l) !pc
-          | Asm.Inst _ -> incr pc)
-        p.Asm.pc_items)
-    procs;
+  let label_pcs =
+    List.map
+      (fun p ->
+        let name = p.Asm.pc_name in
+        if Names.mem entries name then
+          error "procedure %s is defined more than once" name;
+        Names.add entries name !pc;
+        proc_addrs := (name, !pc) :: !proc_addrs;
+        let n = List.length p.Asm.pc_items in
+        let pcs = Array.make n (-1) in
+        List.iter
+          (function
+            | Asm.Label l ->
+                if l < 0 || l >= n then
+                  error "%s: label %d is out of range" name l;
+                if pcs.(l) >= 0 then
+                  error "%s: label %d is defined more than once" name l;
+                pcs.(l) <- !pc;
+                block_pcs := (!pc, (name, l)) :: !block_pcs
+            | Asm.Inst _ -> incr pc)
+          p.Asm.pc_items;
+        pcs)
+      procs
+  in
   let proc_addrs = List.rev !proc_addrs in
   let code_len = !pc in
   let addr_of_proc f =
-    match List.assoc_opt f proc_addrs with
+    match Names.find_opt entries f with
     | Some a -> a
     | None -> raise (Undefined_procedure f)
   in
@@ -59,9 +83,14 @@ let link ~(metas : (string * Asm.meta) list) (procs : Asm.proc_code list)
   code.(0) <- Asm.Jal_pc (addr_of_proc "main");
   code.(1) <- Asm.Halt;
   let pc = ref stub_len in
-  List.iter
-    (fun p ->
-      let resolve l = Hashtbl.find label_addr (p.Asm.pc_name, l) in
+  List.iter2
+    (fun p pcs ->
+      let resolve l =
+        if l < 0 || l >= Array.length pcs || pcs.(l) < 0 then
+          error "%s: branch to label %d, which it does not define"
+            p.Asm.pc_name l;
+        pcs.(l)
+      in
       List.iter
         (function
           | Asm.Label _ -> ()
@@ -81,16 +110,19 @@ let link ~(metas : (string * Asm.meta) list) (procs : Asm.proc_code list)
               code.(!pc) <- i';
               incr pc)
         p.Asm.pc_items)
-    procs;
+    procs label_pcs;
   let metas =
     List.filter_map
       (fun (name, m) ->
-        match List.assoc_opt name proc_addrs with
-        | Some a -> Some (a, m)
-        | None -> None)
+        Option.map (fun a -> (a, m)) (Names.find_opt entries name))
       metas
   in
-  let block_pcs =
-    Hashtbl.fold (fun (pname, l) pc acc -> (pc, (pname, l)) :: acc) label_addr []
-  in
-  { Asm.code; entry = 0; proc_addrs; metas; data_size; data_init; block_pcs }
+  {
+    Asm.code;
+    entry = 0;
+    proc_addrs;
+    metas;
+    data_size;
+    data_init;
+    block_pcs = List.rev !block_pcs;
+  }

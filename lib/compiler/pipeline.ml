@@ -304,14 +304,46 @@ let emit_unit_art ~layout ~base ~size ~init (alloc : Ipra.t) : Objfile.t =
         (List.map (fun p -> p.Objfile.pa_code) procs);
   }
 
+(* A unit compiled a call to an extern with the default convention, so the
+   callee must follow it: a closed procedure's custom convention (§3)
+   would take its arguments in other registers.  Runs after [Link.link],
+   which has rejected procedures defined twice. *)
+let check_externs_open (arts : Objfile.t list) =
+  if List.exists (fun (a : Objfile.t) -> a.Objfile.o_externs <> []) arts then begin
+    let is_open = Hashtbl.create 64 in
+    List.iter
+      (fun (a : Objfile.t) ->
+        List.iter
+          (fun (p : Objfile.proc_art) ->
+            Hashtbl.replace is_open p.Objfile.pa_code.Asm.pc_name p.Objfile.pa_open)
+          a.Objfile.o_procs)
+      arts;
+    List.iter
+      (fun (a : Objfile.t) ->
+        List.iter
+          (fun f ->
+            if Hashtbl.find_opt is_open f = Some false then
+              raise
+                (Link.Error
+                   (Printf.sprintf
+                      "procedure %s is called from another unit but was \
+                       compiled closed; declare it with `export proc %s`"
+                      f f)))
+          a.Objfile.o_externs)
+      arts
+  end
+
 (** [link_units arts] links unit artifacts into one executable image.
 
     Before linking, every artifact is cross-checked: its recorded
     preservation contracts must re-derive from its recorded usage masks
     ({!Objfile.contract_check}), and its data base must equal the sum of
     its predecessors' data sizes (artifacts are position-dependent in
-    data).  Raises [Invalid_argument] on either mismatch and
-    {!Link.Undefined_procedure} for unresolved externs. *)
+    data).  Raises [Invalid_argument] on either mismatch,
+    {!Link.Undefined_procedure} for unresolved externs, and {!Link.Error}
+    for a procedure defined twice, a label that does not resolve, or an
+    extern that another unit compiled closed: every cross-unit call must
+    reach an open procedure, one that follows the default convention. *)
 let link_units (arts : Objfile.t list) : Asm.program =
   let base = ref 0 in
   List.iteri
@@ -349,6 +381,7 @@ let link_units (arts : Objfile.t list) : Asm.program =
   in
   let data_init = List.concat_map (fun a -> a.Objfile.o_data_init) arts in
   let program = Link.link ~metas codes ~data_size:!base ~data_init in
+  check_externs_open arts;
   if Metrics.is_on () then begin
     Metrics.add m_units (List.length arts);
     Metrics.add m_code_words (Array.length program.Asm.code)

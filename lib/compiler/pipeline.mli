@@ -153,8 +153,12 @@ val compile_artifacts :
     linking it asserts, per artifact, that the recorded preservation
     contracts re-derive from the recorded usage masks
     ({!Objfile.contract_check}) and that the recorded data bases agree
-    with the link order; raises [Invalid_argument] on mismatch and
-    {!Chow_codegen.Link.Undefined_procedure} for unresolved externs. *)
+    with the link order; raises [Invalid_argument] on mismatch,
+    {!Chow_codegen.Link.Undefined_procedure} for unresolved externs, and
+    {!Chow_codegen.Link.Error} for a procedure defined twice, a label that
+    does not resolve, or an extern that its defining unit compiled closed
+    (a cross-unit call assumes the default convention, so its target must
+    be [export]ed; under -O2 every procedure is open). *)
 val link_units : Objfile.t list -> Asm.program
 
 (** {2 Execution} *)

@@ -64,10 +64,6 @@ type analysis = {
   site_arg_locs : param_loc list array;
       (** per call site: argument destinations under the callee's convention *)
   callee_clobbers : Machine.Set.t;  (** union of [site_clobber] *)
-  tree_used : Machine.Set.t;
-      (** registers appearing in spanned closed-callee masks: the Fig. 1
-          tie-break preference set.  Strategies may extend it as they
-          assign. *)
 }
 
 let analyze ?weights (config : Machine.config) (mode : mode) (p : Ir.proc) =
@@ -86,10 +82,10 @@ let analyze ?weights (config : Machine.config) (mode : mode) (p : Ir.proc) =
   let dom = Dom.compute cfg in
   let loops = Loops.compute cfg dom in
   let lv = Event.span "liveness" (fun () -> Liveness.compute p cfg) in
-  let lr =
-    Event.span "ranges" (fun () -> Liverange.compute ?weights p cfg loops lv)
-  in
   let ig = Event.span "interference" (fun () -> Interference.build p lv) in
+  let lr =
+    Event.span "ranges" (fun () -> Liverange.compute ?weights p loops lv ig)
+  in
   let honor_contract = (not mode.ipra) || mode.is_open in
   let usage = if mode.ipra then mode.usage else Usage.create_table () in
   let site_clobber =
@@ -107,17 +103,6 @@ let analyze ?weights (config : Machine.config) (mode : mode) (p : Ir.proc) =
   (* union of everything our callees may clobber *)
   let callee_clobbers = Machine.Set.empty () in
   Array.iter (Bitset.union_into callee_clobbers) site_clobber;
-  (* closed-callee masks only: the tie-break preference set of Fig. 1 *)
-  let tree_used = Machine.Set.empty () in
-  Array.iter
-    (fun cs ->
-      match cs.Liverange.cs_target with
-      | Ir.Direct f -> (
-          match Usage.find usage f with
-          | Some info -> Bitset.union_into tree_used info.Usage.mask
-          | None -> ())
-      | Ir.Indirect _ -> ())
-    lr.Liverange.call_sites;
   {
     cfg;
     dom;
@@ -130,7 +115,6 @@ let analyze ?weights (config : Machine.config) (mode : mode) (p : Ir.proc) =
     site_clobber;
     site_arg_locs;
     callee_clobbers;
-    tree_used;
   }
 
 let finish (config : Machine.config) (mode : mode) (p : Ir.proc)

@@ -49,10 +49,6 @@ type analysis = {
       (** per call site: argument destinations under the callee's
           convention *)
   callee_clobbers : Machine.Set.t;  (** union of [site_clobber] *)
-  tree_used : Machine.Set.t;
-      (** registers appearing in spanned closed-callee masks: the Fig. 1
-          tie-break preference set.  Strategies may extend it as they
-          assign. *)
 }
 
 (** [analyze ?weights config mode p] runs the strategy-independent

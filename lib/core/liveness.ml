@@ -1,8 +1,9 @@
 (** Live-variable analysis over virtual registers.
 
     Block-level live-in/out sets come from the generic bit-vector solver;
-    [interference_edges] additionally walks each block backwards to find the
-    per-instruction interferences that block-granularity sets would merge. *)
+    {!Interference.build} walks each block backwards from [live_out] to
+    find the per-instruction interferences that block-granularity sets
+    would merge. *)
 
 module Bitset = Chow_support.Bitset
 module Ir = Chow_ir.Ir
@@ -20,15 +21,14 @@ let block_gen_kill (p : Ir.proc) l =
   let gen = Bitset.create p.nvregs in
   let kill = Bitset.create p.nvregs in
   let b = Ir.block p l in
-  let consider_uses vs =
-    List.iter (fun v -> if not (Bitset.mem kill v) then Bitset.set gen v) vs
-  in
+  let use v = if not (Bitset.mem kill v) then Bitset.set gen v in
+  let def v = Bitset.set kill v in
   List.iter
     (fun i ->
-      consider_uses (Ir.inst_uses i);
-      List.iter (Bitset.set kill) (Ir.inst_defs i))
+      Ir.iter_inst_uses use i;
+      Ir.iter_inst_defs def i)
     b.insts;
-  consider_uses (Ir.term_uses b.term);
+  Ir.iter_term_uses use b.term;
   (gen, kill)
 
 let compute (p : Ir.proc) (cfg : Cfg.t) =
@@ -51,53 +51,3 @@ let compute (p : Ir.proc) (cfg : Cfg.t) =
     upward_exposed = Array.map fst gens;
     defs = Array.map snd gens;
   }
-
-(** [fold_insts_backward p lv l f init] folds [f acc inst live_after] over
-    the instructions of block [l] from last to first, where [live_after] is
-    the precise live set immediately after the instruction.  The terminator's
-    uses are already folded into the initial live set. *)
-let fold_insts_backward (p : Ir.proc) t l f init =
-  let b = Ir.block p l in
-  let live = Bitset.copy t.live_out.(l) in
-  List.iter (Bitset.set live) (Ir.term_uses b.term);
-  let rec go acc = function
-    | [] -> acc
-    | inst :: rest ->
-        let acc = f acc inst live in
-        List.iter (Bitset.clear live) (Ir.inst_defs inst);
-        List.iter (Bitset.set live) (Ir.inst_uses inst);
-        go acc rest
-  in
-  go init (List.rev b.insts)
-
-(** Precise interference edges: at each definition point the defined vreg
-    conflicts with every vreg live after the instruction.  For a [Mov] the
-    source is exempted (the classic copy exemption), which lets the colorer
-    give both sides one register.  Also makes all parameters pairwise
-    interfere when live at entry, since they are all defined simultaneously
-    by the call sequence. *)
-let interference_edges (p : Ir.proc) t =
-  let edges = ref [] in
-  let add a b = if a <> b then edges := (a, b) :: !edges in
-  for l = 0 to Ir.nblocks p - 1 do
-    ignore
-      (fold_insts_backward p t l
-         (fun () inst live_after ->
-           let exempt =
-             match inst with Ir.Mov (_, s) -> Some s | _ -> None
-           in
-           List.iter
-             (fun d ->
-               Bitset.iter
-                 (fun v -> if Some v <> exempt then add d v)
-                 live_after)
-             (Ir.inst_defs inst))
-         ())
-  done;
-  let entry_live = t.live_in.(Ir.entry_label) in
-  List.iter
-    (fun pa ->
-      if Bitset.mem entry_live pa then
-        Bitset.iter (fun v -> add pa v) entry_live)
-    p.params;
-  !edges

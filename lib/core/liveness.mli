@@ -10,22 +10,3 @@ type t = {
 }
 
 val compute : Chow_ir.Ir.proc -> Chow_ir.Cfg.t -> t
-
-(** [fold_insts_backward p t l f init] folds [f acc inst live_after] over
-    block [l]'s instructions from last to first, where [live_after] is the
-    precise live set immediately after the instruction (terminator uses
-    already included). *)
-val fold_insts_backward :
-  Chow_ir.Ir.proc ->
-  t ->
-  Chow_ir.Ir.label ->
-  ('a -> Chow_ir.Ir.inst -> Bitset.t -> 'a) ->
-  'a ->
-  'a
-
-(** Precise interference edges: each definition conflicts with everything
-    live after it, minus the classic copy exemption for [Mov]; parameters
-    live at the entry interfere pairwise (they are defined simultaneously
-    by the call sequence). *)
-val interference_edges :
-  Chow_ir.Ir.proc -> t -> (Chow_ir.Ir.vreg * Chow_ir.Ir.vreg) list

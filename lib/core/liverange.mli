@@ -40,12 +40,14 @@ val default_weights : Ir.proc -> Chow_ir.Loops.t -> float array
     feedback, §8 future work). *)
 val weights_of_profile : float array -> float array
 
-(** [compute ?weights p cfg loops liveness]; [weights] overrides the static
-    estimate. *)
+(** [compute ?weights p loops liveness ig]; [weights] overrides the
+    static estimate.  Each call's live-across set is the one the
+    interference walk recorded ({!Interference.live_across}), shared, not
+    copied. *)
 val compute :
   ?weights:float array ->
   Ir.proc ->
-  Chow_ir.Cfg.t ->
   Chow_ir.Loops.t ->
   Liveness.t ->
+  Interference.t ->
   t

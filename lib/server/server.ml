@@ -255,6 +255,7 @@ let exec ?cache ~action ~srcs ~o3 ~shrinkwrap ~global_promo ~alloc ~fuel () =
   with
   | Sim.Runtime_error msg -> err "runtime" "%s" msg
   | Link.Undefined_procedure name -> err "link" "undefined procedure %s" name
+  | Link.Error msg -> err "link" "%s" msg
   | Objfile.Corrupt msg -> err "artifact" "corrupt artifact: %s" msg
   | Invalid_argument msg -> err "link" "%s" msg
   | e -> err "internal" "%s" (Printexc.to_string e)

@@ -15,7 +15,7 @@ let analyse p =
   let dom = Dom.compute cfg in
   let loops = Loops.compute cfg dom in
   let lv = Liveness.compute p cfg in
-  let lr = Liverange.compute p cfg loops lv in
+  let lr = Liverange.compute p loops lv (Interference.build p lv) in
   (cfg, lv, lr)
 
 (* straight-line: a defined, then b, then a used, then b used *)
@@ -163,6 +163,166 @@ let prop_range_covers_refs =
           !ok)
         ir.Ir.procs)
 
+(* ----- the one-walk analyses against a naive reference ----- *)
+
+module IS = Set.Make (Int)
+
+(* What interference and live ranges mean, computed the slow way: a
+   per-instruction backward walk over plain sets, consing edges and
+   looking every call up by position. *)
+type reference = {
+  r_adj : IS.t array;
+  r_across : (Ir.label * int * IS.t) list;  (** block, index, set *)
+  r_calls_across : int list array;
+  r_arg_moves : (int * int) list array;
+  r_refs : float array;
+  r_blocks : IS.t array;
+}
+
+let reference (p : Ir.proc) (lv : Liveness.t) weights =
+  let n = p.Ir.nvregs and nb = Ir.nblocks p in
+  let adj = Array.make n IS.empty in
+  let add a b =
+    if a <> b then begin
+      adj.(a) <- IS.add b adj.(a);
+      adj.(b) <- IS.add a adj.(b)
+    end
+  in
+  let set_of bs = IS.of_list (Bitset.elements bs) in
+  (* forward: call ids, argument moves, weighted references, presence *)
+  let ids = Hashtbl.create 8 and next = ref 0 in
+  let arg_moves = Array.make n [] and refs = Array.make n 0. in
+  let blocks = Array.make n IS.empty in
+  for l = 0 to nb - 1 do
+    let b = Ir.block p l in
+    let touch v =
+      blocks.(v) <- IS.add l blocks.(v);
+      refs.(v) <- refs.(v) +. weights.(l)
+    in
+    List.iteri
+      (fun idx i ->
+        List.iter touch (Ir.inst_defs i);
+        List.iter touch (Ir.inst_uses i);
+        match i with
+        | Ir.Call { args; _ } ->
+            Hashtbl.replace ids (l, idx) !next;
+            List.iteri
+              (fun pos a ->
+                match a with
+                | Ir.Reg v -> arg_moves.(v) <- (!next, pos) :: arg_moves.(v)
+                | Ir.Imm _ -> ())
+              args;
+            incr next
+        | _ -> ())
+      b.Ir.insts;
+    List.iter touch (Ir.term_uses b.Ir.term);
+    IS.iter
+      (fun v -> blocks.(v) <- IS.add l blocks.(v))
+      (IS.union (set_of lv.Liveness.live_in.(l)) (set_of lv.Liveness.live_out.(l)))
+  done;
+  (* backward: edges and live-across sets *)
+  let calls_across = Array.make n [] and across = ref [] in
+  for l = 0 to nb - 1 do
+    let b = Ir.block p l in
+    let live =
+      ref (IS.union (set_of lv.Liveness.live_out.(l)) (IS.of_list (Ir.term_uses b.Ir.term)))
+    in
+    List.iteri
+      (fun k i ->
+        let idx = List.length b.Ir.insts - 1 - k in
+        let defs = Ir.inst_defs i in
+        let exempt = match i with Ir.Mov (_, s) -> Some s | _ -> None in
+        List.iter
+          (fun d -> IS.iter (fun v -> if Some v <> exempt then add d v) !live)
+          defs;
+        (match i with
+        | Ir.Call _ ->
+            let set = IS.diff !live (IS.of_list defs) in
+            let id = Hashtbl.find ids (l, idx) in
+            across := (l, idx, set) :: !across;
+            IS.iter (fun v -> calls_across.(v) <- id :: calls_across.(v)) set
+        | _ -> ());
+        live := IS.union (IS.diff !live (IS.of_list defs)) (IS.of_list (Ir.inst_uses i)))
+      (List.rev b.Ir.insts)
+  done;
+  let entry = set_of lv.Liveness.live_in.(Ir.entry_label) in
+  List.iter
+    (fun pa -> if IS.mem pa entry then IS.iter (fun v -> add pa v) entry)
+    p.Ir.params;
+  let across =
+    List.sort (fun (l, i, _) (l', i', _) -> compare (l, i) (l', i')) !across
+  in
+  {
+    r_adj = adj;
+    r_across = across;
+    r_calls_across = calls_across;
+    r_arg_moves = arg_moves;
+    r_refs = refs;
+    r_blocks = blocks;
+  }
+
+let agrees_with_reference (p : Ir.proc) =
+  let cfg = Cfg.of_proc p in
+  let loops = Loops.compute cfg (Dom.compute cfg) in
+  let lv = Liveness.compute p cfg in
+  let ig = Interference.build p lv in
+  let lr = Liverange.compute p loops lv ig in
+  let r = reference p lv lr.Liverange.weights in
+  let elems bs = IS.of_list (Bitset.elements bs) in
+  let sites = Array.to_list lr.Liverange.call_sites in
+  let fail what v =
+    QCheck.Test.fail_reportf "%s: %s differs at %d" p.Ir.pname what v
+  in
+  for v = 0 to p.Ir.nvregs - 1 do
+    let rg = lr.Liverange.ranges.(v) in
+    if not (IS.equal (elems (Interference.neighbors ig v)) r.r_adj.(v)) then
+      fail "adjacency" v;
+    if rg.Liverange.calls_across <> r.r_calls_across.(v) then
+      fail "calls_across" v;
+    if rg.Liverange.arg_moves <> r.r_arg_moves.(v) then fail "arg_moves" v;
+    if
+      Int64.bits_of_float rg.Liverange.weighted_refs
+      <> Int64.bits_of_float r.r_refs.(v)
+    then fail "weighted_refs" v;
+    if not (IS.equal (elems rg.Liverange.blocks) r.r_blocks.(v)) then
+      fail "blocks" v;
+    if rg.Liverange.span <> IS.cardinal r.r_blocks.(v) then fail "span" v
+  done;
+  List.length sites = List.length r.r_across
+  && List.for_all2
+       (fun (cs : Liverange.call_site) (l, idx, set) ->
+         cs.Liverange.cs_block = l
+         && cs.Liverange.cs_index = idx
+         && IS.equal (elems cs.Liverange.cs_live_across) set
+         && IS.equal
+              (elems (Interference.live_across ig).(cs.Liverange.cs_id))
+              set)
+       sites r.r_across
+  && List.for_all2
+       (fun (cs : Liverange.call_site) i -> cs.Liverange.cs_id = i)
+       sites
+       (List.init (List.length sites) Fun.id)
+
+let prop_matches_reference =
+  QCheck.Test.make ~count:60
+    ~name:"interference and live ranges match a naive backward walk"
+    (QCheck.make (QCheck.Gen.int_bound 10000)) (fun seed ->
+      let src = Genprog.generate ~seed () in
+      List.for_all agrees_with_reference
+        (Chow_frontend.Lower.compile_unit src).Ir.procs)
+
+let test_workloads_match_reference () =
+  List.iter
+    (fun (w : Chow_workloads.Workloads.t) ->
+      List.iter
+        (fun p ->
+          Alcotest.(check bool)
+            (w.Chow_workloads.Workloads.name ^ "." ^ p.Ir.pname)
+            true (agrees_with_reference p))
+        (Chow_frontend.Lower.compile_unit w.Chow_workloads.Workloads.source)
+          .Ir.procs)
+    Chow_workloads.Workloads.all
+
 let suite =
   ( "liveness",
     [
@@ -173,4 +333,7 @@ let suite =
       Alcotest.test_case "mov copy exemption" `Quick test_mov_exemption;
       Alcotest.test_case "parameters interfere" `Quick test_params_interfere;
       QCheck_alcotest.to_alcotest prop_range_covers_refs;
+      QCheck_alcotest.to_alcotest prop_matches_reference;
+      Alcotest.test_case "workloads match the naive reference" `Quick
+        test_workloads_match_reference;
     ] )

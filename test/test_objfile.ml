@@ -151,6 +151,62 @@ proc main() { print(helper(3, 4)); }
   | _ -> Alcotest.fail "link_units accepted a tampered contract"
   | exception Invalid_argument _ -> ()
 
+(* An artifact whose code branches to a label its procedure never
+   defines still carries a valid digest (the writer computes it), so only
+   the linker can catch it: [pawnc link] must answer a named link error
+   and exit 2, in range or far past the procedure's item count. *)
+let test_dangling_label_exits_2 () =
+  let pawnc = Filename.quote (Test_server.pawnc_exe ()) in
+  let dir = Test_server.fresh_dir "dangling" in
+  let art =
+    match
+      Pipeline.artifacts
+        (Pipeline.compile_source Config.baseline
+           (Pipeline.Src "proc main() { print(1); }"))
+    with
+    | [ a ] -> a
+    | _ -> Alcotest.fail "expected one artifact"
+  in
+  List.iter
+    (fun label ->
+      let tampered =
+        {
+          art with
+          Objfile.o_procs =
+            List.map
+              (fun (p : Objfile.proc_art) ->
+                let code = p.Objfile.pa_code in
+                {
+                  p with
+                  Objfile.pa_code =
+                    {
+                      code with
+                      Chow_codegen.Asm.pc_items =
+                        code.Chow_codegen.Asm.pc_items
+                        @ [ Chow_codegen.Asm.Inst (Chow_codegen.Asm.J label) ];
+                    };
+                })
+              art.Objfile.o_procs;
+        }
+      in
+      let path = Filename.concat dir (Printf.sprintf "l%d.pawno" label) in
+      Objfile.save ~path tampered;
+      let err = Filename.concat dir "stderr" in
+      let code =
+        Sys.command
+          (Printf.sprintf "%s link --run %s >/dev/null 2>%s" pawnc
+             (Filename.quote path) (Filename.quote err))
+      in
+      Alcotest.(check int) (Printf.sprintf "label %d: exit 2" label) 2 code;
+      let msg = In_channel.with_open_bin err In_channel.input_all in
+      Alcotest.(check string)
+        (Printf.sprintf "label %d: diagnostic" label)
+        (Printf.sprintf
+           "link error: main: branch to label %d, which it does not define\n"
+           label)
+        msg)
+    [ 1; 1 lsl 40 ]
+
 (* ----- incremental cache ----- *)
 
 let test_warm_rebuild_identical_and_allocation_free () =
@@ -428,6 +484,8 @@ let suite =
         test_rejects_damage;
       Alcotest.test_case "format: tampered contract rejected" `Quick
         test_tampered_contract_rejected;
+      Alcotest.test_case "format: dangling label is a link error" `Quick
+        test_dangling_label_exits_2;
       Alcotest.test_case "cache: warm rebuild identical, allocation-free"
         `Quick test_warm_rebuild_identical_and_allocation_free;
       Alcotest.test_case "cache: config fingerprint keys the store" `Quick
