@@ -920,7 +920,12 @@ let request_cmd =
     Arg.(
       value
       & opt (some int) None
-      & info [ "fuel" ] ~docv:"N" ~doc:"Simulation fuel for run/profile.")
+      & info [ "fuel" ] ~docv:"N"
+          ~doc:
+            (Printf.sprintf
+               "Simulation fuel for run/profile; the daemon refuses a value \
+                below 0 or above %d."
+               Sim.default_fuel))
   in
   let counters_flag =
     Arg.(

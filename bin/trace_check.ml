@@ -67,6 +67,8 @@
     issues a cold run request and a warm run request under fixed request
     ids (asserting the warm per-request counter delta shows [cache.hit]
     = 1 and the [Done] replies carry sane queue-wait/service timings), a
+    run request asking for more than [Sim.default_fuel] (expecting a
+    protocol [Error] naming the bound, then a [Pong] to a [Ping]), a
     malformed frame AND a well-formed frame of the previous protocol
     version (both expecting a protocol [Error] reply, not a wedged or
     dead server), checks [Stats] reports [server.completed] = 2 with
@@ -679,10 +681,12 @@ let check_alloc_smoke pawnc src =
 module Protocol = Chow_server.Protocol
 module Client = Chow_server.Client
 
-(* the smoke's two compile requests carry fixed, recognizable ids so the
-   daemon's log lines and flight events can be matched back to them *)
+(* the smoke's compile requests carry fixed, recognizable ids so the
+   daemon's log lines and flight events can be matched back to them; the
+   refused one asks for more fuel than the daemon allows *)
 let cold_id = 424242
 let warm_id = 424243
+let refused_id = 424244
 
 (** A flight-recorder dump (from the wire or the postmortem file) must
     parse, carry the capacity/dropped/events envelope, and still hold
@@ -779,7 +783,7 @@ let check_serve_log path =
       match Json.member "req" obj with
       | Some (Json.Num r) ->
           let r = int_of_float r in
-          if r <> cold_id && r <> warm_id then
+          if r <> cold_id && r <> warm_id && r <> refused_id then
             fail "serve smoke: log line carries unknown request id %d: %s" r
               line;
           if event = "done" then Hashtbl.replace done_of r ()
@@ -830,7 +834,7 @@ let check_serve_smoke pawnc src_path =
   if not (Client.wait_ready ~socket_path:sock ()) then
     fail "serve smoke: daemon did not answer Ping within 10s";
   let src = read_file src_path in
-  let compile_req id =
+  let compile_req ?fuel id =
     Protocol.Compile
       {
         id;
@@ -840,7 +844,7 @@ let check_serve_smoke pawnc src_path =
         shrinkwrap = true;
         global_promo = false;
         alloc = "chow";
-        fuel = None;
+        fuel;
         priority = 0;
       }
   in
@@ -871,6 +875,19 @@ let check_serve_smoke pawnc src_path =
               want 1"
           (delta counters "cache.hit")
   | _ -> fail "serve smoke: warm request failed");
+  (* 2b. over the fuel ceiling: refused with a protocol Error naming the
+     bound before it is queued, and the daemon still answers *)
+  let fuel = Chow_sim.Sim.default_fuel + 1 in
+  (match request (compile_req ~fuel refused_id) with
+  | Protocol.Error { kind = "protocol"; message } ->
+      if not (contains ~needle:(string_of_int Chow_sim.Sim.default_fuel) message)
+      then
+        fail "serve smoke: fuel %d refused without naming the bound: %s" fuel
+          message
+  | _ -> fail "serve smoke: fuel %d did not answer a protocol Error" fuel);
+  (match request Protocol.Ping with
+  | Protocol.Pong -> ()
+  | _ -> fail "serve smoke: no Pong after the refused request");
   (* 3. malformed frame: bad version byte — expect a protocol Error reply,
      not a wedged or dead daemon *)
   Client.with_connection ~socket_path:sock (fun c ->
@@ -977,9 +994,9 @@ let check_serve_smoke pawnc src_path =
      reached their 'done' line *)
   check_serve_log log_path;
   print_endline
-    "serve smoke: cold + warm + 2 malformed frames ok, server.completed = 2, \
-     cache.hit = 1, flight dump round-trips, log parses with matching \
-     request ids, clean shutdown"
+    "serve smoke: cold + warm + over-ceiling fuel + 2 malformed frames ok, \
+     server.completed = 2, cache.hit = 1, flight dump round-trips, log \
+     parses with matching request ids, clean shutdown"
 
 (* ----- telemetry smoke ----- *)
 

@@ -54,7 +54,9 @@ type request =
           (** allocation strategy in [--alloc] spelling ([chow], [linear],
               [spill-all]); an unknown name is answered with a
               ["protocol"] [Error] *)
-      fuel : int option;  (** simulation fuel for [Run]/[Profile] *)
+      fuel : int option;
+          (** simulation fuel for [Run]/[Profile]; a value below 0 or above
+              [Sim.default_fuel] is answered with a ["protocol"] [Error] *)
       priority : int;
           (** scheduling priority: higher runs sooner; 0 = normal *)
     }

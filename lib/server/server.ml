@@ -416,19 +416,20 @@ let handle_connection t id conn =
               ("priority", Event.Int priority);
             ];
         Event.mark ~req ~detail:(class_name action) "submit";
-        match Allocator.of_string alloc with
-        | None ->
-            (try
-               send
-                 (Protocol.Error
-                    {
-                      kind = "protocol";
-                      message =
-                        Printf.sprintf "unknown allocation strategy %S" alloc;
-                    })
-             with _ -> ());
-            loop ()
-        | Some alloc ->
+        (* a request the daemon cannot or will not run is refused here,
+           before it takes a queue slot or a worker *)
+        let refuse message =
+          (try send (Protocol.Error { kind = "protocol"; message })
+           with _ -> ());
+          loop ()
+        in
+        match (Allocator.of_string alloc, fuel) with
+        | None, _ ->
+            refuse (Printf.sprintf "unknown allocation strategy %S" alloc)
+        | _, Some f when f < 0 || f > Sim.default_fuel ->
+            refuse
+              (Printf.sprintf "fuel %d outside [0, %d]" f Sim.default_fuel)
+        | Some alloc, _ ->
         let submit_ns = now_ns () in
         let submit_trace_ns = Event.elapsed_ns () in
         let work =

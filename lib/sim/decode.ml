@@ -22,9 +22,10 @@
     set of parallel int arrays (return pc, sp at entry, meta index, snapshot
     base) and the per-call register snapshots live in one flat int buffer
     indexed by frame; both grow geometrically and are reused across the
-    run.  The memory image is reused too: each domain keeps one array,
-    which a run takes for its own use, re-zeroes, and puts back once its
-    outcome is built ([take_mem]).
+    run.  Memory is paged: each run keeps its own table of 4096-word
+    pages, every entry starting at one shared, never-written [zero_page],
+    and a store gives its page a fresh array the first time it touches it,
+    so a run allocates only the pages it writes.
 
     The decoded engine is behaviourally identical to {!Sim.run_reference}
     — same outcomes, counters, block profiles and [Runtime_error] messages
@@ -406,28 +407,39 @@ let publish_metrics (o : outcome) =
       o.proc_cycles
   end
 
-(* One memory image per domain, reused across runs.  A run takes it out of
-   the slot (so a concurrent run on another thread of the domain, or a run
-   nested inside a hook, finds the slot empty and allocates its own),
-   zeroes it before use, and puts it back once its outcome is built.  A run
-   that traps drops its image; the next run allocates afresh. *)
-let mem_slot : int array option Atomic.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Atomic.make None)
+let default_fuel = 500_000_000
 
-let take_mem mem_words =
-  match Atomic.exchange (Domain.DLS.get mem_slot) None with
-  | Some mem when Array.length mem = mem_words ->
-      Array.fill mem 0 mem_words 0;
-      mem
-  | _ -> Array.make mem_words 0
+(* Paged memory: word [addr] is slot [addr land page_mask] of entry
+   [addr lsr page_bits] in the run's page table.  Every entry starts at
+   [zero_page], shared by all runs and never written, so a load from a page
+   no store has touched reads 0; a store to such a page first swaps in a
+   fresh zeroed page of the run's own ([own_page]).  A run's table is its
+   own, so runs on other threads or domains, and runs nested in a hook,
+   never share a page. *)
+let page_bits = 12
+let page_words = 1 lsl page_bits
+let page_mask = page_words - 1
+let zero_page = Array.make page_words 0
 
-let release_mem mem = Atomic.set (Domain.DLS.get mem_slot) (Some mem)
+let own_page pages n =
+  let p = Array.make page_words 0 in
+  Array.unsafe_set pages n p;
+  p
+
+(* unchecked: the caller has bounds-checked [addr] against [mem_words].
+   [zero] is [zero_page], passed in so the loop compares against a local
+   instead of reloading the global on every store. *)
+let[@inline] store zero pages addr v =
+  let n = addr lsr page_bits in
+  let p = Array.unsafe_get pages n in
+  let p = if p == zero then own_page pages n else p in
+  Array.unsafe_set p (addr land page_mask) v
 
 (* unchecked register-file access, for the operands [decode] validated *)
 let[@inline] get (regs : int array) r = Array.unsafe_get regs r
 let[@inline] set (regs : int array) r v = Array.unsafe_set regs r v
 
-let execute ?(fuel = 500_000_000) ?(mem_words = 1 lsl 20) ?(check = true)
+let execute ?(fuel = default_fuel) ?(mem_words = 1 lsl 20) ?(check = true)
     ?(profile = false) ?hooks ?pc_buf (t : t) : outcome =
   let prog = t.prog in
   let code = t.code in
@@ -444,8 +456,15 @@ let execute ?(fuel = 500_000_000) ?(mem_words = 1 lsl 20) ?(check = true)
         a
     | None -> if profile then Array.make ncode 0 else [||]
   in
-  let mem = take_mem mem_words in
-  List.iter (fun (addr, v) -> mem.(addr) <- v) prog.Asm.data_init;
+  (* a negative size fails as the flat image's allocation did *)
+  if mem_words < 0 then invalid_arg "Array.make";
+  let zero = zero_page in
+  let pages = Array.make ((mem_words + page_mask) lsr page_bits) zero in
+  List.iter
+    (fun (addr, v) ->
+      if addr < 0 || addr >= mem_words then invalid_arg "index out of bounds";
+      store zero pages addr v)
+    prog.Asm.data_init;
   (* one extra slot past the register file: the dump target for writes to
      the zero register (see [dst]) *)
   let regs = Array.make (Machine.nregs + 1) 0 in
@@ -717,14 +736,17 @@ let execute ?(fuel = 500_000_000) ?(mem_words = 1 lsl 20) ?(check = true)
     | (37 | 38 | 39 | 40 | 41) as op (* lw, by tag *) ->
         let addr = get regs b + c in
         if addr < 0 || addr >= mem_words then oob addr i;
-        set regs a (Array.unsafe_get mem addr);
+        set regs a
+          (Array.unsafe_get
+             (Array.unsafe_get pages (addr lsr page_bits))
+             (addr land page_mask));
         let k = op - k_lw in
         Array.unsafe_set loads k (Array.unsafe_get loads k + 1);
         pc := next
     | (42 | 43 | 44 | 45 | 46) as op (* sw, by tag *) ->
         let addr = get regs b + c in
         if addr < 0 || addr >= mem_words then oob addr i;
-        Array.unsafe_set mem addr (get regs a);
+        store zero pages addr (get regs a);
         let k = op - k_sw in
         Array.unsafe_set stores k (Array.unsafe_get stores k + 1);
         pc := next
@@ -772,6 +794,5 @@ let execute ?(fuel = 500_000_000) ?(mem_words = 1 lsl 20) ?(check = true)
       proc_cycles;
     }
   in
-  release_mem mem;
   publish_metrics outcome;
   outcome

@@ -8,7 +8,7 @@
     keeps of each preserved-register contract only the registers that can
     change.  [execute] interprets the form with a jump-table dispatch loop,
     an allocation-free contract checker over those pruned contracts, and a
-    memory image reused across runs of the same domain.  Behaviourally
+    paged memory that allocates only the pages a run stores to.  Behaviourally
     identical to {!Sim.run_reference}, which the differential test suite
     enforces. *)
 
@@ -79,6 +79,10 @@ type hooks = {
 
 val decode : Chow_codegen.Asm.program -> t
 
+val default_fuel : int
+(** The default [fuel] of both engines, 500 000 000 cycles; re-exported as
+    {!Sim.default_fuel}. *)
+
 val execute :
   ?fuel:int ->
   ?mem_words:int ->
@@ -95,11 +99,15 @@ val execute :
     not [profile] is set, letting a profiler read the counts without the
     outcome carrying them.
 
-    The memory image comes from a per-domain slot: a run takes the
-    domain's array (or allocates one when the slot is empty or sized
-    differently), zeroes it before use, and puts it back once its outcome
-    is built, so runs on other threads of the domain, and runs nested in a
-    hook, never share it. *)
+    Memory is a per-run table of 4096-word pages, ⌈[mem_words]/4096⌉
+    entries that all start at one shared page of zeros which is never
+    written.  A load bounds-checks its address against [mem_words], then
+    reads through the table; a store (and each [data_init] word) first
+    gives a still-shared page a fresh zeroed array of the run's own.  So a
+    run allocates only the pages it stores to, an address never stored to
+    reads 0, and no two runs (other threads, other domains, runs nested in
+    a hook) share a page.  An out-of-range [data_init] address raises
+    [Invalid_argument "index out of bounds"], as the flat image did. *)
 
 val proc_name_of : Chow_codegen.Asm.program -> int -> string
 (** The procedure containing the given pc (nearest entry at or below it),

@@ -22,8 +22,8 @@
     into a flat int-coded array interpreted by a tight jump-table loop,
     and proves statically which preserved registers each procedure's
     activation may write, so its allocation-free contract checker
-    snapshots and compares only those; the memory image is reused across
-    runs of a domain.  {!run_reference} is the original
+    snapshots and compares only those; its memory is paged, so a run
+    allocates only the pages it stores to.  {!run_reference} is the original
     direct interpreter over {!Asm.inst} variants, retained as the
     executable specification; the differential test suite holds the two to
     identical outcomes — outputs, cycle counts, per-tag traffic, block
@@ -102,10 +102,12 @@ let eval_relop op a b =
   | Ir.Gt -> a > b
   | Ir.Ge -> a >= b
 
+let default_fuel = Decode.default_fuel
+
 (** The original engine: direct interpretation of {!Asm.inst} variants.
     Kept as the executable specification the decoded engine is
     differentially tested against. *)
-let run_reference ?(fuel = 500_000_000) ?(mem_words = 1 lsl 20)
+let run_reference ?(fuel = default_fuel) ?(mem_words = 1 lsl 20)
     ?(check = true) ?(profile = false) (prog : Asm.program) : outcome =
   Chow_obs.Event.span "sim-reference" @@ fun () ->
   let code = prog.Asm.code in

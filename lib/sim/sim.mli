@@ -31,6 +31,11 @@ type outcome = Decode.outcome = {
           empty otherwise.  Both engines attribute identically. *)
 }
 
+val default_fuel : int
+(** The cycles a run may execute when [fuel] is not given: 500 000 000.
+    [pawnc serve] also takes it as the largest [fuel] a request may ask
+    for. *)
+
 (** [run prog] executes until [halt].
 
     - [check] (default true) arms the contract checker: at every return it

@@ -412,6 +412,42 @@ let test_server_alloc_strategies () =
               Alcotest.(check string) "linear output" "42" text
           | _ -> Alcotest.fail "linear request failed"))
 
+(* the daemon bounds a request's fuel by the engine default: a negative
+   value or one above [Sim.default_fuel] answers a protocol Error naming
+   the bound and never reaches the queue; both ends of the range run *)
+let test_server_fuel_ceiling () =
+  let bound = Chow_sim.Sim.default_fuel in
+  with_server "fuel" (fun socket_path ->
+      Client.with_connection ~socket_path (fun c ->
+          List.iter
+            (fun fuel ->
+              match Client.request c (compile_req ~fuel [ good_src ]) with
+              | Protocol.Error { kind = "protocol"; message } ->
+                  Alcotest.(check bool)
+                    (Printf.sprintf "fuel %d: diagnostic names the bound" fuel)
+                    true
+                    (contains (string_of_int bound) message)
+              | _ ->
+                  Alcotest.failf "fuel %d did not answer a protocol Error" fuel)
+            [ -1; bound + 1; max_int ];
+          (match Client.request c (compile_req ~fuel:bound [ good_src ]) with
+          | Protocol.Done { text; _ } ->
+              Alcotest.(check string) "fuel at the bound runs" "42" text
+          | _ -> Alcotest.fail "fuel at the bound was not run");
+          (match Client.request c (compile_req ~fuel:0 [ good_src ]) with
+          | Protocol.Error { kind = "runtime"; message } ->
+              Alcotest.(check bool)
+                "fuel 0 runs out of fuel" true
+                (contains "out of fuel" message)
+          | _ -> Alcotest.fail "fuel 0 did not run out of fuel");
+          match Client.request c Protocol.Stats with
+          | Protocol.Stats_reply counters ->
+              Alcotest.(check int)
+                "only the two in-range requests were accepted" 2
+                (Option.value ~default:0
+                   (List.assoc_opt "server.accepted" counters))
+          | _ -> Alcotest.fail "Stats failed"))
+
 let test_server_busy_backpressure () =
   (* one worker, a queue of one: a burst of pipelined requests must get
      explicit Busy replies beyond the bound — and every frame gets SOME
@@ -980,6 +1016,8 @@ let suite =
         test_server_metrics_scrape;
       Alcotest.test_case "daemon: alloc strategy validated by name" `Quick
         test_server_alloc_strategies;
+      Alcotest.test_case "daemon: fuel bounded by the engine default" `Quick
+        test_server_fuel_ceiling;
       Alcotest.test_case "daemon: malformed frame contained" `Quick
         test_server_malformed_frame;
       Alcotest.test_case "daemon: vanished client counted failed" `Quick

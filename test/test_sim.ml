@@ -191,9 +191,11 @@ let capture f = try Ok (f ()) with Sim.Runtime_error m -> Error m
 (** Run both engines on the same program and insist on identical outcomes:
     output, cycles, calls, per-tag traffic, block profiles — or the very
     same [Runtime_error] message. *)
-let check_engines_agree ?fuel ?profile name prog =
-  let decoded = capture (fun () -> Sim.run ?fuel ?profile prog) in
-  let reference = capture (fun () -> Sim.run_reference ?fuel ?profile prog) in
+let check_engines_agree ?fuel ?mem_words ?profile name prog =
+  let decoded = capture (fun () -> Sim.run ?fuel ?mem_words ?profile prog) in
+  let reference =
+    capture (fun () -> Sim.run_reference ?fuel ?mem_words ?profile prog)
+  in
   match (decoded, reference) with
   | Ok d, Ok r ->
       Alcotest.(check (list int)) (name ^ ": output") r.Sim.output d.Sim.output;
@@ -440,6 +442,163 @@ let test_mem_reuse_nested () =
     "nested runs read zero" [ [ 0 ]; [ 0 ] ] !nested;
   Alcotest.(check (list int)) "then a plain run reads zero" [ 0 ] (fresh_load ())
 
+(* Paged memory: the decoded engine keeps 4096-word pages that start out
+   shared and zero.  [peeks addrs] loads and prints each address;
+   [poke_peek addrs] first stores a distinct value at each. *)
+let page = 4096
+
+let peeks addrs =
+  List.concat_map
+    (fun a ->
+      [
+        Asm.Li (Machine.a0, a);
+        Asm.Lw (Machine.t0, Machine.a0, 0, Asm.Tdata);
+        Asm.Print Machine.t0;
+      ])
+    addrs
+
+let poke_peek addrs =
+  bare
+    (List.concat_map
+       (fun a ->
+         [
+           Asm.Li (Machine.t0, a + 1);
+           Asm.Li (Machine.a0, a);
+           Asm.Sw (Machine.t0, Machine.a0, 0, Asm.Tdata);
+         ])
+       addrs
+    @ peeks addrs
+    @ [ Asm.Halt ])
+
+let test_paged_last_word () =
+  (* a size that is not a whole number of pages: the last word works, the
+     one past it traps with the reference's message *)
+  List.iter
+    (fun mem_words ->
+      let name = Printf.sprintf "mem_words %d" mem_words in
+      let last = poke_peek [ mem_words - 1 ] in
+      check_engines_agree ~mem_words name last;
+      Alcotest.(check (list int))
+        (name ^ ": last word reads back")
+        [ mem_words ]
+        (Sim.run ~mem_words last).Sim.output;
+      List.iter
+        (fun (what, inst) ->
+          let past =
+            bare [ Asm.Li (Machine.a0, mem_words); inst; Asm.Halt ]
+          in
+          check_engines_agree ~mem_words (name ^ ": " ^ what) past;
+          match capture (fun () -> Sim.run ~mem_words past) with
+          | Ok _ -> Alcotest.failf "%s: %s past the end did not trap" name what
+          | Error msg ->
+              Alcotest.(check string)
+                (name ^ ": " ^ what ^ " message")
+                (Printf.sprintf
+                   "memory access out of bounds: %d (pc 1, in <unknown>)"
+                   mem_words)
+                msg)
+        [
+          ("load", Asm.Lw (Machine.t0, Machine.a0, 0, Asm.Tdata));
+          ("store", Asm.Sw (Machine.a0, Machine.a0, 0, Asm.Tdata));
+        ])
+    [ page + 1; 10_000 ]
+
+let test_paged_page_edges () =
+  let prog = poke_peek [ page - 1; page; (2 * page) - 1; 0 ] in
+  check_engines_agree "page edges" prog;
+  Alcotest.(check (list int))
+    "stores either side of a page edge read back"
+    [ page; page + 1; 2 * page; 1 ]
+    (Sim.run prog).Sim.output
+
+let test_paged_gap_reads_zero () =
+  (* data at the bottom, the stack at the top: words between them, and
+     words past the initialised data, were never stored and read 0 *)
+  let gap = [ 8; page; 300_000; (1 lsl 20) - page - 1 ] in
+  let prog =
+    {
+      (bare (peeks ([ 0; 7 ] @ gap) @ [ Asm.Halt ])) with
+      Asm.data_size = 8;
+      data_init = [ (0, 5); (7, 9) ];
+    }
+  in
+  check_engines_agree "gap" prog;
+  Alcotest.(check (list int))
+    "data, then zeros" [ 5; 9; 0; 0; 0; 0 ] (Sim.run prog).Sim.output
+
+let test_paged_after_trap () =
+  (* a run that stores high and then traps leaves nothing behind *)
+  let store_then_trap =
+    bare
+      [
+        Asm.Li (Machine.t0, 12345);
+        Asm.Li (Machine.a0, high);
+        Asm.Sw (Machine.t0, Machine.a0, 0, Asm.Tdata);
+        Asm.Lw (Machine.t0, Machine.zero, -1, Asm.Tdata);
+        Asm.Halt;
+      ]
+  in
+  for _ = 1 to 3 do
+    (match capture (fun () -> Sim.run store_then_trap) with
+    | Ok _ -> Alcotest.fail "expected an out-of-bounds trap"
+    | Error _ -> ());
+    Alcotest.(check (list int))
+      "the next run reads zero" [ 0 ] (Sim.run load_high).Sim.output
+  done
+
+let test_paged_data_init_bounds () =
+  (* an initialiser outside memory fails as the flat image did, including
+     one past a partial last page *)
+  List.iter
+    (fun (mem_words, addr) ->
+      let prog =
+        { (bare [ Asm.Halt ]) with Asm.data_init = [ (addr, 1) ] }
+      in
+      let raised f =
+        match f () with
+        | _ -> "no exception"
+        | exception Invalid_argument m -> m
+      in
+      Alcotest.(check string)
+        (Printf.sprintf "data_init at %d of %d" addr mem_words)
+        (raised (fun () -> Sim.run_reference ~mem_words prog))
+        (raised (fun () -> Sim.run ~mem_words prog)))
+    [ (page + 1, page + 1); (page + 1, 2 * page - 1); (1 lsl 20, -1) ]
+
+let test_paged_touch_proportional () =
+  (* 64 M words would be 512 MB as one flat image; paged, the run holds
+     only its page table and the few pages it stores to.  The heap is
+     sampled at every call, while the run's memory is live. *)
+  let src =
+    "proc fib(n) { if (n < 2) { return n; } return fib(n - 1) + fib(n - 2); }
+     proc main() { print(fib(15)); }"
+  in
+  let prog =
+    Pipeline.program (Pipeline.compile_source Config.o3_sw (Pipeline.Src src))
+  in
+  let heap () = (Gc.quick_stat ()).Gc.heap_words in
+  let before = heap () in
+  let peak = ref before in
+  let hooks =
+    {
+      Decode.h_call =
+        (fun ~site:_ ~target:_ ~cycles:_ ~contract_saves:_
+             ~contract_restores:_ ~call_saves:_ ~call_restores:_ ->
+          peak := max !peak (heap ()));
+      h_return =
+        (fun ~cycles:_ ~contract_saves:_ ~contract_restores:_ ~call_saves:_
+             ~call_restores:_ -> ());
+    }
+  in
+  let o = Decode.execute ~mem_words:(1 lsl 26) ~hooks (Decode.decode prog) in
+  let growth_mb = (max !peak (heap ()) - before) * (Sys.word_size / 8) / (1 lsl 20) in
+  Alcotest.(check bool)
+    (Printf.sprintf "heap growth %d MB under 16 MB" growth_mb)
+    true (growth_mb < 16);
+  Alcotest.(check (list int))
+    "same output as at the default size" (Sim.run prog).Sim.output
+    o.Sim.output
+
 (* Random differential testing: compile a random Genprog program, run both
    engines on it, then mutate one instruction of the linked image and
    insist the engines still agree — including on the exact error message.
@@ -489,6 +648,72 @@ let prop_differential =
         mutated;
       true)
 
+(* Wild-memory fuzz: mutate one instruction the program executes into a
+   load or store at an in-bounds address drawn across the whole memory,
+   favouring page edges and the last word, so the paged engine's reads of
+   untouched pages, first stores to a page, and stores into live frames
+   and data are all held to the flat reference. *)
+let wild_address rng mem_words =
+  let pages = (mem_words + page - 1) / page in
+  let a =
+    match Random.State.int rng 5 with
+    | 0 -> (page * (1 + Random.State.int rng pages)) - 1
+    | 1 -> page * Random.State.int rng pages
+    | 2 -> mem_words - 1
+    | 3 -> mem_words - 1 - Random.State.int rng 256
+    | _ -> Random.State.int rng mem_words
+  in
+  min a (mem_words - 1)
+
+let mutate_memory rng mem_words (prog : Asm.program) =
+  let counts = Array.make (Array.length prog.Asm.code) 0 in
+  (* the counts fill as the run goes, so a run that traps still has them *)
+  (try ignore (Decode.execute ~fuel:200_000 ~pc_buf:counts (Decode.decode prog))
+   with Decode.Runtime_error _ -> ());
+  let executed =
+    List.filter (fun pc -> pc >= 2 && counts.(pc) > 0)
+      (List.init (Array.length counts) Fun.id)
+  in
+  let pc =
+    match executed with
+    | [] -> 2 + Random.State.int rng (max 1 (Array.length counts - 2))
+    | l -> List.nth l (Random.State.int rng (List.length l))
+  in
+  let addr = wild_address rng mem_words in
+  let r = allocatable.(Random.State.int rng (Array.length allocatable)) in
+  let tag =
+    [| Asm.Tdata; Asm.Tscalar; Asm.Tsave; Asm.Tcallsave; Asm.Tstackarg |].(
+    Random.State.int rng 5)
+  in
+  let kind, inst =
+    if Random.State.bool rng then ("lw", Asm.Lw (r, Machine.zero, addr, tag))
+    else ("sw", Asm.Sw (r, Machine.zero, addr, tag))
+  in
+  let code = Array.copy prog.Asm.code in
+  code.(pc) <- inst;
+  (Printf.sprintf "%s %d@%d" kind addr pc, { prog with Asm.code = code })
+
+let prop_wild_memory =
+  QCheck.Test.make ~count:60
+    ~name:"paged and flat memory agree on wild loads and stores"
+    (QCheck.make (QCheck.Gen.int_bound 1_000_000) ~print:(fun seed ->
+         Printf.sprintf "seed %d:\n%s" seed (Genprog.generate ~seed ())))
+    (fun seed ->
+      let src = Genprog.generate ~seed () in
+      let rng = Random.State.make [| seed; 0x3e3 |] in
+      let config = if seed mod 2 = 0 then Config.o3_sw else Config.baseline in
+      let prog = Pipeline.program (Pipeline.compile_source config (Pipeline.Src src)) in
+      (* every other seed sizes memory off a page boundary *)
+      let mem_words =
+        if seed mod 4 < 2 then 1 lsl 20
+        else (1 lsl 20) - 1 - Random.State.int rng (page - 1)
+      in
+      let mname, mutated = mutate_memory rng mem_words prog in
+      check_engines_agree ~profile:true ~fuel:200_000 ~mem_words
+        (Printf.sprintf "seed %d %s of %d" seed mname mem_words)
+        mutated;
+      true)
+
 let suite =
   ( "sim",
     [
@@ -524,5 +749,18 @@ let suite =
         test_mem_reuse_domains;
       Alcotest.test_case "memory image: nested in a hook" `Quick
         test_mem_reuse_nested;
+      Alcotest.test_case "paged memory: last word, partial page" `Quick
+        test_paged_last_word;
+      Alcotest.test_case "paged memory: page edges" `Quick
+        test_paged_page_edges;
+      Alcotest.test_case "paged memory: untouched gap reads zero" `Quick
+        test_paged_gap_reads_zero;
+      Alcotest.test_case "paged memory: clean after a trap" `Quick
+        test_paged_after_trap;
+      Alcotest.test_case "paged memory: data_init out of range" `Quick
+        test_paged_data_init_bounds;
+      Alcotest.test_case "paged memory: footprint tracks touched pages"
+        `Quick test_paged_touch_proportional;
       QCheck_alcotest.to_alcotest prop_differential;
+      QCheck_alcotest.to_alcotest prop_wild_memory;
     ] )
