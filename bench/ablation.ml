@@ -156,8 +156,9 @@ let run () =
     differential test suite asserts it); what varies is exactly the
     penalty, so the matrix is the paper's Table 1 story retold against a
     linear-scan and a spill-everywhere baseline instead of -O2.  The
-    machine-readable twin of this table is the [alloc/*] row family that
-    [bench timing --json --alloc] emits into BENCH_timing.json. *)
+    machine-readable twin of this table is the [alloc/*] row family
+    pinned in test/bench_counts.txt (nim, dhrystone and uopt under -O2
+    and -O3+sw). *)
 let strategy_matrix () =
   Format.printf "@.Allocation-strategy matrix (-O3+sw, dynamic counts)@.";
   Format.printf "%s@." (String.make 74 '=');

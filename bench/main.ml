@@ -7,8 +7,7 @@ let usage () =
   print_endline
     "usage: main.exe \
      [all|table1|table2|fig1..fig4|figures|ablation|profile|promo|split|timing] \
-     [--json] [--smoke] [--penalty] [--pgo] [--serve] [--alloc] [--trace \
-     FILE]";
+     [--json] [--smoke] [--serve] [--trace FILE]";
   exit 1
 
 (* pull the [--trace FILE] pair out of the argument list *)
@@ -27,15 +26,10 @@ let () =
   let trace, args = extract_trace args in
   let json = List.mem "--json" args in
   let smoke = List.mem "--smoke" args in
-  let penalty = List.mem "--penalty" args in
-  let pgo = List.mem "--pgo" args in
   let serve = List.mem "--serve" args in
-  let alloc = List.mem "--alloc" args in
   let args =
     List.filter
-      (fun a ->
-        a <> "--json" && a <> "--smoke" && a <> "--penalty" && a <> "--pgo"
-        && a <> "--serve" && a <> "--alloc")
+      (fun a -> a <> "--json" && a <> "--smoke" && a <> "--serve")
       args
   in
   let args = if args = [] then [ "all" ] else args in
@@ -49,7 +43,7 @@ let () =
           Profile_fb.run ();
           Promo_bench.run ();
           Split_bench.run ();
-          Timing.run ~json ~smoke ~penalty ~pgo ~serve ~alloc ?trace ()
+          Timing.run ~json ~smoke ~serve ?trace ()
       | "table1" -> Tables.run_table1 ()
       | "table2" -> Tables.run_table2 ()
       | "tables" -> ignore (Tables.run ())
@@ -63,6 +57,6 @@ let () =
       | "promo" -> Promo_bench.run ()
       | "split" -> Split_bench.run ()
       | "timing" ->
-          Timing.run ~json ~smoke ~penalty ~pgo ~serve ~alloc ?trace ()
+          Timing.run ~json ~smoke ~serve ?trace ()
       | _ -> usage ())
     args

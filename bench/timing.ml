@@ -3,7 +3,13 @@
     shrink-wrap + emission) that regenerates it.  The paper reports that
     the priority-coloring extension "does not add noticeably to the running
     time of the coloring algorithm" — the intra-vs-inter pair below checks
-    the same claim for this implementation. *)
+    the same claim for this implementation.
+
+    [--json] writes [BENCH_timing.json] with only the rows
+    [trace_check --bench-compare] gates: the incremental-compilation pair
+    and, under [--serve], the compile-server rows.  Compile and simulate
+    times are gated by pawnbench and the paper's exact save/restore
+    counts by [test/bench_counts.txt]. *)
 
 open Bechamel
 open Toolkit
@@ -12,7 +18,6 @@ module Pipeline = Chow_compiler.Pipeline
 module Cache = Chow_compiler.Cache
 module Sim = Chow_sim.Sim
 module W = Chow_workloads.Workloads
-module Allocator = Chow_core.Allocator
 module Event = Chow_obs.Event
 
 let source_of name =
@@ -99,49 +104,35 @@ proc main() {
     incr_lib "gamma";
   ]
 
+(* the warm cache lives in a fresh directory of its own, so concurrent
+   runs never clear each other's entries; [cleanup] removes it once
+   Bechamel has measured both rows *)
 let incr_tests () =
   let compile ?cache () =
     ignore
       (Pipeline.compile_source ?cache Config.o3_sw (Pipeline.Srcs incr_units))
   in
-  let warm_cache =
-    let dir =
-      Filename.concat (Filename.get_temp_dir_name ()) "chow88-bench-cache"
-    in
-    let cache = Cache.create ~dir () in
-    Cache.clear cache;
-    compile ~cache ();
-    cache
+  let dir = Filename.temp_dir "chow88-bench-cache" "" in
+  let warm_cache = Cache.create ~dir () in
+  compile ~cache:warm_cache ();
+  let cleanup () =
+    Cache.clear warm_cache;
+    Sys.rmdir dir
   in
-  [
-    Test.make ~name:"incr/4units-cold" (Staged.stage (fun () -> compile ()));
-    Test.make ~name:"incr/4units-warm"
-      (Staged.stage (fun () -> compile ~cache:warm_cache ()));
-  ]
+  ( [
+      Test.make ~name:"incr/4units-cold" (Staged.stage (fun () -> compile ()));
+      Test.make ~name:"incr/4units-warm"
+        (Staged.stage (fun () -> compile ~cache:warm_cache ()));
+    ],
+    cleanup )
 
-(* the @ci smoke subset: three workloads' compiles plus one sim pair, small
-   enough to run on every continuous-integration build *)
-let smoke_tests () =
-  let nim = source_of "nim" in
-  let calcc = source_of "calcc" in
-  let dhrystone = source_of "dhrystone" in
-  Test.make_grouped ~name:"chow88"
-    ([
-      compile_test ~name:"table1/nim-O3+sw" Config.o3_sw nim;
-      compile_test ~name:"table1/calcc-O3+sw" Config.o3_sw calcc;
-      compile_test ~name:"table1/dhrystone-O3+sw" Config.o3_sw dhrystone;
-      sim_test ~name:"sim/nim-O3+sw-decoded" ~engine:`Decoded Config.o3_sw nim;
-      sim_test ~name:"sim/nim-O3+sw-reference" ~engine:`Reference Config.o3_sw
-        nim;
-    ]
-    @ incr_tests ())
-
+(* the developer's table: compile and simulate timings (gated by
+   pawnbench, not here) for the Table 1-2 and figure experiments *)
 let tests () =
   let nim = source_of "nim" in
   let uopt = source_of "uopt" in
-  Test.make_grouped ~name:"chow88"
-    (sim_tests ()
-    @ [
+  sim_tests ()
+  @ [
       (* Table 1: the four configurations' compile pipelines *)
       compile_test ~name:"table1/nim-O2" Config.baseline nim;
       compile_test ~name:"table1/nim-O2+sw" Config.o2_sw nim;
@@ -164,148 +155,12 @@ let tests () =
       compile_test ~name:"fig4/compile" Config.o3_sw
         (Figures.fig4_src ~cold_r:true ~q_calls:40 ~r_calls:2);
     ]
-    @ incr_tests ())
 
 let json_path = "BENCH_timing.json"
 
-(* Dynamic-penalty trajectory: the paper's headline metric as exact
-   integer rows.  For each workload and configuration, run once under the
-   penalty profiler and report the executed save/restore memory
-   operations plus the scalar memory operations removed relative to the
-   -O2 baseline.  Compilation and simulation are deterministic, so these
-   rows are bit-stable and the CI gate (trace_check --bench-compare)
-   demands exact equality. *)
-let penalty_rows ~smoke () =
-  let workloads =
-    if smoke then [ "nim" ] else [ "nim"; "dhrystone"; "uopt"; "stanford" ]
-  in
-  let configs = [ Config.baseline; Config.o2_sw; Config.o3; Config.o3_sw ] in
-  List.concat_map
-    (fun workload ->
-      let src = source_of workload in
-      let reports =
-        List.map
-          (fun (config : Config.t) ->
-            (config, Pipeline.profile_penalty (Pipeline.compile_source config (Pipeline.Src src))))
-          configs
-      in
-      let scalar_ops (r : Chow_sim.Profile.report) =
-        r.Chow_sim.Profile.outcome.Chow_sim.Decode.scalar_loads
-        + r.Chow_sim.Profile.outcome.Chow_sim.Decode.scalar_stores
-      in
-      let base_ops =
-        match reports with (_, r) :: _ -> scalar_ops r | [] -> 0
-      in
-      List.concat_map
-        (fun ((config : Config.t), (r : Chow_sim.Profile.report)) ->
-          let c = r.Chow_sim.Profile.counters in
-          let row what v =
-            (Printf.sprintf "penalty/%s/%s/%s" workload config.Config.name what, v)
-          in
-          [
-            row "saves"
-              (c.Chow_sim.Profile.entry_saves + c.Chow_sim.Profile.call_saves);
-            row "restores"
-              (c.Chow_sim.Profile.exit_restores
-              + c.Chow_sim.Profile.call_restores);
-            row "memops_removed_vs_O2" (base_ops - scalar_ops r);
-          ])
-        reports)
-    workloads
-
-(* Profile-guided inlining trajectory: for each workload and headline
-   configuration, measure a penalty profile, rebuild under --pgo with the
-   default budget, and report the save/restore memory operations removed
-   relative to the plain build, the PGO build's cycle count, and its code
-   growth in instruction words.  Deterministic end to end, so the CI gate
-   demands exact equality — and memops_removed_vs_baseline must never go
-   negative (a PGO build may not pay more penalty than it started with). *)
-let pgo_rows ~smoke () =
-  let workloads = if smoke then [ "dhrystone" ] else [ "dhrystone"; "uopt" ] in
-  let configs = [ Config.baseline; Config.o3_sw ] in
-  List.concat_map
-    (fun workload ->
-      let src = source_of workload in
-      List.concat_map
-        (fun (config : Config.t) ->
-          let plain = Pipeline.compile_source config (Pipeline.Src src) in
-          let plain_r = Pipeline.profile_penalty plain in
-          let a =
-            Chow_sim.Profile.artifact
-              ~source_digest:(Pipeline.source_digest [ src ])
-              ~config_fp:(Config.fingerprint config)
-              (Pipeline.program plain) plain_r
-          in
-          let pgo = Pipeline.pgo ~config ~srcs:[ src ] a in
-          let pgo_c = Pipeline.compile_source ~pgo config (Pipeline.Src src) in
-          let pgo_r = Pipeline.profile_penalty pgo_c in
-          let penalty (r : Chow_sim.Profile.report) =
-            Chow_sim.Profile.penalty_total r.Chow_sim.Profile.counters
-          in
-          let code c =
-            Array.length (Pipeline.program c).Chow_codegen.Asm.code
-          in
-          let row what v =
-            (Printf.sprintf "pgo/%s/%s/%s" workload config.Config.name what, v)
-          in
-          [
-            row "memops_removed_vs_baseline" (penalty plain_r - penalty pgo_r);
-            row "cycles" pgo_r.Chow_sim.Profile.outcome.Chow_sim.Decode.cycles;
-            row "code_growth" (code pgo_c - code plain);
-          ])
-        configs)
-    workloads
-
-(* Allocation-strategy matrix: every [--alloc] policy over the paper
-   workloads under the two headline configurations.  Each cell reports
-   the compile wall time plus the run's dynamic cycles and save/restore
-   traffic.  "saves" counts every store the allocation decision causes
-   (register save/caller-save stores plus spill-home stores) and
-   "restores" the matching loads, so the spill-everywhere baseline is
-   comparable with the coloring strategies on the axis the paper
-   minimizes.  cycles/saves/restores are deterministic exact rows gated
-   by [trace_check --bench-compare], which additionally demands that
-   priority coloring strictly dominates spill-all on saves+restores for
-   every cell; compile_us is informational (host-dependent, skipped by
-   the gate). *)
-let alloc_rows ~smoke () =
-  let workloads = if smoke then [ "nim" ] else [ "nim"; "dhrystone"; "uopt" ] in
-  let configs = [ Config.baseline; Config.o3_sw ] in
-  List.concat_map
-    (fun workload ->
-      let src = source_of workload in
-      List.concat_map
-        (fun (config : Config.t) ->
-          List.concat_map
-            (fun strategy ->
-              let config = Config.with_alloc strategy config in
-              let t0 = Unix.gettimeofday () in
-              let compiled =
-                Pipeline.compile_source config (Pipeline.Src src)
-              in
-              let compile_us =
-                int_of_float ((Unix.gettimeofday () -. t0) *. 1e6)
-              in
-              let o = Pipeline.run compiled in
-              let row what v =
-                ( Printf.sprintf "alloc/%s/%s/%s/%s"
-                    (Allocator.to_string strategy) workload
-                    config.Config.name what,
-                  v )
-              in
-              [
-                row "compile_us" compile_us;
-                row "cycles" o.Sim.cycles;
-                row "saves" (o.Sim.save_stores + o.Sim.scalar_stores);
-                row "restores" (o.Sim.save_loads + o.Sim.scalar_loads);
-              ])
-            Allocator.all)
-        configs)
-    workloads
-
-(* machine-readable perf trajectory: one [{name; ns_per_run}] row per test
-   plus one [{name; value}] row per exact count, so successive PRs can
-   diff compile-time cost without scraping stdout *)
+(* the rows trace_check --bench-compare gates: one [{name; ns_per_run}]
+   row per timing (null for a NaN estimate, which the gate refuses) plus
+   one [{name; value}] row per server count or throughput *)
 let write_json rows values =
   let oc = open_out json_path in
   let total = List.length rows + List.length values in
@@ -339,14 +194,20 @@ let write_trace path =
   Event.disable_trace ();
   Format.printf "wrote %s@." path
 
-let run ?(json = false) ?(smoke = false) ?(penalty = false) ?(pgo = false)
-    ?(serve = false) ?(alloc = false) ?trace () =
+let run ?(json = false) ?(smoke = false) ?(serve = false) ?trace () =
   Format.printf "@.Compiler throughput (Bechamel, monotonic clock)%s@."
     (if smoke then " — smoke subset" else "");
   Format.printf "%s@." (String.make 60 '=');
   let cfg = Benchmark.cfg ~limit:100 ~quota:(Time.second 0.5) ~kde:None () in
-  let suite = if smoke then smoke_tests () else tests () in
-  let raw = Benchmark.all cfg Instance.[ monotonic_clock ] suite in
+  (* --json and --smoke measure only the incr pair, the one Bechamel
+     timing the gate reads *)
+  let incr, cleanup = incr_tests () in
+  let raw =
+    Fun.protect ~finally:cleanup (fun () ->
+        Test.make_grouped ~name:"chow88"
+          (if json || smoke then incr else tests () @ incr)
+        |> Benchmark.all cfg Instance.[ monotonic_clock ])
+  in
   let ols =
     Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |]
   in
@@ -375,10 +236,5 @@ let run ?(json = false) ?(smoke = false) ?(penalty = false) ?(pgo = false)
     end
     else ([], [])
   in
-  if json then
-    write_json (rows @ serve_ns)
-      ((if penalty then penalty_rows ~smoke () else [])
-      @ (if pgo then pgo_rows ~smoke () else [])
-      @ (if alloc then alloc_rows ~smoke () else [])
-      @ serve_values);
+  if json then write_json (rows @ serve_ns) serve_values;
   Option.iter write_trace trace

@@ -11,42 +11,27 @@
     content-addressed store).
 
     [trace_check --bench-compare BASELINE.json CURRENT.json] is the
-    bench-regression gate over two [BENCH_timing.json] files: every
-    [chow88/*] timing present in both must not regress by more than 25%,
-    and every [penalty/*] row present in both must be exactly equal (the
-    dynamic penalty counts are deterministic, so any drift is a codegen
-    or simulator change that must be re-baselined deliberately).  Names
-    present in only one file are ignored, but at least one [penalty/*]
-    row must overlap — a gate comparing zero penalty rows is miswired.
-    [server/*] p50 latency rows may not regress by more than 50% against
-    the baseline (p99 rows get a 3x band — tails are noisy; queue_wait_p99
-    rows, being power-of-two bucket upper bounds, get 4x so single-bucket
-    jitter can't flake the gate) and [server/*/throughput] rows may not
-    fall below half the baseline.  The warm-shard mixes are exempt from
-    cross-run bands on hosts with fewer than 4 cores — without real
-    parallelism they measure scheduler timesharing, not sharding.  When the
-    current file carries server rows, three invariants internal to that
-    file are also enforced: the warm p50 must be at least 4x below the
-    cold p50, the warm-logged p50 must stay within 2x of the silent warm
-    p50, and — on hosts with at least 4 cores, per the
-    [server/meta/cores] row — the 4-shard warm throughput must not fall
-    more than 5% below the 1-shard one (a noise band, so a single-run
-    tie can't flake the gate).
-
-    [pgo/*] rows (profile-guided inlining: memory operations removed,
-    cycles, code growth) are exact like [penalty/*] rows, and within the
-    current file every [pgo/*/memops_removed_vs_baseline] row must be
-    non-negative — a PGO build may never pay MORE save/restore penalty
-    than the plain build it started from.
-
-    [alloc/*] rows (the allocation-strategy matrix:
-    [alloc/<strategy>/<workload>/<config>/{compile_us,cycles,saves,restores}])
-    are exact like [penalty/*] rows, except the [compile_us] rows, which
-    are host-dependent wall times and are skipped.  Within the current
-    file, for every (workload, config) cell carrying both strategies,
-    priority coloring must land strictly below the spill-everywhere
-    baseline on saves+restores — the paper's headline claim restated as
-    an invariant the bench can never silently lose.
+    bench-regression gate over two [BENCH_timing.json] files.  It reads
+    only the timings no other gate measures: the [chow88/incr/*] pair
+    and the [server/*] rows (the paper's exact save/restore counts are
+    pinned by [test/bench_counts.txt] under [dune runtest], compile and
+    simulate times by pawnbench).  Every baseline row must be present in
+    CURRENT with a non-null estimate, else the gate fails naming it.
+    [chow88/*] timings may not regress by more than 25%; [server/*] p50
+    latency rows by more than 50% (p99 rows get a 3x band — tails are
+    noisy; queue_wait_p99 rows, being power-of-two bucket upper bounds,
+    get 4x so single-bucket jitter can't flake the gate) and
+    [server/*/throughput] rows may not fall below half the baseline.
+    The warm-shard mixes are exempt from cross-run bands (not from being
+    present) on hosts with fewer than 4 cores — without real parallelism
+    they measure scheduler timesharing, not sharding.  When the current
+    file carries server rows, invariants internal to that file are also
+    enforced: the warm p50 must be at least 4x below the cold p50, the
+    warm-logged p50 must stay within 2x and the warm-sampled p50 within
+    1.1x of the silent warm p50, and — on hosts with at least 4 cores,
+    per the [server/meta/cores] row — the 4-shard warm throughput must
+    not fall more than 5% below the 1-shard one (a noise band, so a
+    single-run tie can't flake the gate).
 
     [trace_check --alloc-smoke PAWNC SRC.pawn] is the strategy-matrix CI
     smoke: it runs SRC under [--alloc chow], [--alloc linear] and
@@ -202,20 +187,20 @@ let check_cache_smoke path expected_hits =
 
 (* ----- bench-regression gate ----- *)
 
+(* [(name, estimate)] per row: a timing's [ns_per_run] or a count's
+   [value]; [None] when the field is null or absent (Bechamel writes a
+   NaN estimate as null) *)
 let bench_rows path =
   match Json.parse (read_file path) with
   | Error msg -> fail "%s: JSON does not parse: %s" path msg
   | Ok (Json.Arr rows) ->
-      List.filter_map
+      List.map
         (fun row ->
           match Json.member "name" row with
-          | Some (Json.Str name) ->
-              let num k =
-                match Json.member k row with
-                | Some (Json.Num f) -> Some f
-                | _ -> None
-              in
-              Some (name, (num "ns_per_run", num "value"))
+          | Some (Json.Str name) -> (
+              match (Json.member "ns_per_run" row, Json.member "value" row) with
+              | Some (Json.Num f), _ | None, Some (Json.Num f) -> (name, Some f)
+              | _ -> (name, None))
           | _ -> fail "%s: row lacks a \"name\" field" path)
         rows
   | Ok _ -> fail "%s: top-level JSON value is not an array" path
@@ -223,6 +208,10 @@ let bench_rows path =
 let starts_with ~prefix s =
   String.length s >= String.length prefix
   && String.sub s 0 (String.length prefix) = prefix
+
+let ends_with ~suffix s =
+  let sl = String.length suffix and nl = String.length s in
+  nl >= sl && String.sub s (nl - sl) sl = suffix
 
 (** Invariants the compile-server rows must satisfy within one freshly
     measured file: a warm request must be at least 4x faster than a cold
@@ -233,15 +222,10 @@ let starts_with ~prefix s =
     [server/meta/cores] row gates the check so a starved CI machine
     cannot flake it). *)
 let server_invariants ~flunk current =
-  let ns name =
-    match List.assoc_opt name current with Some (ns, _) -> ns | None -> None
-  in
-  let value name =
-    match List.assoc_opt name current with Some (_, v) -> v | None -> None
-  in
+  let est name = Option.join (List.assoc_opt name current) in
   if List.exists (fun (name, _) -> starts_with ~prefix:"server/" name) current
   then begin
-    (match (ns "server/warm/p50", ns "server/cold/p50") with
+    (match (est "server/warm/p50", est "server/cold/p50") with
     | Some warm, Some cold when warm > 0. ->
         if warm *. 4. > cold then
           flunk
@@ -253,7 +237,7 @@ let server_invariants ~flunk current =
     (* structured logging must stay cheap: the warm mix rerun with the
        log enabled may cost at most 2x the silent warm mix at the median
        (the acceptance gate the observability layer ships under) *)
-    (match (ns "server/warm-logged/p50", ns "server/warm/p50") with
+    (match (est "server/warm-logged/p50", est "server/warm/p50") with
     | Some logged, Some warm when warm > 0. ->
         if logged > warm *. 2. then
           flunk
@@ -267,7 +251,7 @@ let server_invariants ~flunk current =
        mix at the median (the acceptance gate the telemetry layer ships
        under — a sampler that taxes the serving path 10% is a bug, not an
        observability feature) *)
-    (match (ns "server/warm-sampled/p50", ns "server/warm/p50") with
+    (match (est "server/warm-sampled/p50", est "server/warm/p50") with
     | Some sampled, Some warm when warm > 0. ->
         if sampled > warm *. 1.1 then
           flunk
@@ -277,11 +261,11 @@ let server_invariants ~flunk current =
                 out of budget"
                (sampled /. 1e3) (warm /. 1e3))
     | _ -> ());
-    match value "server/meta/cores" with
+    match est "server/meta/cores" with
     | Some cores when cores >= 4. -> (
         match
-          ( value "server/warm-shard4/throughput",
-            value "server/warm-shard1/throughput" )
+          ( est "server/warm-shard4/throughput",
+            est "server/warm-shard1/throughput" )
         with
         | Some t4, Some t1 ->
             (* 5% noise band: benchmark throughput from one run jitters
@@ -298,87 +282,25 @@ let server_invariants ~flunk current =
     | _ -> ()
   end
 
-(** Invariant internal to one freshly measured file: profile-guided
-    inlining must never *add* save/restore traffic.  The bench computes
-    [memops_removed_vs_baseline] as plain-build penalty minus PGO-build
-    penalty, so a negative row means the optimization hurt. *)
-let pgo_invariants ~flunk current =
-  let suffix = "/memops_removed_vs_baseline" in
-  let ends_with s =
-    String.length s >= String.length suffix
-    && String.sub s (String.length s - String.length suffix)
-         (String.length suffix)
-       = suffix
-  in
-  List.iter
-    (fun (name, (_, v)) ->
-      if starts_with ~prefix:"pgo/" name && ends_with name then
-        match v with
-        | Some v when v < 0. ->
-            flunk
-              (Printf.sprintf
-                 "%s is %.0f: the PGO build pays MORE save/restore penalty \
-                  than the plain build — inlining is hurting"
-                 name v)
-        | Some _ -> ()
-        | None ->
-            flunk (Printf.sprintf "%s: pgo row lacks a \"value\" field" name))
-    current
-
-(** Invariant internal to one freshly measured file: for every
-    (workload, config) cell of the strategy matrix that carries both the
-    [chow] and [spill-all] strategies, priority coloring must cause
-    strictly fewer dynamic saves+restores than the spill-everywhere
-    baseline.  This is the paper's reason to exist, so the gate refuses
-    any measurement where the baseline wins a cell. *)
-let alloc_invariants ~flunk current =
-  let cells = Hashtbl.create 16 in
-  List.iter
-    (fun (name, (_, v)) ->
-      match String.split_on_char '/' name with
-      | [ "alloc"; strategy; workload; config; ("saves" | "restores") ] -> (
-          match v with
-          | Some v ->
-              let key = (workload, config) in
-              let prev =
-                match Hashtbl.find_opt cells key with
-                | Some l -> l
-                | None -> []
-              in
-              Hashtbl.replace cells key ((strategy, v) :: prev)
-          | None ->
-              flunk
-                (Printf.sprintf "%s: alloc row lacks a \"value\" field" name))
-      | _ -> ())
-    current;
-  Hashtbl.iter
-    (fun (workload, config) rows ->
-      let total strategy =
-        match List.filter (fun (s, _) -> s = strategy) rows with
-        | [] -> None
-        | l -> Some (List.fold_left (fun acc (_, v) -> acc +. v) 0. l)
-      in
-      match (total "chow", total "spill-all") with
-      | Some chow, Some spill ->
-          if chow >= spill then
-            flunk
-              (Printf.sprintf
-                 "alloc matrix: chow saves+restores (%.0f) not strictly \
-                  below spill-all (%.0f) on %s/%s — priority coloring lost \
-                  to the spill-everywhere baseline"
-                 chow spill workload config)
-      | _ -> ())
-    cells
+(** The cross-run band of a baseline row: [`Max r] fails a current
+    estimate above [r] x the baseline, [`Min r] one below it.  Tail
+    latencies are far noisier than medians, so p99 rows get 3x where p50
+    gets 1.5x; queue_wait_p99 rows are histogram bucket upper bounds
+    (powers of two), so one bucket of jitter on each side is 4x and only
+    a shift of three or more buckets flags. *)
+let band name : [ `Max of float | `Min of float | `Skip | `Unknown ] =
+  if starts_with ~prefix:"chow88/" name then `Max 1.25
+  else if not (starts_with ~prefix:"server/" name) then `Unknown
+  else if starts_with ~prefix:"server/meta/" name then `Skip
+  else if ends_with ~suffix:"/throughput" name then `Min 0.5
+  else if ends_with ~suffix:"queue_wait_p99" name then `Max 4.0
+  else if ends_with ~suffix:"p99" name then `Max 3.0
+  else `Max 1.5
 
 let check_bench_compare baseline_path current_path =
   let baseline = bench_rows baseline_path in
   let current = bench_rows current_path in
-  let timing_checked = ref 0
-  and penalty_checked = ref 0
-  and pgo_checked = ref 0
-  and alloc_checked = ref 0
-  and server_checked = ref 0
-  and shard_skipped = ref 0 in
+  let checked = ref 0 and shard_skipped = ref 0 in
   let failures = ref [] in
   let flunk fmt =
     Printf.ksprintf (fun m -> failures := m :: !failures) fmt
@@ -391,125 +313,46 @@ let check_bench_compare baseline_path current_path =
      reasoning (and same [server/meta/cores] row) as the shard-throughput
      invariant in {!server_invariants}. *)
   let cores =
-    match List.assoc_opt "server/meta/cores" current with
-    | Some (_, Some v) -> v
-    | _ -> 0.
-  in
-  let is_shard_mix name =
-    starts_with ~prefix:"server/warm-shard" name
-  in
-  let ends_with ~suffix name =
-    let sl = String.length suffix and nl = String.length name in
-    nl >= sl && String.sub name (nl - sl) sl = suffix
+    Option.value ~default:0.
+      (Option.join (List.assoc_opt "server/meta/cores" current))
   in
   List.iter
-    (fun (name, (base_ns, base_v)) ->
-      match List.assoc_opt name current with
-      | None -> ()
-      | Some (cur_ns, cur_v) ->
-          if starts_with ~prefix:"chow88/" name then begin
-            match (base_ns, cur_ns) with
-            | Some b, Some c when b > 0. ->
-                incr timing_checked;
-                if c > b *. 1.25 then
-                  flunk
-                    "%s regressed: %.1f -> %.1f ns/run (+%.1f%%, limit 25%%)"
-                    name b c
-                    (100. *. (c -. b) /. b)
-            | _ -> ()
-          end
-          else if starts_with ~prefix:"penalty/" name then begin
-            match (base_v, cur_v) with
-            | Some b, Some c ->
-                incr penalty_checked;
-                if b <> c then
-                  flunk
-                    "%s changed: %.0f -> %.0f (penalty counts are exact; \
-                     re-baseline deliberately if intended)"
-                    name b c
-            | _ -> flunk "%s: penalty row lacks a \"value\" field" name
-          end
-          else if starts_with ~prefix:"pgo/" name then begin
-            match (base_v, cur_v) with
-            | Some b, Some c ->
-                incr pgo_checked;
-                if b <> c then
-                  flunk
-                    "%s changed: %.0f -> %.0f (pgo rows are exact; \
-                     re-baseline deliberately if intended)"
-                    name b c
-            | _ -> flunk "%s: pgo row lacks a \"value\" field" name
-          end
-          else if starts_with ~prefix:"alloc/" name then begin
-            (* compile_us rows are wall times from whatever host measured
-               them; only the deterministic dynamic counts are exact *)
-            if ends_with ~suffix:"/compile_us" name then ()
-            else
-              match (base_v, cur_v) with
-              | Some b, Some c ->
-                  incr alloc_checked;
-                  if b <> c then
-                    flunk
-                      "%s changed: %.0f -> %.0f (alloc rows are exact; \
-                       re-baseline deliberately if intended)"
-                      name b c
-              | _ -> flunk "%s: alloc row lacks a \"value\" field" name
-          end
-          else if starts_with ~prefix:"server/meta/" name then ()
-          else if starts_with ~prefix:"server/" name then begin
-            if is_shard_mix name && cores < 4. then incr shard_skipped
-            else
-            (* tail latencies are far noisier than medians, so p99 rows get
-               a 3x band where p50 gets 1.5x.  queue_wait_p99 rows are
-               histogram bucket upper bounds (powers of two), so the
-               smallest representable move is 2x and one bucket of jitter
-               on each side is 4x — they get a 4x band, i.e. only a shift
-               of three or more buckets flags *)
-            let limit =
-              if ends_with ~suffix:"queue_wait_p99" name then 4.0
-              else if ends_with ~suffix:"p99" name then 3.0
-              else 1.5
-            in
-            match (base_ns, cur_ns) with
-            | Some b, Some c when b > 0. ->
-                incr server_checked;
-                if c > b *. limit then
-                  flunk
-                    "%s regressed: %.1f -> %.1f ns/run (+%.1f%%, limit \
-                     %.0f%%)"
-                    name b c
-                    (100. *. (c -. b) /. b)
-                    (100. *. (limit -. 1.))
-            | _ -> (
-                match (base_v, cur_v) with
-                | Some b, Some c when b > 0. ->
-                    incr server_checked;
-                    if c < b *. 0.5 then
-                      flunk
-                        "%s throughput collapsed: %.0f -> %.0f req/s (below \
-                         half the baseline)"
-                        name b c
-                | _ -> ())
-          end)
+    (fun (name, base) ->
+      match (base, List.assoc_opt name current) with
+      | _, None -> flunk "%s: baseline row missing from %s" name current_path
+      | None, _ -> flunk "%s: null estimate in %s" name baseline_path
+      | _, Some None -> flunk "%s: null estimate in %s" name current_path
+      | Some b, Some (Some c) -> (
+          match band name with
+          | `Unknown -> flunk "%s: no band for this row" name
+          | `Skip -> ()
+          | _ when starts_with ~prefix:"server/warm-shard" name && cores < 4.
+            ->
+              incr shard_skipped
+          | `Max limit ->
+              incr checked;
+              if c > b *. limit then
+                flunk
+                  "%s regressed: %.1f -> %.1f ns/run (+%.1f%%, limit %.0f%%)"
+                  name b c
+                  (100. *. (c -. b) /. b)
+                  (100. *. (limit -. 1.))
+          | `Min floor ->
+              incr checked;
+              if c < b *. floor then
+                flunk
+                  "%s throughput collapsed: %.0f -> %.0f req/s (below half \
+                   the baseline)"
+                  name b c))
     baseline;
   server_invariants ~flunk:(fun m -> failures := m :: !failures) current;
-  pgo_invariants ~flunk:(fun m -> failures := m :: !failures) current;
-  alloc_invariants ~flunk:(fun m -> failures := m :: !failures) current;
-  if !penalty_checked = 0 then
-    flunk
-      "no penalty/* rows overlap between %s and %s — the gate is comparing \
-       nothing (was the baseline generated with --penalty?)"
-      baseline_path current_path;
   (match !failures with
   | [] -> ()
   | fs ->
       List.iter prerr_endline (List.rev fs);
       exit 1);
-  Printf.printf
-    "%s vs %s: %d timings within 25%%, %d penalty rows exact, %d pgo rows \
-     exact, %d alloc rows exact, %d server rows within band%s\n"
-    current_path baseline_path !timing_checked !penalty_checked !pgo_checked
-    !alloc_checked !server_checked
+  Printf.printf "%s vs %s: %d rows within band%s\n" current_path baseline_path
+    !checked
     (if !shard_skipped > 0 then
        Printf.sprintf " (%d shard rows skipped: <4 cores)" !shard_skipped
      else "")

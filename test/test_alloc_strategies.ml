@@ -5,8 +5,7 @@
     under both the -O2 baseline and the full -O3+sw configuration.  The
     strategies may only differ on the axis the paper measures: the
     save/restore and spill-home memory traffic, where priority coloring
-    must never lose to the spill-everywhere zero point (and must beat it
-    strictly under -O3+sw).
+    must beat the spill-everywhere zero point strictly in every cell.
 
     A second sweep pins the determinism contract per strategy: compiling
     with a 4-worker domain pool must produce the same linked image,
@@ -77,20 +76,14 @@ let test_workload (w : W.t) () =
           check_counters name o)
         others;
       let spill = List.assoc Allocator.Spill_all others in
-      (* the paper's claim as an inequality: priority coloring never
-         pays more save/spill traffic than spilling everything, and
-         under the full optimization it is strictly cheaper *)
+      (* the paper's claim as an inequality: priority coloring pays
+         strictly less save/spill traffic than spilling everything *)
       Alcotest.(check bool)
-        (Printf.sprintf "%s/%s: chow <= spill-all on save/spill traffic"
-           w.W.name config.Config.name)
+        (Printf.sprintf
+           "%s/%s: chow < spill-all on save/spill traffic (%d < %d)" w.W.name
+           config.Config.name (penalty chow) (penalty spill))
         true
-        (penalty chow <= penalty spill);
-      if config.Config.ipra && config.Config.shrinkwrap then
-        Alcotest.(check bool)
-          (Printf.sprintf "%s/%s: chow < spill-all strictly" w.W.name
-             config.Config.name)
-          true
-          (penalty chow < penalty spill))
+        (penalty chow < penalty spill))
     configs
 
 (* -j1 vs -j4: the wave-parallel driver must be invisible in the output

@@ -9,7 +9,12 @@
     [explain_digests.txt] pins the [--explain] report the same way: one
     MD5 per workload x {!Config.all} configuration over
     {!Coloring.pp_explanation} of every procedure, so a change to the
-    colorer's scoring that leaves the chosen registers alone still shows. *)
+    colorer's scoring that leaves the chosen registers alone still shows.
+
+    [bench_counts.txt] pins the paper's exact dynamic counts the same way,
+    one [<row> <value>] line per count: executed saves and restores per
+    workload and configuration, what a [--pgo] rebuild removes, and the
+    [--alloc] strategy matrix. *)
 
 module Config = Chow_compiler.Config
 module Pipeline = Chow_compiler.Pipeline
@@ -17,6 +22,8 @@ module Allocator = Chow_core.Allocator
 module Asm = Chow_codegen.Asm
 module Coloring = Chow_core.Coloring
 module Lower = Chow_frontend.Lower
+module Profile = Chow_sim.Profile
+module Sim = Chow_sim.Sim
 module W = Chow_workloads.Workloads
 
 let code_digest (p : Asm.program) =
@@ -78,23 +85,24 @@ let read_digests file =
                      String.sub line (i + 1) (String.length line - i - 1) )
              | None -> failwith ("malformed digest line: " ^ line))
 
-(** One pinned digest file: [digests] computes a workload's [(key, md5)]
-    lines; on the first mismatch every current line is written to
+(** One pinned digest file: [cases] are the test cases, each computing
+    its [(key, digest)] lines, and [total] the number of lines the file
+    must hold.  On the first mismatch every current line is written to
     [<base>.actual] beside the test binary, so a deliberate change can be
     reviewed and copied over [<base>.txt]. *)
-let digest_suite ~name ~base ~per_workload ~digests =
+let digest_suite ~name ~base ~total ~cases =
   let expected = lazy (read_digests (base ^ ".txt")) in
   let mismatched = ref false in
   let write_actual () =
     Out_channel.with_open_text (base ^ ".actual") (fun oc ->
         List.iter
-          (fun w ->
+          (fun (_, lines) ->
             List.iter
               (fun (k, d) -> Printf.fprintf oc "%s %s\n" k d)
-              (digests w))
-          W.all)
+              (lines ()))
+          cases)
   in
-  let test_workload (w : W.t) () =
+  let test_case lines () =
     List.iter
       (fun (k, d) ->
         let want = List.assoc_opt k (Lazy.force expected) in
@@ -103,24 +111,145 @@ let digest_suite ~name ~base ~per_workload ~digests =
           write_actual ()
         end;
         Alcotest.(check (option string)) k want (Some d))
-      (digests w)
+      (lines ())
   in
   let test_complete () =
-    Alcotest.(check int) "one digest per line key"
-      (List.length W.all * per_workload)
+    Alcotest.(check int) "one digest per line key" total
       (List.length (Lazy.force expected))
   in
   ( name,
     Alcotest.test_case "digest file is complete" `Quick test_complete
     :: List.map
-         (fun w -> Alcotest.test_case w.W.name `Quick (test_workload w))
-         W.all )
+         (fun (case, lines) ->
+           Alcotest.test_case case `Quick (test_case lines))
+         cases )
+
+let per_workload digests =
+  List.map (fun (w : W.t) -> (w.W.name, fun () -> digests w)) W.all
 
 let suite =
   digest_suite ~name:"code-digests" ~base:"code_digests"
-    ~per_workload:(List.length Config.all * List.length Allocator.all)
-    ~digests:images
+    ~total:
+      (List.length W.all * List.length Config.all * List.length Allocator.all)
+    ~cases:(per_workload images)
 
 let explain_suite =
   digest_suite ~name:"explain-digests" ~base:"explain_digests"
-    ~per_workload:(List.length Config.all) ~digests:explanations
+    ~total:(List.length W.all * List.length Config.all)
+    ~cases:(per_workload explanations)
+
+(* ----- the paper's exact dynamic counts ----- *)
+
+let source_of name =
+  match W.find name with
+  | Some w -> w.W.source
+  | None -> invalid_arg ("unknown workload " ^ name)
+
+let compile config src = Pipeline.compile_source config (Pipeline.Src src)
+
+(* Dynamic-penalty rows: for each workload and configuration, the
+   save/restore memory operations executed under the penalty profiler,
+   and the scalar memory operations removed relative to -O2. *)
+let penalty_rows () =
+  let configs = [ Config.baseline; Config.o2_sw; Config.o3; Config.o3_sw ] in
+  List.concat_map
+    (fun workload ->
+      let reports =
+        List.map
+          (fun config ->
+            ( config,
+              Pipeline.profile_penalty (compile config (source_of workload)) ))
+          configs
+      in
+      let scalar_ops (r : Profile.report) =
+        r.Profile.outcome.Sim.scalar_loads
+        + r.Profile.outcome.Sim.scalar_stores
+      in
+      let base_ops = scalar_ops (snd (List.hd reports)) in
+      List.concat_map
+        (fun ((config : Config.t), (r : Profile.report)) ->
+          let c = r.Profile.counters in
+          let row what v =
+            ( Printf.sprintf "penalty/%s/%s/%s" workload config.Config.name
+                what,
+              string_of_int v )
+          in
+          [
+            row "saves" (c.Profile.entry_saves + c.Profile.call_saves);
+            row "restores" (c.Profile.exit_restores + c.Profile.call_restores);
+            row "memops_removed_vs_O2" (base_ops - scalar_ops r);
+          ])
+        reports)
+    [ "nim"; "dhrystone"; "uopt"; "stanford" ]
+
+(* Profile-guided inlining rows: measure a penalty profile, rebuild under
+   --pgo with the default budget, and report the save/restore memory
+   operations removed relative to the plain build, the PGO build's
+   cycles, and its code growth in instruction words. *)
+let pgo_rows () =
+  List.concat_map
+    (fun workload ->
+      let src = source_of workload in
+      List.concat_map
+        (fun (config : Config.t) ->
+          let plain = compile config src in
+          let plain_r = Pipeline.profile_penalty plain in
+          let a =
+            Profile.artifact
+              ~source_digest:(Pipeline.source_digest [ src ])
+              ~config_fp:(Config.fingerprint config)
+              (Pipeline.program plain) plain_r
+          in
+          let pgo = Pipeline.pgo ~config ~srcs:[ src ] a in
+          let pgo_c = Pipeline.compile_source ~pgo config (Pipeline.Src src) in
+          let pgo_r = Pipeline.profile_penalty pgo_c in
+          let penalty (r : Profile.report) =
+            Profile.penalty_total r.Profile.counters
+          in
+          let code c = Array.length (Pipeline.program c).Asm.code in
+          let row what v =
+            ( Printf.sprintf "pgo/%s/%s/%s" workload config.Config.name what,
+              string_of_int v )
+          in
+          [
+            row "memops_removed_vs_baseline" (penalty plain_r - penalty pgo_r);
+            row "cycles" pgo_r.Profile.outcome.Sim.cycles;
+            row "code_growth" (code pgo_c - code plain);
+          ])
+        [ Config.baseline; Config.o3_sw ])
+    [ "dhrystone"; "uopt" ]
+
+(* Allocation-strategy rows: every --alloc policy under the two headline
+   configurations.  "saves" counts every store the allocation decision
+   causes (register saves plus spill-home stores) and "restores" the
+   matching loads, so spill-everywhere compares with the coloring
+   strategies on the axis the paper minimizes. *)
+let alloc_rows () =
+  List.concat_map
+    (fun workload ->
+      List.concat_map
+        (fun (config : Config.t) ->
+          List.concat_map
+            (fun strategy ->
+              let config = Config.with_alloc strategy config in
+              let o = Pipeline.run (compile config (source_of workload)) in
+              let row what v =
+                ( Printf.sprintf "alloc/%s/%s/%s/%s"
+                    (Allocator.to_string strategy) workload config.Config.name
+                    what,
+                  string_of_int v )
+              in
+              [
+                row "cycles" o.Sim.cycles;
+                row "saves" (o.Sim.save_stores + o.Sim.scalar_stores);
+                row "restores" (o.Sim.save_loads + o.Sim.scalar_loads);
+              ])
+            Allocator.all)
+        [ Config.baseline; Config.o3_sw ])
+    [ "nim"; "dhrystone"; "uopt" ]
+
+let bench_suite =
+  (* 48 penalty + 12 pgo + 54 alloc rows *)
+  digest_suite ~name:"bench-counts" ~base:"bench_counts" ~total:114
+    ~cases:
+      [ ("penalty", penalty_rows); ("pgo", pgo_rows); ("alloc", alloc_rows) ]

@@ -31,9 +31,11 @@ let () =
       Test_alloc_strategies.suite;
       Test_code_digests.suite;
       Test_code_digests.explain_suite;
+      Test_code_digests.bench_suite;
       Test_parallel.suite;
       Test_obs.suite;
       Test_log.suite;
       Test_objfile.suite;
       Test_server.suite;
+      Test_bench_gate.suite;
     ]

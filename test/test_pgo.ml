@@ -258,7 +258,14 @@ let test_workload (w : W.t) () =
         (Printf.sprintf "%s calls under %s: %d <= %d" w.W.name
            config.Config.name opt.Sim.calls plain.Sim.calls)
         true
-        (opt.Sim.calls <= plain.Sim.calls))
+        (opt.Sim.calls <= plain.Sim.calls);
+      (* inlining may never add save/restore traffic *)
+      let saves (o : Sim.outcome) = o.Sim.save_loads + o.Sim.save_stores in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s save/restore ops under %s: %d <= %d" w.W.name
+           config.Config.name (saves opt) (saves plain))
+        true
+        (saves opt <= saves plain))
     [ Config.baseline; Config.o3_sw ]
 
 (** The PGO pipeline is deterministic across allocator parallelism: a
