@@ -21,6 +21,8 @@ module Pipeline = Chow_compiler.Pipeline
 module Allocator = Chow_core.Allocator
 module Asm = Chow_codegen.Asm
 module Coloring = Chow_core.Coloring
+module Objfile = Chow_codegen.Objfile
+module Protocol = Chow_server.Protocol
 module Lower = Chow_frontend.Lower
 module Profile = Chow_sim.Profile
 module Sim = Chow_sim.Sim
@@ -253,3 +255,50 @@ let bench_suite =
   digest_suite ~name:"bench-counts" ~base:"bench_counts" ~total:114
     ~cases:
       [ ("penalty", penalty_rows); ("pgo", pgo_rows); ("alloc", alloc_rows) ]
+
+(* ----- the encoded bytes of artifacts and wire messages ----- *)
+
+(* Object files of every workload under every configuration, the penalty
+   profile artifact of every workload at -O3+sw, and the protocol's
+   sample messages: one MD5 per encoding, so a change to the shared
+   binary codec that alters a single byte on disk or on the wire shows. *)
+let hex s = Digest.to_hex (Digest.string s)
+
+let encodings (w : W.t) =
+  let objfiles =
+    List.map
+      (fun (c : Config.t) ->
+        let arts = Pipeline.artifacts (compile c w.W.source) in
+        ( Printf.sprintf "objfile %s %s" w.W.name c.Config.name,
+          hex (String.concat "" (List.map Objfile.write arts)) ))
+      Config.all
+  in
+  let c = compile Config.o3_sw w.W.source in
+  let a =
+    Profile.artifact
+      ~source_digest:(Pipeline.source_digest [ w.W.source ])
+      ~config_fp:(Config.fingerprint Config.o3_sw)
+      (Pipeline.program c) (Pipeline.profile_penalty c)
+  in
+  objfiles
+  @ [
+      ( Printf.sprintf "profile %s %s" w.W.name Config.o3_sw.Config.name,
+        hex (Profile.write_artifact a) );
+    ]
+
+let messages () =
+  List.mapi
+    (fun i r ->
+      (Printf.sprintf "request %d" i, hex (Protocol.encode_request r)))
+    Test_server.sample_requests
+  @ List.mapi
+      (fun i r -> (Printf.sprintf "reply %d" i, hex (Protocol.encode_reply r)))
+      Test_server.sample_replies
+
+let artifact_suite =
+  digest_suite ~name:"artifact-digests" ~base:"artifact_digests"
+    ~total:
+      ((List.length W.all * (List.length Config.all + 1))
+      + List.length Test_server.sample_requests
+      + List.length Test_server.sample_replies)
+    ~cases:(per_workload encodings @ [ ("protocol", messages) ])

@@ -32,6 +32,7 @@ let () =
       Test_code_digests.suite;
       Test_code_digests.explain_suite;
       Test_code_digests.bench_suite;
+      Test_code_digests.artifact_suite;
       Test_parallel.suite;
       Test_obs.suite;
       Test_log.suite;
