@@ -1,14 +1,17 @@
-(** CI smoke validator: [trace_check TRACE.json STATS.txt] checks that a
-    [pawnc run --stats --trace] invocation produced (1) a trace file that
+(** CI smoke validator.  Every smoke runs PAWNC in a fresh temp dir, so
+    the [@ci] rules that call it produce no build targets.
+
+    [trace_check --trace-smoke PAWNC SRC.pawn] runs [PAWNC run SRC --O3
+    --stats --trace] and checks that it produced (1) a trace file that
     parses as a JSON array of Chrome trace events, each with the required
     fields and a known phase, containing the key pipeline spans; and (2) a
     stats dump naming the load-bearing counters.
 
-    [trace_check --cache-smoke STATS.txt N] instead checks the stats dump
-    of a warm [pawnc build --cache-dir] rebuild: every one of the [N]
-    units must have come from the artifact cache ([cache.hit] = N,
-    [cache.miss] = 0 — the zero-recompilation contract of the
-    content-addressed store).
+    [trace_check --cache-smoke PAWNC UNIT.pawn...] builds the N units
+    twice against one fresh [--cache-dir] and checks the stats dump of
+    the warm rebuild: every unit must have come from the artifact cache
+    ([cache.hit] = N, [cache.miss] = 0 — the zero-recompilation contract
+    of the content-addressed store).
 
     [trace_check --bench-compare BASELINE.json CURRENT.json] is the
     bench-regression gate over two [BENCH_timing.json] files.  It reads
@@ -142,6 +145,41 @@ let contains ~needle hay =
   let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
   go 0
 
+(** Run [argv] with stdout captured, returning (exit code, output).
+    Stderr passes through so a failing step's diagnostic lands in the CI
+    log next to the smoke's own verdict. *)
+let run_capture argv =
+  let out_read, out_write = Unix.pipe () in
+  let pid =
+    Unix.create_process argv.(0) argv Unix.stdin out_write Unix.stderr
+  in
+  Unix.close out_write;
+  let buf = Buffer.create 1024 in
+  let chunk = Bytes.create 4096 in
+  let rec drain () =
+    match Unix.read out_read chunk 0 (Bytes.length chunk) with
+    | 0 -> ()
+    | n ->
+        Buffer.add_subbytes buf chunk 0 n;
+        drain ()
+  in
+  drain ();
+  Unix.close out_read;
+  let _, status = Unix.waitpid [] pid in
+  let code =
+    match status with
+    | Unix.WEXITED n -> n
+    | Unix.WSIGNALED n | Unix.WSTOPPED n -> 128 + n
+  in
+  (code, Buffer.contents buf)
+
+(** A fresh private directory under the system temp dir. *)
+let temp_dir prefix =
+  let dir = Filename.temp_file prefix "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o700;
+  dir
+
 let check_stats path =
   let txt = read_file path in
   List.iter
@@ -184,6 +222,40 @@ let check_cache_smoke path expected_hits =
     fail "%s: warm rebuild expected cache.miss = 0, got %d" path misses;
   Printf.printf "%s: warm rebuild served all %d units from the cache\n" path
     hits
+
+(** Run SRC with [--stats --trace] armed in a temp dir, then check the
+    trace and the stats dump as {!check_trace} and {!check_stats} do. *)
+let check_trace_smoke pawnc src =
+  let dir = temp_dir "chow88-trace" in
+  let trace = Filename.concat dir "smoke_trace.json"
+  and stats = Filename.concat dir "smoke_stats.txt" in
+  let code, out =
+    run_capture [| pawnc; "run"; src; "--O3"; "--stats"; "--trace"; trace |]
+  in
+  if code <> 0 then fail "trace smoke: run exited %d" code;
+  Out_channel.with_open_bin stats (fun oc -> output_string oc out);
+  check_trace trace;
+  check_stats stats
+
+(** Build UNITS twice against one fresh cache directory, then check the
+    second build's stats dump as {!check_cache_smoke} does: every unit
+    served from the cache. *)
+let check_warm_cache_smoke pawnc units =
+  let dir = temp_dir "chow88-cache" in
+  let build () =
+    let code, out =
+      run_capture
+        (Array.of_list
+           ([ pawnc; "build" ] @ units
+           @ [ "--O3"; "--cache-dir"; Filename.concat dir "cache"; "--stats" ]))
+    in
+    if code <> 0 then fail "cache smoke: build exited %d" code;
+    out
+  in
+  ignore (build ());
+  let stats = Filename.concat dir "cache_stats.txt" in
+  Out_channel.with_open_bin stats (fun oc -> output_string oc (build ()));
+  check_cache_smoke stats (List.length units)
 
 (* ----- bench-regression gate ----- *)
 
@@ -359,34 +431,6 @@ let check_bench_compare baseline_path current_path =
 
 (* ----- pgo smoke ----- *)
 
-(** Run [argv] with stdout captured, returning (exit code, output).
-    Stderr passes through so a failing step's diagnostic lands in the CI
-    log next to the smoke's own verdict. *)
-let run_capture argv =
-  let out_read, out_write = Unix.pipe () in
-  let pid =
-    Unix.create_process argv.(0) argv Unix.stdin out_write Unix.stderr
-  in
-  Unix.close out_write;
-  let buf = Buffer.create 1024 in
-  let chunk = Bytes.create 4096 in
-  let rec drain () =
-    match Unix.read out_read chunk 0 (Bytes.length chunk) with
-    | 0 -> ()
-    | n ->
-        Buffer.add_subbytes buf chunk 0 n;
-        drain ()
-  in
-  drain ();
-  Unix.close out_read;
-  let _, status = Unix.waitpid [] pid in
-  let code =
-    match status with
-    | Unix.WEXITED n -> n
-    | Unix.WSIGNALED n | Unix.WSTOPPED n -> 128 + n
-  in
-  (code, Buffer.contents buf)
-
 (** The program's own output: everything before the counter block that
     [--counters] appends (its header line starts with ["--- "]). *)
 let program_output text =
@@ -416,9 +460,7 @@ let save_restore_total ~what text =
     enough for CI, so the smoke exercises the splice itself, not the
     budget's taste. *)
 let check_pgo_smoke pawnc src =
-  let dir = Filename.temp_file "chow88-pgo" "" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o700;
+  let dir = temp_dir "chow88-pgo" in
   let prof = Filename.concat dir "smoke.pwnp" in
   let code, out =
     run_capture [| pawnc; "profile"; src; "--O3"; "--emit"; prof |]
@@ -644,9 +686,7 @@ let check_serve_log path =
 (** Cold + warm + malformed-frame round-trip against a freshly started
     [pawnc serve] daemon; see the module doc for the exact contract. *)
 let check_serve_smoke pawnc src_path =
-  let dir = Filename.temp_file "chow88-smoke" "" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o700;
+  let dir = temp_dir "chow88-smoke" in
   let sock = Filename.concat dir "s.sock" in
   let log_path = Filename.concat dir "serve.log.jsonl" in
   let flight_path = Filename.concat dir "flight.json" in
@@ -1053,9 +1093,7 @@ let check_telemetry_file ~min_samples path =
     CLI (exit 0 and a leading "ready"), and the on-disk time-series
     (>= 2 samples, monotone timestamps) after a clean shutdown. *)
 let check_telemetry_smoke pawnc src_path =
-  let dir = Filename.temp_file "chow88-telemetry" "" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o700;
+  let dir = temp_dir "chow88-telemetry" in
   let sock = Filename.concat dir "s.sock" in
   let telemetry = Filename.concat dir "telemetry.jsonl" in
   let pid =
@@ -1137,19 +1175,14 @@ let () =
   | [| _; "--telemetry-smoke"; pawnc; src |] -> check_telemetry_smoke pawnc src
   | [| _; "--pgo-smoke"; pawnc; src |] -> check_pgo_smoke pawnc src
   | [| _; "--alloc-smoke"; pawnc; src |] -> check_alloc_smoke pawnc src
-  | [| _; trace; stats |] ->
-      check_trace trace;
-      check_stats stats
-  | [| _; "--cache-smoke"; stats; n |] -> (
-      match int_of_string_opt n with
-      | Some n -> check_cache_smoke stats n
-      | None ->
-          prerr_endline "usage: trace_check --cache-smoke STATS.txt N";
-          exit 2)
+  | [| _; "--trace-smoke"; pawnc; src |] -> check_trace_smoke pawnc src
+  | argv when Array.length argv >= 4 && argv.(1) = "--cache-smoke" ->
+      check_warm_cache_smoke argv.(2)
+        (Array.to_list (Array.sub argv 3 (Array.length argv - 3)))
   | _ ->
       prerr_endline
-        "usage: trace_check TRACE.json STATS.txt\n\
-        \       trace_check --cache-smoke STATS.txt N\n\
+        "usage: trace_check --trace-smoke PAWNC SRC.pawn\n\
+        \       trace_check --cache-smoke PAWNC UNIT.pawn...\n\
         \       trace_check --bench-compare BASELINE.json CURRENT.json\n\
         \       trace_check --serve-smoke PAWNC SRC.pawn\n\
         \       trace_check --telemetry-smoke PAWNC SRC.pawn\n\

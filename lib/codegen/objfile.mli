@@ -8,21 +8,12 @@
     procedures, the unit's static-data contribution, and the external
     procedures it references.
 
-    The on-disk encoding is a small self-describing binary format:
-
-    {v
-    "PWNO"            4-byte magic
-    version           32-bit LE format-version word
-    payload length    32-bit LE
-    digest            16-byte MD5 of the payload
-    payload           length-prefixed records, varint-coded
-    v}
-
-    Readers verify magic, version, length and digest before touching the
-    payload, and every payload read is bounds-checked, so truncated or
-    bit-flipped files are detected and rejected ({!Corrupt}) rather than
-    mis-linked.  The incremental cache treats {!Corrupt} as a miss and
-    recompiles.
+    On disk an artifact is a {!Chow_support.Wire} container with magic
+    ["PWNO"] around a varint-coded payload of length-prefixed records.
+    The container's checks and the bounds-checked reader reject
+    truncated, bit-flipped or crafted files ({!Corrupt}) rather than
+    mis-link them.  The incremental cache treats {!Corrupt} as a miss
+    and recompiles.
 
     Code is stored post-emission: global addresses are already absolute
     (the unit was laid out at {!field-o_data_base}), while procedure
@@ -35,7 +26,8 @@ module Machine = Chow_machine.Machine
 module Usage = Chow_core.Usage
 
 (** Raised by {!read}/{!load} on any malformed input: bad magic, version
-    mismatch, wrong length, digest mismatch, or payload decode failure. *)
+    mismatch, wrong length, digest mismatch, or payload decode failure.
+    The same exception as {!Chow_support.Wire.Corrupt}. *)
 exception Corrupt of string
 
 (** The current format version; bumped on any encoding change so stale
@@ -82,7 +74,7 @@ val write : t -> string
 (** [read bytes] deserializes; raises {!Corrupt} on any malformation. *)
 val read : string -> t
 
-(** [save ~path t] writes atomically (temp file + rename). *)
+(** [save ~path t] writes atomically ({!Chow_support.Wire.save}). *)
 val save : path:string -> t -> unit
 
 (** [load path] reads and deserializes; raises {!Corrupt} or [Sys_error]. *)

@@ -147,28 +147,24 @@ let find t key =
         None
       end
       else
-        match Objfile.load path with
-        | art -> (
-            match Objfile.contract_check art with
-            | Ok () ->
-                Metrics.incr m_hit;
-                if Event.flight_on () then Event.mark ~detail:key "cache-hit";
-                Event.debug "cache-hit" [];
-                (* refresh the entry's age: eviction is least-recently-USED,
-                   not least-recently-stored *)
-                (try Unix.utimes path 0. 0. with Unix.Unix_error _ -> ());
-                Some art
-            | Error _ ->
-                (* decoded fine but violates the mask contract: stale logic
-                   or tampering — drop it and recompile *)
-                Metrics.incr m_corrupt;
-                Metrics.incr m_miss;
-                if Event.flight_on () then
-                  Event.mark ~detail:key "cache-corrupt";
-                Event.warn "cache-corrupt" [];
-                (try Sys.remove path with Sys_error _ -> ());
-                None)
-        | exception (Objfile.Corrupt _ | Sys_error _) ->
+        (* an unreadable entry, or one that decodes but violates the mask
+           contract (stale logic or tampering), is dropped and recompiled *)
+        let valid =
+          match Objfile.load path with
+          | art when Objfile.contract_check art = Ok () -> Some art
+          | _ -> None
+          | exception (Objfile.Corrupt _ | Sys_error _) -> None
+        in
+        match valid with
+        | Some art ->
+            Metrics.incr m_hit;
+            if Event.flight_on () then Event.mark ~detail:key "cache-hit";
+            Event.debug "cache-hit" [];
+            (* refresh the entry's age: eviction is least-recently-USED,
+               not least-recently-stored *)
+            (try Unix.utimes path 0. 0. with Unix.Unix_error _ -> ());
+            Some art
+        | None ->
             Metrics.incr m_corrupt;
             Metrics.incr m_miss;
             if Event.flight_on () then Event.mark ~detail:key "cache-corrupt";

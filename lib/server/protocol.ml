@@ -1,11 +1,13 @@
 (** See protocol.mli for the wire contract. *)
 
-exception Malformed of string
+module Wire = Chow_support.Wire
+
+exception Malformed = Wire.Corrupt
 
 let version = 4
 let max_frame = 16 * 1024 * 1024
 
-let malformed fmt = Printf.ksprintf (fun m -> raise (Malformed m)) fmt
+let malformed = Wire.corrupt
 
 type action = Build | Run | Profile
 
@@ -44,157 +46,58 @@ type reply =
   | Health_reply of { ready : bool; checks : (string * bool * string) list }
   | Metrics_reply of string
 
-(* ----- payload primitives: LEB128 varints + length-prefixed strings ----- *)
-
-(* the raw LEB128 loop treats [n] as a 63-bit pattern: the shift is
-   logical, so zigzag values with the top bit set (from ints near
-   max_int/min_int) terminate in at most 9 bytes *)
-let put_raw b n =
-  let rec go n =
-    if n land lnot 0x7f = 0 then Buffer.add_char b (Char.chr n)
-    else begin
-      Buffer.add_char b (Char.chr (0x80 lor (n land 0x7f)));
-      go (n lsr 7)
-    end
-  in
-  go n
-
-let put_uint b n =
-  if n < 0 then malformed "encode: negative length";
-  put_raw b n
-
-(* zigzag so small negative ints stay small on the wire *)
-let put_int b n = put_raw b ((n lsl 1) lxor (n asr 62))
-let put_bool b v = Buffer.add_char b (if v then '\001' else '\000')
-
-let put_string b s =
-  put_uint b (String.length s);
-  Buffer.add_string b s
-
-let put_list b put xs =
-  put_uint b (List.length xs);
-  List.iter (put b) xs
-
-type reader = { payload : string; mutable pos : int }
-
-let get_byte r =
-  if r.pos >= String.length r.payload then malformed "payload truncated";
-  let c = Char.code r.payload.[r.pos] in
-  r.pos <- r.pos + 1;
-  c
-
-let get_raw r =
-  let rec go shift acc =
-    if shift > 62 then malformed "varint overflow";
-    let c = get_byte r in
-    let acc = acc lor ((c land 0x7f) lsl shift) in
-    if c land 0x80 = 0 then acc else go (shift + 7) acc
-  in
-  go 0 0
-
-(* lengths and counts: a pattern with the sign bit set is garbage, and
-   must be rejected here, before it reaches String.sub or List.init *)
-let get_uint r =
-  let n = get_raw r in
-  if n < 0 then malformed "negative length varint";
-  n
-
-let get_int r =
-  let z = get_raw r in
-  (z lsr 1) lxor (-(z land 1))
-
-let get_bool r =
-  match get_byte r with
-  | 0 -> false
-  | 1 -> true
-  | c -> malformed "bad boolean byte %#x" c
-
-let get_string r =
-  let n = get_uint r in
-  if n > String.length r.payload - r.pos then
-    malformed "string length %d runs past the payload" n;
-  let s = String.sub r.payload r.pos n in
-  r.pos <- r.pos + n;
-  s
-
-let get_list r get =
-  let n = get_uint r in
-  (* an element is at least one byte, so a count beyond the remaining
-     payload is garbage — reject before allocating the list *)
-  if n > String.length r.payload - r.pos then
-    malformed "list count %d runs past the payload" n;
-  List.init n (fun _ -> get r)
-
-let get_option r get = if get_bool r then Some (get r) else None
-
-let put_option b put = function
-  | None -> put_bool b false
-  | Some v ->
-      put_bool b true;
-      put b v
+(* ----- payload: version byte, tag, then Wire-encoded fields ----- *)
 
 let reader_of payload tag_kind =
-  let r = { payload; pos = 0 } in
-  let v = get_byte r in
+  let r = Wire.reader payload in
+  let v = Wire.byte r in
   if v <> version then malformed "%s: protocol version %d, expected %d" tag_kind v version;
   r
 
-let finish r what =
-  if r.pos <> String.length r.payload then
-    malformed "%s: %d trailing bytes after the message"
-      what
-      (String.length r.payload - r.pos)
-
 (* ----- requests ----- *)
 
-let action_byte = function Build -> 0 | Run -> 1 | Profile -> 2
-
-let action_of_byte = function
-  | 0 -> Build
-  | 1 -> Run
-  | 2 -> Profile
-  | b -> malformed "unknown action %#x" b
+let actions = [| Build; Run; Profile |]
 
 let encode_request req =
   let b = Buffer.create 256 in
-  Buffer.add_char b (Char.chr version);
+  Wire.put_byte b version;
   (match req with
-  | Ping -> Buffer.add_char b '\000'
+  | Ping -> Wire.put_byte b 0
   | Compile
       { id; action; srcs; o3; shrinkwrap; global_promo; alloc; fuel; priority }
     ->
-      Buffer.add_char b '\001';
-      put_int b id;
-      Buffer.add_char b (Char.chr (action_byte action));
-      put_list b put_string srcs;
-      put_bool b o3;
-      put_bool b shrinkwrap;
-      put_bool b global_promo;
-      put_string b alloc;
-      put_option b put_int fuel;
-      put_int b priority
-  | Stats -> Buffer.add_char b '\002'
-  | Shutdown -> Buffer.add_char b '\003'
-  | Dump -> Buffer.add_char b '\004'
-  | Health -> Buffer.add_char b '\005'
-  | Metrics_text -> Buffer.add_char b '\006');
+      Wire.put_byte b 1;
+      Wire.put_int b id;
+      Wire.put_enum b actions action;
+      Wire.put_list b Wire.put_string srcs;
+      Wire.put_bool b o3;
+      Wire.put_bool b shrinkwrap;
+      Wire.put_bool b global_promo;
+      Wire.put_string b alloc;
+      Wire.put_option b Wire.put_int fuel;
+      Wire.put_int b priority
+  | Stats -> Wire.put_byte b 2
+  | Shutdown -> Wire.put_byte b 3
+  | Dump -> Wire.put_byte b 4
+  | Health -> Wire.put_byte b 5
+  | Metrics_text -> Wire.put_byte b 6);
   Buffer.contents b
 
 let decode_request payload =
   let r = reader_of payload "request" in
   let req =
-    match get_byte r with
+    match Wire.byte r with
     | 0 -> Ping
     | 1 ->
-        let id = get_int r in
-        let action = action_of_byte (get_byte r) in
-        let srcs = get_list r get_string in
-        let o3 = get_bool r in
-        let shrinkwrap = get_bool r in
-        let global_promo = get_bool r in
-        let alloc = get_string r in
-        let fuel = get_option r get_int in
-        let priority = get_int r in
+        let id = Wire.get_int r in
+        let action = Wire.get_enum r "action" actions in
+        let srcs = Wire.get_list r Wire.get_string in
+        let o3 = Wire.get_bool r in
+        let shrinkwrap = Wire.get_bool r in
+        let global_promo = Wire.get_bool r in
+        let alloc = Wire.get_string r in
+        let fuel = Wire.get_option r Wire.get_int in
+        let priority = Wire.get_int r in
         Compile
           {
             id;
@@ -214,90 +117,90 @@ let decode_request payload =
     | 6 -> Metrics_text
     | t -> malformed "unknown request tag %#x" t
   in
-  finish r "request";
+  Wire.finish r;
   req
 
 (* ----- replies ----- *)
 
 let put_counter b (name, v) =
-  put_string b name;
-  put_int b v
+  Wire.put_string b name;
+  Wire.put_int b v
 
 let get_counter r =
-  let name = get_string r in
-  let v = get_int r in
+  let name = Wire.get_string r in
+  let v = Wire.get_int r in
   (name, v)
 
 let encode_reply reply =
   let b = Buffer.create 256 in
-  Buffer.add_char b (Char.chr version);
+  Wire.put_byte b version;
   (match reply with
   | Done { text; counters; queue_wait_ns; service_ns } ->
-      Buffer.add_char b '\000';
-      put_string b text;
-      put_list b put_counter counters;
-      put_int b queue_wait_ns;
-      put_int b service_ns
+      Wire.put_byte b 0;
+      Wire.put_string b text;
+      Wire.put_list b put_counter counters;
+      Wire.put_int b queue_wait_ns;
+      Wire.put_int b service_ns
   | Error { kind; message } ->
-      Buffer.add_char b '\001';
-      put_string b kind;
-      put_string b message
-  | Busy -> Buffer.add_char b '\002'
-  | Pong -> Buffer.add_char b '\003'
+      Wire.put_byte b 1;
+      Wire.put_string b kind;
+      Wire.put_string b message
+  | Busy -> Wire.put_byte b 2
+  | Pong -> Wire.put_byte b 3
   | Stats_reply counters ->
-      Buffer.add_char b '\004';
-      put_list b put_counter counters
-  | Bye -> Buffer.add_char b '\005'
+      Wire.put_byte b 4;
+      Wire.put_list b put_counter counters
+  | Bye -> Wire.put_byte b 5
   | Dump_reply json ->
-      Buffer.add_char b '\006';
-      put_string b json
+      Wire.put_byte b 6;
+      Wire.put_string b json
   | Health_reply { ready; checks } ->
-      Buffer.add_char b '\007';
-      put_bool b ready;
-      put_list b
+      Wire.put_byte b 7;
+      Wire.put_bool b ready;
+      Wire.put_list b
         (fun b (name, ok, detail) ->
-          put_string b name;
-          put_bool b ok;
-          put_string b detail)
+          Wire.put_string b name;
+          Wire.put_bool b ok;
+          Wire.put_string b detail)
         checks
   | Metrics_reply page ->
-      Buffer.add_char b '\008';
-      put_string b page);
+      Wire.put_byte b 8;
+      Wire.put_string b page);
   Buffer.contents b
 
 let decode_reply payload =
   let r = reader_of payload "reply" in
   let reply =
-    match get_byte r with
+    match Wire.byte r with
     | 0 ->
-        let text = get_string r in
-        let counters = get_list r get_counter in
-        let queue_wait_ns = get_int r in
-        let service_ns = get_int r in
+        let text = Wire.get_string r in
+        let counters = Wire.get_list r get_counter in
+        let queue_wait_ns = Wire.get_int r in
+        let service_ns = Wire.get_int r in
         Done { text; counters; queue_wait_ns; service_ns }
     | 1 ->
-        let kind = get_string r in
-        let message = get_string r in
+        let kind = Wire.get_string r in
+        let message = Wire.get_string r in
         Error { kind; message }
     | 2 -> Busy
     | 3 -> Pong
-    | 4 -> Stats_reply (get_list r get_counter)
+    | 4 -> Stats_reply (Wire.get_list r get_counter)
     | 5 -> Bye
-    | 6 -> Dump_reply (get_string r)
+    | 6 -> Dump_reply (Wire.get_string r)
     | 7 ->
-        let ready = get_bool r in
+        let ready = Wire.get_bool r in
         let checks =
-          get_list r (fun r ->
-              let name = get_string r in
-              let ok = get_bool r in
-              let detail = get_string r in
+          Wire.get_list r (fun r ->
+              let name = Wire.get_string r in
+              let ok = Wire.get_bool r in
+              let detail = Wire.get_string r in
               (name, ok, detail))
         in
         Health_reply { ready; checks }
-    | 8 -> Metrics_reply (get_string r)
+    | 8 -> Metrics_reply (Wire.get_string r)
     | t -> malformed "unknown reply tag %#x" t
   in
-  finish r "reply";
+  Wire.finish r;
   reply
 
 (* ----- framing ----- *)
@@ -315,10 +218,7 @@ let write_frame fd payload =
   let n = String.length payload in
   if n > max_frame then malformed "frame of %d bytes exceeds max %d" n max_frame;
   let buf = Bytes.create (4 + n) in
-  Bytes.set buf 0 (Char.chr ((n lsr 24) land 0xff));
-  Bytes.set buf 1 (Char.chr ((n lsr 16) land 0xff));
-  Bytes.set buf 2 (Char.chr ((n lsr 8) land 0xff));
-  Bytes.set buf 3 (Char.chr (n land 0xff));
+  Bytes.set_int32_be buf 0 (Int32.of_int n);
   Bytes.blit_string payload 0 buf 4 n;
   really_write fd buf 0 (4 + n)
 
@@ -342,8 +242,7 @@ let read_frame fd =
   match read_exact fd header 4 with
   | `Eof -> None
   | `Ok ->
-      let b i = Char.code (Bytes.get header i) in
-      let n = (b 0 lsl 24) lor (b 1 lsl 16) lor (b 2 lsl 8) lor b 3 in
+      let n = Int32.to_int (Bytes.get_int32_be header 0) land 0xffff_ffff in
       if n > max_frame then
         malformed "frame claims %d bytes, max is %d" n max_frame;
       let payload = Bytes.create n in

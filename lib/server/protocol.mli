@@ -3,15 +3,17 @@
 
     Framing: every message is a 4-byte big-endian payload length followed
     by the payload; the payload opens with a protocol version byte and a
-    message tag, then the fields in LEB128/zigzag varint + length-prefixed
-    string encoding (the same primitives the artifact format uses).  A
+    message tag, then the fields in the {!Chow_support.Wire} encoding the
+    artifact formats use too (varints, zigzag ints, length-prefixed
+    strings, counted lists).  A
     frame longer than {!max_frame} is rejected before any allocation
     proportional to its claimed size, so a malicious or corrupt length
     word can never balloon the daemon's memory.
 
     Robustness: every decoding failure — truncated frame, oversized
     length, unknown version, unknown tag, fields running past the payload
-    — raises {!Malformed} with a diagnostic.  The server answers a
+    — raises {!Malformed} (the same exception as
+    {!Chow_support.Wire.Corrupt}) with a diagnostic.  The server answers a
     malformed frame with an [Error] reply of kind ["protocol"] and closes
     the connection; it never crashes and never interprets garbage.
 

@@ -15,6 +15,7 @@
 module Asm = Chow_codegen.Asm
 module Event = Chow_obs.Event
 module Metrics = Chow_obs.Metrics
+module Wire = Chow_support.Wire
 
 type counters = {
   entry_saves : int;
@@ -484,16 +485,14 @@ let pp_calltree ?max_depth ppf r =
 
 (* ----- profile artifacts ("PWNP") -----
 
-   The container mirrors {!Chow_codegen.Objfile}'s "PWNO" format: magic,
-   little-endian u32 version and payload length, the payload's MD5
-   digest, then an LEB128 payload.  Every read is bounds-checked and any
-   damage — truncation, bit flips, version skew, trailing bytes — raises
+   The container is {!Chow_support.Wire}'s, shared with the "PWNO"
+   object files: magic, little-endian u32 version and payload length,
+   the payload's MD5 digest, then a varint payload.  Any damage —
+   truncation, bit flips, version skew, trailing bytes — raises
    {!Corrupt} instead of mis-decoding into a plausible-but-wrong
    profile. *)
 
-exception Corrupt of string
-
-let corrupt fmt = Printf.ksprintf (fun m -> raise (Corrupt m)) fmt
+exception Corrupt = Wire.Corrupt
 
 let magic = "PWNP"
 let artifact_version = 1
@@ -584,137 +583,37 @@ let artifact ~source_digest ~config_fp (prog : Asm.program) (r : report) :
   in
   { a_source_digest = source_digest; a_config_fp = config_fp; a_rows = rows }
 
-(* primitive writers/readers, the Objfile idiom *)
-
-let put_uvarint buf n =
-  if n < 0 then invalid_arg "Profile: uvarint of negative";
-  let n = ref n in
-  let continue = ref true in
-  while !continue do
-    let b = !n land 0x7f in
-    n := !n lsr 7;
-    if !n = 0 then begin
-      Buffer.add_char buf (Char.chr b);
-      continue := false
-    end
-    else Buffer.add_char buf (Char.chr (b lor 0x80))
-  done
-
-let put_string buf s =
-  put_uvarint buf (String.length s);
-  Buffer.add_string buf s
-
-let put_u32 buf n =
-  Buffer.add_char buf (Char.chr (n land 0xff));
-  Buffer.add_char buf (Char.chr ((n lsr 8) land 0xff));
-  Buffer.add_char buf (Char.chr ((n lsr 16) land 0xff));
-  Buffer.add_char buf (Char.chr ((n lsr 24) land 0xff))
-
-type reader = { buf : string; mutable pos : int; limit : int }
-
-let byte r =
-  if r.pos >= r.limit then corrupt "truncated at offset %d" r.pos;
-  let b = Char.code r.buf.[r.pos] in
-  r.pos <- r.pos + 1;
-  b
-
-let get_uvarint r =
-  let rec go shift acc count =
-    if count > 9 then corrupt "varint too long at offset %d" r.pos;
-    let b = byte r in
-    let acc = acc lor ((b land 0x7f) lsl shift) in
-    if b land 0x80 = 0 then acc else go (shift + 7) acc (count + 1)
-  in
-  go 0 0 0
-
-let get_string r =
-  let n = get_uvarint r in
-  if n > r.limit - r.pos then corrupt "string overruns payload (len %d)" n;
-  let s = String.sub r.buf r.pos n in
-  r.pos <- r.pos + n;
-  s
-
-let get_count r =
-  let n = get_uvarint r in
-  if n > r.limit - r.pos then corrupt "count %d overruns payload" n;
-  n
-
 let put_row buf row =
-  put_string buf row.r_caller;
-  put_string buf row.r_callee;
-  put_uvarint buf row.r_ordinal;
-  put_uvarint buf row.r_calls;
-  put_uvarint buf row.r_penalty;
-  put_uvarint buf row.r_cycles
+  Wire.put_string buf row.r_caller;
+  Wire.put_string buf row.r_callee;
+  Wire.put_uint buf row.r_ordinal;
+  Wire.put_uint buf row.r_calls;
+  Wire.put_uint buf row.r_penalty;
+  Wire.put_uint buf row.r_cycles
 
 let get_row r =
-  let r_caller = get_string r in
-  let r_callee = get_string r in
-  let r_ordinal = get_uvarint r in
-  let r_calls = get_uvarint r in
-  let r_penalty = get_uvarint r in
-  let r_cycles = get_uvarint r in
+  let r_caller = Wire.get_string r in
+  let r_callee = Wire.get_string r in
+  let r_ordinal = Wire.get_uint r in
+  let r_calls = Wire.get_uint r in
+  let r_penalty = Wire.get_uint r in
+  let r_cycles = Wire.get_uint r in
   { r_caller; r_callee; r_ordinal; r_calls; r_penalty; r_cycles }
 
-let header_len = 4 + 4 + 4 + 16
-
 let write_artifact (a : artifact) : string =
-  let payload = Buffer.create 1024 in
-  put_string payload a.a_source_digest;
-  put_string payload a.a_config_fp;
-  put_uvarint payload (List.length a.a_rows);
-  List.iter (put_row payload) a.a_rows;
-  let payload = Buffer.contents payload in
-  let out = Buffer.create (header_len + String.length payload) in
-  Buffer.add_string out magic;
-  put_u32 out artifact_version;
-  put_u32 out (String.length payload);
-  Buffer.add_string out (Digest.string payload);
-  Buffer.add_string out payload;
-  Buffer.contents out
+  Wire.seal ~magic ~version:artifact_version (fun buf ->
+      Wire.put_string buf a.a_source_digest;
+      Wire.put_string buf a.a_config_fp;
+      Wire.put_list buf put_row a.a_rows)
 
 let read_artifact (bytes : string) : artifact =
-  if String.length bytes < header_len then corrupt "shorter than the header";
-  if String.sub bytes 0 4 <> magic then corrupt "bad magic";
-  let u32 off =
-    Char.code bytes.[off]
-    lor (Char.code bytes.[off + 1] lsl 8)
-    lor (Char.code bytes.[off + 2] lsl 16)
-    lor (Char.code bytes.[off + 3] lsl 24)
-  in
-  let version = u32 4 in
-  if version <> artifact_version then
-    corrupt "format version %d (this reader understands %d)" version
-      artifact_version;
-  let len = u32 8 in
-  if String.length bytes <> header_len + len then
-    corrupt "payload length %d does not match file size %d" len
-      (String.length bytes - header_len);
-  let digest = String.sub bytes 12 16 in
-  let payload = String.sub bytes header_len len in
-  if Digest.string payload <> digest then corrupt "checksum mismatch";
-  let r = { buf = payload; pos = 0; limit = len } in
-  let a_source_digest = get_string r in
-  let a_config_fp = get_string r in
-  let a_rows = List.init (get_count r) (fun _ -> get_row r) in
-  if r.pos <> r.limit then
-    corrupt "%d trailing payload bytes" (r.limit - r.pos);
-  { a_source_digest; a_config_fp; a_rows }
+  Wire.unseal ~magic ~version:artifact_version
+    (fun r ->
+      let a_source_digest = Wire.get_string r in
+      let a_config_fp = Wire.get_string r in
+      let a_rows = Wire.get_list r get_row in
+      { a_source_digest; a_config_fp; a_rows })
+    bytes
 
-let tmp_seq = Atomic.make 0
-
-let save_artifact ~path (a : artifact) =
-  let tmp =
-    Printf.sprintf "%s.%d.%d.tmp" path (Unix.getpid ())
-      (Atomic.fetch_and_add tmp_seq 1)
-  in
-  let oc = open_out_bin tmp in
-  output_string oc (write_artifact a);
-  close_out oc;
-  Sys.rename tmp path
-
-let load_artifact path : artifact =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> read_artifact (really_input_string ic (in_channel_length ic)))
+let save_artifact ~path (a : artifact) = Wire.save ~path (write_artifact a)
+let load_artifact path : artifact = read_artifact (Wire.load path)

@@ -122,13 +122,14 @@ val pp_calltree : ?max_depth:int -> Format.formatter -> report -> unit
 (** {2 Profile artifacts}
 
     The serialized form of a penalty profile — what [pawnc profile
-    --emit] writes and [pawnc build --pgo] consumes.  The container
-    mirrors {!Chow_codegen.Objfile}: magic ["PWNP"], a version word, the
-    payload length, the payload's MD5 digest, then an LEB128 payload.
-    Corruption of any kind (truncation, bit flips, version skew,
-    trailing bytes) raises {!Corrupt} on read — a damaged profile is
-    rejected, never mis-applied. *)
+    --emit] writes and [pawnc build --pgo] consumes: a
+    {!Chow_support.Wire} container with magic ["PWNP"], the codec
+    {!Chow_codegen.Objfile} uses too.  Corruption of any kind
+    (truncation, bit flips, version skew, trailing bytes, crafted
+    counts) raises {!Corrupt} on read — a damaged profile is rejected,
+    never mis-applied. *)
 
+(** The same exception as {!Chow_support.Wire.Corrupt}. *)
 exception Corrupt of string
 
 (** One closed-form call site's measured penalty: the [r_ordinal]-th
@@ -172,7 +173,7 @@ val write_artifact : artifact -> string
 
 val read_artifact : string -> artifact
 
-(** [save_artifact ~path a] writes atomically (unique temp + rename). *)
+(** [save_artifact ~path a] writes atomically ({!Chow_support.Wire.save}). *)
 val save_artifact : path:string -> artifact -> unit
 
 (** [load_artifact path] reads back; raises {!Corrupt} on damage and

@@ -75,12 +75,38 @@ let test_save_load_file () =
   Objfile.save ~path art;
   let art' = Objfile.load path in
   Sys.remove path;
-  Alcotest.(check bool) "file round-trip" true (art = art')
+  Alcotest.(check bool) "file round-trip" true (art = art');
+  (* a save that fails — here the rename, onto a non-empty directory —
+     raises and leaves no temp file behind: the cache counts only *.pawno
+     entries, so a leaked temp file would never be evicted *)
+  let dir = Test_server.fresh_dir "failsave" in
+  let path = Filename.concat dir "k.pawno" in
+  Sys.mkdir path 0o755;
+  Out_channel.with_open_bin (Filename.concat path "occupant") ignore;
+  (match Objfile.save ~path art with
+  | () -> Alcotest.fail "save over a non-empty directory succeeded"
+  | exception Sys_error _ -> ());
+  Alcotest.(check (list string))
+    "only the directory remains" [ "k.pawno" ]
+    (Array.to_list (Sys.readdir dir))
 
 let expect_corrupt what bytes =
   match Objfile.read bytes with
   | _ -> Alcotest.failf "%s: expected Corrupt" what
   | exception Objfile.Corrupt _ -> ()
+
+(* a 9-byte LEB128 varint with the sign bit set: a negative length or
+   count that must be refused before it reaches String.sub or List.init *)
+let negative_varint = "\xff\xff\xff\xff\xff\xff\xff\xff\x7f"
+
+(** [reseal ~like payload] wraps [payload] in the magic and version word
+    of the container [like], with its true length and MD5, so a crafted
+    payload passes every header check and reaches the decoder. *)
+let reseal ~like payload =
+  let le32 n = String.init 4 (fun i -> Char.chr ((n lsr (8 * i)) land 0xff)) in
+  String.sub like 0 8
+  ^ le32 (String.length payload)
+  ^ Digest.string payload ^ payload
 
 let test_rejects_damage () =
   let c = Pipeline.compile_source Config.o3_sw (Pipeline.Srcs two_units) in
@@ -97,7 +123,10 @@ let test_rejects_damage () =
       let b = Bytes.of_string bytes in
       Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor 0x41));
       expect_corrupt (Printf.sprintf "bit flip at %d" pos) (Bytes.to_string b))
-    [ 5; 14; 30; n - 1 ]
+    [ 5; 14; 30; n - 1 ];
+  (* a valid digest around a procedure count with the sign bit set *)
+  expect_corrupt "negative count"
+    (reseal ~like:bytes negative_varint)
 
 let test_tampered_contract_rejected () =
   (* a non-exported, non-recursive helper is closed under IPRA, so its
@@ -328,7 +357,22 @@ let test_disk_corruption_recompiles () =
   Alcotest.(check int) "corruption counted" 1 corrupt;
   Alcotest.(check bool)
     "offender deleted and restored" true
-    (Sys.file_exists victim)
+    (Sys.file_exists victim);
+  (* an entry with a valid digest whose procedure count is negative is a
+     miss too, counted corrupt and deleted — not an escaping exception
+     that fails every build needing it *)
+  let crafted = Filename.concat (Cache.dir cache) "crafted.pawno" in
+  let like = Objfile.write (List.hd (Pipeline.artifacts cold)) in
+  Out_channel.with_open_bin crafted (fun oc ->
+      output_string oc (reseal ~like negative_varint));
+  let found, corrupt =
+    with_metrics (fun () ->
+        let found = Cache.find cache "crafted" in
+        (found, counter_value "cache.corrupt"))
+  in
+  Alcotest.(check bool) "crafted entry misses" true (found = None);
+  Alcotest.(check int) "crafted entry counted corrupt" 1 corrupt;
+  Alcotest.(check bool) "crafted entry deleted" false (Sys.file_exists crafted)
 
 let test_eviction () =
   let cache = fresh_cache ~max_entries:2 "evict" in

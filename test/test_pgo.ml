@@ -109,7 +109,12 @@ let test_rejects_damage () =
   (* version skew: a well-formed container from the future *)
   let skewed = Bytes.of_string bytes in
   Bytes.set skewed 4 (Char.chr (Char.code (Bytes.get skewed 4) + 1));
-  expect_corrupt "version skew" (Bytes.to_string skewed)
+  expect_corrupt "version skew" (Bytes.to_string skewed);
+  (* a valid digest around two empty strings and a row count with the
+     sign bit set *)
+  expect_corrupt "negative count"
+    (Test_objfile.reseal ~like:bytes
+       ("\000\000" ^ Test_objfile.negative_varint))
 
 let test_save_load_atomic () =
   let rng = Random.State.make [| 7 |] in
@@ -152,6 +157,33 @@ let test_rejects_stale () =
   expect_profile_error "corrupt file" (fun () ->
       Pipeline.load_pgo ~config:Config.o3_sw ~srcs:[ tiny_src ] path);
   Sys.remove path;
+  (* a crafted file with a valid digest and a negative row count is the
+     same diagnostic, and through the CLI a user error: exit 2, never an
+     uncaught exception *)
+  let dir = Test_server.fresh_dir "pgoneg" in
+  let src = Filename.concat dir "tiny.pawn"
+  and prof = Filename.concat dir "bad.pawnp"
+  and err = Filename.concat dir "stderr" in
+  Out_channel.with_open_bin src (fun oc -> output_string oc tiny_src);
+  Out_channel.with_open_bin prof (fun oc ->
+      output_string oc
+        (Test_objfile.reseal
+           ~like:(Profile.write_artifact a)
+           ("\000\000" ^ Test_objfile.negative_varint)));
+  expect_profile_error "negative row count" (fun () ->
+      Pipeline.load_pgo ~config:Config.o3_sw ~srcs:[ tiny_src ] prof);
+  let code =
+    Sys.command
+      (Printf.sprintf "%s run %s --O3 --pgo %s >/dev/null 2>%s"
+         (Filename.quote (Test_server.pawnc_exe ()))
+         (Filename.quote src) (Filename.quote prof) (Filename.quote err))
+  in
+  Alcotest.(check int) "pawnc run --pgo CRAFTED exits 2" 2 code;
+  let msg = In_channel.with_open_bin err In_channel.input_all in
+  Alcotest.(check bool)
+    (Printf.sprintf "diagnostic %S names the damage" msg)
+    true
+    (Test_server.contains "corrupt profile artifact" msg);
   (* and a non-positive budget is a programming error, not a diagnostic *)
   match Pipeline.pgo ~budget:0. ~config:Config.o3_sw ~srcs:[ tiny_src ] a with
   | _ -> Alcotest.fail "budget 0 accepted"
