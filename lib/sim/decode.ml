@@ -4,11 +4,28 @@
     four words per pc: an opcode with the {!Ir.binop} / {!Ir.relop} /
     {!Asm.tag} variant folded into its number, then three pre-resolved
     operands.  Every register operand is validated here, so [execute]
-    indexes the register file without bounds checks.  [execute] interprets
-    the form in a tight loop whose dispatch is a single dense integer match
-    (a jump table); the program counter and cycle count are locals of that
-    loop, handed to the call, return and trap paths as arguments rather
-    than captured by them, so they stay in registers.
+    indexes the register file without bounds checks.  Decode also records,
+    for each pc, the length of its chain: the instructions from that pc up
+    to and including the first [b] or [j], stopping short of a [halt], a
+    call, a return or a poison opcode.
+
+    [execute] compiles each pc's chain, once per run, into closures of
+    type [int -> int], one per instruction, specialised on its operands
+    and capturing the run's registers, page table and counters.  A closure
+    takes a budget [n >= 1] of instructions still allowed: a straight-line
+    op does its work, then returns its fall-through pc when [n = 1] or
+    tail-calls the next closure with [n - 1]; a [b] or [j] returns its
+    target.  The main loop checks fuel and the pc's range, gives the chain
+    a budget of [min len (fuel - cycles)], adds that to [cycles] and jumps
+    to the pc the chain returns.  Only [halt], the calls, the return and
+    the poison opcodes are matched in the loop itself.  [cycles] stays a
+    local of the loop that no closure captures: every call and return ends
+    a chain, so the hooks see exact counts, and the budget stops a chain
+    just short of the pc where fuel runs out, so a fuel trap names it.  A
+    trap inside a chain leaves [cycles] ahead of the trap, which nothing
+    observes: the run raises.  When per-pc counts are on, each closure
+    bumps its pc's count before it executes, so counts after a trap are
+    exact too.
 
     Decode also proves, from the linked code alone, which registers each
     procedure's activation may write ([may_write]), and keeps of each
@@ -77,10 +94,10 @@ type outcome = {
           with [profile = true]; empty otherwise *)
 }
 
-(* Opcode numbering: dense from 0 so the dispatch match compiles to a jump
-   table.  Variant sub-codes (binop, relop, tag) are folded in as offsets:
-   [k_add + binop], [k_beq + relop], [k_lw + tag].  Opcodes [k_li] up to
-   the last [k_lw] write register [a]. *)
+(* Opcode numbering: dense from 0 so the closure builder's match compiles
+   to a jump table.  Variant sub-codes (binop, relop, tag) are folded in as
+   offsets: [k_add + binop], [k_beq + relop], [k_lw + tag].  Opcodes [k_li]
+   up to the last [k_lw] write register [a]. *)
 let k_halt = 0
 let k_li = 1 (* a=dst  b=imm *)
 let k_move = 2 (* a=dst  b=src *)
@@ -123,6 +140,9 @@ let relop_code = function
 
 type t = {
   code : int array;  (** four words per pc: opcode, a, b, c *)
+  chain_len : int array;
+      (** per pc, how many instructions its chain executes; 0 where the
+          main loop handles the opcode *)
   prog : Asm.program;  (** retained for data layout and block pcs *)
   entries : int array;  (** procedure entries sorted by address *)
   names : string array;
@@ -279,6 +299,22 @@ let may_write code meta_entry meta_of_pc =
   done;
   may
 
+(* A chain runs straight-line ops and ends after the first [b] or [j];
+   [halt], the calls, the return and the poison opcodes start none and end
+   the chain before them, as does the end of the code. *)
+let chain_lengths code =
+  let n = Array.length code / 4 in
+  let len = Array.make n 0 in
+  for pc = n - 1 downto 0 do
+    let op = code.(4 * pc) in
+    len.(pc) <-
+      (if op >= k_b && op <= k_j then 1
+       else if (op >= k_li && op < k_b) || op = k_print then
+         1 + if pc + 1 < n then len.(pc + 1) else 0
+       else 0)
+  done;
+  len
+
 let decode (prog : Asm.program) : t =
   let insts = prog.Asm.code in
   let n = Array.length insts in
@@ -315,6 +351,7 @@ let decode (prog : Asm.program) : t =
     metas;
   {
     code;
+    chain_len = chain_lengths code;
     prog;
     entries;
     names;
@@ -438,6 +475,14 @@ let[@inline] store zero pages addr v =
 (* unchecked register-file access, for the operands [decode] validated *)
 let[@inline] get (regs : int array) r = Array.unsafe_get regs r
 let[@inline] set (regs : int array) r v = Array.unsafe_set regs r v
+
+(* the tail of a straight-line closure with budget [n]: stop at the
+   fall-through pc [nx] when this was the last instruction allowed, else
+   run the chain after it *)
+let[@inline] step n nx (next : int -> int) = if n = 1 then nx else next (n - 1)
+
+(* the chain entry of a pc the main loop handles; never run *)
+let unreachable (_ : int) : int = assert false
 
 let execute ?(fuel = default_fuel) ?(mem_words = 1 lsl 20) ?(check = true)
     ?(profile = false) ?hooks ?pc_buf (t : t) : outcome =
@@ -600,174 +645,255 @@ let execute ?(fuel = default_fuel) ?(mem_words = 1 lsl 20) ?(check = true)
     end;
     target
   in
-  (* [pc] and [cycles] are captured by no closure, so they live in
-     registers; every register operand was validated by [decode] *)
+  let by_zero what k = error "%s by zero (pc %d, in %s)" what k (where k) in
+  (* [op k next] is the closure for the chained instruction at [k], [next]
+     the chain from [k + 1]; a trap inside it names [k].  Each arm is the
+     opcode's one definition, and indexes registers unchecked: [decode]
+     validated every operand. *)
+  let op k next : int -> int =
+    let base = k lsl 2 in
+    let a = code.(base + 1) and b = code.(base + 2) and c = code.(base + 3) in
+    let nx = k + 1 in
+    match code.(base) with
+    | 1 (* li *) ->
+        fun n ->
+          set regs a b;
+          step n nx next
+    | 2 (* move *) ->
+        fun n ->
+          set regs a (get regs b);
+          step n nx next
+    | 3 (* neg *) ->
+        fun n ->
+          set regs a (-get regs b);
+          step n nx next
+    | 4 (* not *) ->
+        fun n ->
+          set regs a (if get regs b = 0 then 1 else 0);
+          step n nx next
+    | 5 (* add *) ->
+        fun n ->
+          set regs a (get regs b + get regs c);
+          step n nx next
+    | 6 (* sub *) ->
+        fun n ->
+          set regs a (get regs b - get regs c);
+          step n nx next
+    | 7 (* mul *) ->
+        fun n ->
+          set regs a (get regs b * get regs c);
+          step n nx next
+    | 8 (* div *) ->
+        fun n ->
+          let d = get regs c in
+          if d = 0 then by_zero "division" k
+          else begin
+            set regs a (get regs b / d);
+            step n nx next
+          end
+    | 9 (* rem *) ->
+        fun n ->
+          let d = get regs c in
+          if d = 0 then by_zero "remainder" k
+          else begin
+            set regs a (get regs b mod d);
+            step n nx next
+          end
+    | 10 (* and *) ->
+        fun n ->
+          set regs a (get regs b land get regs c);
+          step n nx next
+    | 11 (* or *) ->
+        fun n ->
+          set regs a (get regs b lor get regs c);
+          step n nx next
+    | 12 (* xor *) ->
+        fun n ->
+          set regs a (get regs b lxor get regs c);
+          step n nx next
+    | 13 (* shl *) ->
+        fun n ->
+          set regs a (get regs b lsl get regs c);
+          step n nx next
+    | 14 (* shr *) ->
+        fun n ->
+          set regs a (get regs b asr get regs c);
+          step n nx next
+    | 15 (* addi *) ->
+        fun n ->
+          set regs a (get regs b + c);
+          step n nx next
+    | 16 (* subi *) ->
+        fun n ->
+          set regs a (get regs b - c);
+          step n nx next
+    | 17 (* muli *) ->
+        fun n ->
+          set regs a (get regs b * c);
+          step n nx next
+    | 18 (* divi *) ->
+        if c = 0 then fun _ -> by_zero "division" k
+        else fun n ->
+          set regs a (get regs b / c);
+          step n nx next
+    | 19 (* remi *) ->
+        if c = 0 then fun _ -> by_zero "remainder" k
+        else fun n ->
+          set regs a (get regs b mod c);
+          step n nx next
+    | 20 (* andi *) ->
+        fun n ->
+          set regs a (get regs b land c);
+          step n nx next
+    | 21 (* ori *) ->
+        fun n ->
+          set regs a (get regs b lor c);
+          step n nx next
+    | 22 (* xori *) ->
+        fun n ->
+          set regs a (get regs b lxor c);
+          step n nx next
+    | 23 (* shli *) ->
+        fun n ->
+          set regs a (get regs b lsl c);
+          step n nx next
+    | 24 (* shri *) ->
+        fun n ->
+          set regs a (get regs b asr c);
+          step n nx next
+    | 25 (* cmp eq *) ->
+        fun n ->
+          set regs a (if get regs b = get regs c then 1 else 0);
+          step n nx next
+    | 26 (* cmp ne *) ->
+        fun n ->
+          set regs a (if get regs b <> get regs c then 1 else 0);
+          step n nx next
+    | 27 (* cmp lt *) ->
+        fun n ->
+          set regs a (if get regs b < get regs c then 1 else 0);
+          step n nx next
+    | 28 (* cmp le *) ->
+        fun n ->
+          set regs a (if get regs b <= get regs c then 1 else 0);
+          step n nx next
+    | 29 (* cmp gt *) ->
+        fun n ->
+          set regs a (if get regs b > get regs c then 1 else 0);
+          step n nx next
+    | 30 (* cmp ge *) ->
+        fun n ->
+          set regs a (if get regs b >= get regs c then 1 else 0);
+          step n nx next
+    | 31 (* cmpi eq *) ->
+        fun n ->
+          set regs a (if get regs b = c then 1 else 0);
+          step n nx next
+    | 32 (* cmpi ne *) ->
+        fun n ->
+          set regs a (if get regs b <> c then 1 else 0);
+          step n nx next
+    | 33 (* cmpi lt *) ->
+        fun n ->
+          set regs a (if get regs b < c then 1 else 0);
+          step n nx next
+    | 34 (* cmpi le *) ->
+        fun n ->
+          set regs a (if get regs b <= c then 1 else 0);
+          step n nx next
+    | 35 (* cmpi gt *) ->
+        fun n ->
+          set regs a (if get regs b > c then 1 else 0);
+          step n nx next
+    | 36 (* cmpi ge *) ->
+        fun n ->
+          set regs a (if get regs b >= c then 1 else 0);
+          step n nx next
+    | (37 | 38 | 39 | 40 | 41) as o (* lw, by tag *) ->
+        let tg = o - k_lw in
+        fun n ->
+          let addr = get regs b + c in
+          if addr < 0 || addr >= mem_words then oob addr k
+          else begin
+            set regs a
+              (Array.unsafe_get
+                 (Array.unsafe_get pages (addr lsr page_bits))
+                 (addr land page_mask));
+            Array.unsafe_set loads tg (Array.unsafe_get loads tg + 1);
+            step n nx next
+          end
+    | (42 | 43 | 44 | 45 | 46) as o (* sw, by tag *) ->
+        let tg = o - k_sw in
+        fun n ->
+          let addr = get regs b + c in
+          if addr < 0 || addr >= mem_words then oob addr k
+          else begin
+            store zero pages addr (get regs a);
+            Array.unsafe_set stores tg (Array.unsafe_get stores tg + 1);
+            step n nx next
+          end
+    | 47 (* b eq *) -> fun _ -> if get regs a = get regs b then c else nx
+    | 48 (* b ne *) -> fun _ -> if get regs a <> get regs b then c else nx
+    | 49 (* b lt *) -> fun _ -> if get regs a < get regs b then c else nx
+    | 50 (* b le *) -> fun _ -> if get regs a <= get regs b then c else nx
+    | 51 (* b gt *) -> fun _ -> if get regs a > get regs b then c else nx
+    | 52 (* b ge *) -> fun _ -> if get regs a >= get regs b then c else nx
+    | 53 (* j *) -> fun _ -> a
+    | 57 (* print *) ->
+        fun n ->
+          output := get regs a :: !output;
+          step n nx next
+    | _ -> assert false
+  in
+  (* built back to front, so each closure captures the chain after it; a
+     chain that ends before a loop-handled opcode never calls past its end *)
+  let chain_len = t.chain_len in
+  let chains = Array.make ncode unreachable in
+  for k = ncode - 1 downto 0 do
+    if chain_len.(k) > 0 then begin
+      let next = if k + 1 < ncode then chains.(k + 1) else unreachable in
+      let f = op k next in
+      chains.(k) <-
+        (if count_pcs then fun n ->
+           Array.unsafe_set pc_counts k (Array.unsafe_get pc_counts k + 1);
+           f n
+         else f)
+    end
+  done;
+  (* [pc] and [cycles] are locals of the loop that no closure captures: a
+     chain's budget is added to [cycles] before it runs, and every call,
+     return and fuel trap happens between chains, so each sees the exact
+     count *)
   let pc = ref prog.Asm.entry and cycles = ref 0 in
   let running = ref true in
   while !running do
-    let i = !pc in
-    if !cycles >= fuel then
+    let i = !pc and cy = !cycles in
+    if cy >= fuel then
       error "out of fuel after %d cycles (pc %d, in %s)" fuel i (where i);
     if i < 0 || i >= ncode then error "pc out of range: %d" i;
-    if count_pcs then
-      Array.unsafe_set pc_counts i (Array.unsafe_get pc_counts i + 1);
-    incr cycles;
-    let next = i + 1 in
-    let base = i lsl 2 in
-    let a = Array.unsafe_get code (base + 1)
-    and b = Array.unsafe_get code (base + 2)
-    and c = Array.unsafe_get code (base + 3) in
-    match Array.unsafe_get code base with
-    | 0 (* halt *) -> running := false
-    | 1 (* li *) ->
-        set regs a b;
-        pc := next
-    | 2 (* move *) ->
-        set regs a (get regs b);
-        pc := next
-    | 3 (* neg *) ->
-        set regs a (-get regs b);
-        pc := next
-    | 4 (* not *) ->
-        set regs a (if get regs b = 0 then 1 else 0);
-        pc := next
-    | 5 (* add *) ->
-        set regs a (get regs b + get regs c);
-        pc := next
-    | 6 (* sub *) ->
-        set regs a (get regs b - get regs c);
-        pc := next
-    | 7 (* mul *) ->
-        set regs a (get regs b * get regs c);
-        pc := next
-    | 8 (* div *) ->
-        let d = get regs c in
-        if d = 0 then error "division by zero (pc %d, in %s)" i (where i);
-        set regs a (get regs b / d);
-        pc := next
-    | 9 (* rem *) ->
-        let d = get regs c in
-        if d = 0 then error "remainder by zero (pc %d, in %s)" i (where i);
-        set regs a (get regs b mod d);
-        pc := next
-    | 10 (* and *) ->
-        set regs a (get regs b land get regs c);
-        pc := next
-    | 11 (* or *) ->
-        set regs a (get regs b lor get regs c);
-        pc := next
-    | 12 (* xor *) ->
-        set regs a (get regs b lxor get regs c);
-        pc := next
-    | 13 (* shl *) ->
-        set regs a (get regs b lsl get regs c);
-        pc := next
-    | 14 (* shr *) ->
-        set regs a (get regs b asr get regs c);
-        pc := next
-    | 15 (* addi *) ->
-        set regs a (get regs b + c);
-        pc := next
-    | 16 (* subi *) ->
-        set regs a (get regs b - c);
-        pc := next
-    | 17 (* muli *) ->
-        set regs a (get regs b * c);
-        pc := next
-    | 18 (* divi *) ->
-        if c = 0 then error "division by zero (pc %d, in %s)" i (where i);
-        set regs a (get regs b / c);
-        pc := next
-    | 19 (* remi *) ->
-        if c = 0 then error "remainder by zero (pc %d, in %s)" i (where i);
-        set regs a (get regs b mod c);
-        pc := next
-    | 20 (* andi *) ->
-        set regs a (get regs b land c);
-        pc := next
-    | 21 (* ori *) ->
-        set regs a (get regs b lor c);
-        pc := next
-    | 22 (* xori *) ->
-        set regs a (get regs b lxor c);
-        pc := next
-    | 23 (* shli *) ->
-        set regs a (get regs b lsl c);
-        pc := next
-    | 24 (* shri *) ->
-        set regs a (get regs b asr c);
-        pc := next
-    | 25 (* cmp eq *) ->
-        set regs a (if get regs b = get regs c then 1 else 0);
-        pc := next
-    | 26 (* cmp ne *) ->
-        set regs a (if get regs b <> get regs c then 1 else 0);
-        pc := next
-    | 27 (* cmp lt *) ->
-        set regs a (if get regs b < get regs c then 1 else 0);
-        pc := next
-    | 28 (* cmp le *) ->
-        set regs a (if get regs b <= get regs c then 1 else 0);
-        pc := next
-    | 29 (* cmp gt *) ->
-        set regs a (if get regs b > get regs c then 1 else 0);
-        pc := next
-    | 30 (* cmp ge *) ->
-        set regs a (if get regs b >= get regs c then 1 else 0);
-        pc := next
-    | 31 (* cmpi eq *) ->
-        set regs a (if get regs b = c then 1 else 0);
-        pc := next
-    | 32 (* cmpi ne *) ->
-        set regs a (if get regs b <> c then 1 else 0);
-        pc := next
-    | 33 (* cmpi lt *) ->
-        set regs a (if get regs b < c then 1 else 0);
-        pc := next
-    | 34 (* cmpi le *) ->
-        set regs a (if get regs b <= c then 1 else 0);
-        pc := next
-    | 35 (* cmpi gt *) ->
-        set regs a (if get regs b > c then 1 else 0);
-        pc := next
-    | 36 (* cmpi ge *) ->
-        set regs a (if get regs b >= c then 1 else 0);
-        pc := next
-    | (37 | 38 | 39 | 40 | 41) as op (* lw, by tag *) ->
-        let addr = get regs b + c in
-        if addr < 0 || addr >= mem_words then oob addr i;
-        set regs a
-          (Array.unsafe_get
-             (Array.unsafe_get pages (addr lsr page_bits))
-             (addr land page_mask));
-        let k = op - k_lw in
-        Array.unsafe_set loads k (Array.unsafe_get loads k + 1);
-        pc := next
-    | (42 | 43 | 44 | 45 | 46) as op (* sw, by tag *) ->
-        let addr = get regs b + c in
-        if addr < 0 || addr >= mem_words then oob addr i;
-        store zero pages addr (get regs a);
-        let k = op - k_sw in
-        Array.unsafe_set stores k (Array.unsafe_get stores k + 1);
-        pc := next
-    | 47 (* b eq *) -> pc := if get regs a = get regs b then c else next
-    | 48 (* b ne *) -> pc := if get regs a <> get regs b then c else next
-    | 49 (* b lt *) -> pc := if get regs a < get regs b then c else next
-    | 50 (* b le *) -> pc := if get regs a <= get regs b then c else next
-    | 51 (* b gt *) -> pc := if get regs a > get regs b then c else next
-    | 52 (* b ge *) -> pc := if get regs a >= get regs b then c else next
-    | 53 (* j *) -> pc := a
-    | 54 (* jal *) -> pc := do_call i !cycles a
-    | 55 (* jalr *) -> pc := do_call i !cycles (get regs a)
-    | 56 (* jr *) -> pc := do_return i !cycles
-    | 57 (* print *) ->
-        output := get regs a :: !output;
-        pc := next
-    | 58 (* unlinked Jal/Lproc *) ->
-        error "unlinked instruction at %d (in %s)" i (where i)
-    | 59 (* register operand outside the file *) ->
-        invalid_arg "index out of bounds"
-    | _ -> assert false
+    let len = Array.unsafe_get chain_len i in
+    if len > 0 then begin
+      let m = if len < fuel - cy then len else fuel - cy in
+      cycles := cy + m;
+      pc := (Array.unsafe_get chains i) m
+    end
+    else begin
+      if count_pcs then
+        Array.unsafe_set pc_counts i (Array.unsafe_get pc_counts i + 1);
+      let cy = cy + 1 in
+      cycles := cy;
+      let a = Array.unsafe_get code ((i lsl 2) + 1) in
+      match Array.unsafe_get code (i lsl 2) with
+      | 0 (* halt *) -> running := false
+      | 54 (* jal *) -> pc := do_call i cy a
+      | 55 (* jalr *) -> pc := do_call i cy (get regs a)
+      | 56 (* jr *) -> pc := do_return i cy
+      | 58 (* unlinked Jal/Lproc *) ->
+          error "unlinked instruction at %d (in %s)" i (where i)
+      | 59 (* register operand outside the file *) ->
+          invalid_arg "index out of bounds"
+      | _ -> assert false
+    end
   done;
   let block_counts =
     if profile then

@@ -6,11 +6,26 @@
     and a per-pc procedure-meta index.  It also proves, from the code
     alone, which registers each procedure's activation may write, and
     keeps of each preserved-register contract only the registers that can
-    change.  [execute] interprets the form with a jump-table dispatch loop,
-    an allocation-free contract checker over those pruned contracts, and a
-    paged memory that allocates only the pages a run stores to.  Behaviourally
-    identical to {!Sim.run_reference}, which the differential test suite
-    enforces. *)
+    change.  Decode records, for each pc, the length of its chain: the
+    straight-line instructions from it up to and including the first [b]
+    or [j], stopping short of a [halt], a call, a return or a poison
+    opcode.
+
+    [execute] compiles the chains once per run into operand-specialised
+    closures that capture that run's registers, page table and counters,
+    so no two runs share state.  Each closure takes a budget of
+    instructions still allowed and runs the chain until the budget or the
+    chain ends, returning the next pc.  The main loop checks fuel and the
+    pc's range as the reference engine does, budgets each chain to
+    [min len (fuel - cycles)], and itself executes only [halt], calls,
+    returns and the poison opcodes.  Cycles are therefore exact wherever
+    they are observed: at every call and return hook, at a fuel trap
+    (which names the exact pc), and in the outcome.  Per-pc counts are
+    bumped by each closure before it executes, so they stay exact after a
+    trap.  The contract checker is allocation-free and covers the pruned
+    contracts; memory is paged, so a run allocates only the pages it
+    stores to.  Behaviourally identical to {!Sim.run_reference}, which the
+    differential test suite enforces. *)
 
 exception Runtime_error of string
 

@@ -50,12 +50,15 @@ val default_fuel : int
     fuel.
 
     This is the pre-decoded threaded engine ({!Decode}): the program is
-    specialized once into a flat int-coded array and interpreted by a
-    jump-table dispatch loop with an allocation-free contract checker,
-    which checks only the preserved registers that decode finds some
-    reachable instruction may write (the others cannot change, so the
-    verdicts are those of the full check).  The decode pass runs on every
-    call and is amortized over the execution. *)
+    specialized once into a flat int-coded array, and each run compiles
+    every straight-line run, up to its branch or jump, into a chain of
+    operand-specialised closures that a main loop drives under a budget of
+    instructions, so fuel and cycle counts stay exact.  Calls and returns
+    run in the loop, through an allocation-free contract checker that
+    checks only the preserved registers decode finds some reachable
+    instruction may write (the others cannot change, so the verdicts are
+    those of the full check).  The decode pass and the chain build run on
+    every call and are amortized over the execution. *)
 val run :
   ?fuel:int ->
   ?mem_words:int ->

@@ -1,0 +1,57 @@
+(** The differential check shared by the simulator suites: the decoded
+    engine ({!Sim.run}) against the reference engine ({!Sim.run_reference})
+    on one program, with block profiling off (the path [simulate], [pawnc
+    run] and the daemon take) and on. *)
+
+module Sim = Chow_sim.Sim
+
+let capture f = try Ok (f ()) with Sim.Runtime_error m -> Error m
+
+let same name (r : Sim.outcome) (d : Sim.outcome) =
+  Alcotest.(check (list int)) (name ^ ": output") r.Sim.output d.Sim.output;
+  Alcotest.(check int) (name ^ ": cycles") r.Sim.cycles d.Sim.cycles;
+  Alcotest.(check int) (name ^ ": calls") r.Sim.calls d.Sim.calls;
+  Alcotest.(check int) (name ^ ": data loads") r.Sim.data_loads
+    d.Sim.data_loads;
+  Alcotest.(check int) (name ^ ": data stores") r.Sim.data_stores
+    d.Sim.data_stores;
+  Alcotest.(check int) (name ^ ": scalar loads") r.Sim.scalar_loads
+    d.Sim.scalar_loads;
+  Alcotest.(check int) (name ^ ": scalar stores") r.Sim.scalar_stores
+    d.Sim.scalar_stores;
+  Alcotest.(check int) (name ^ ": save loads") r.Sim.save_loads
+    d.Sim.save_loads;
+  Alcotest.(check int) (name ^ ": save stores") r.Sim.save_stores
+    d.Sim.save_stores;
+  Alcotest.(check int) (name ^ ": call-save loads") r.Sim.call_save_loads
+    d.Sim.call_save_loads;
+  Alcotest.(check int) (name ^ ": call-save stores") r.Sim.call_save_stores
+    d.Sim.call_save_stores;
+  Alcotest.(check bool) (name ^ ": block counts") true
+    (d.Sim.block_counts = r.Sim.block_counts);
+  Alcotest.(check (list (pair string int)))
+    (name ^ ": proc cycles") r.Sim.proc_cycles d.Sim.proc_cycles
+
+(** [agree ?fuel ?mem_words name prog] runs both engines with profiling off,
+    then on, and insists on identical outcomes each time (output, cycles,
+    calls, every traffic counter, block profiles and per-procedure cycles)
+    or the very same [Runtime_error] message.  It returns the decoded
+    engine's profiled result. *)
+let agree ?fuel ?mem_words name prog =
+  let run profile =
+    let name = Printf.sprintf "%s (profile %b)" name profile in
+    let decoded = capture (fun () -> Sim.run ?fuel ?mem_words ~profile prog) in
+    let reference =
+      capture (fun () -> Sim.run_reference ?fuel ?mem_words ~profile prog)
+    in
+    (match (decoded, reference) with
+    | Ok d, Ok r -> same name r d
+    | Error d, Error r -> Alcotest.(check string) (name ^ ": error") r d
+    | Ok _, Error r ->
+        Alcotest.failf "%s: decoded succeeded, reference trapped: %s" name r
+    | Error d, Ok _ ->
+        Alcotest.failf "%s: decoded trapped (%s), reference succeeded" name d);
+    decoded
+  in
+  ignore (run false);
+  run true

@@ -186,44 +186,12 @@ proc main() { print(forever(0)); }
 
 (* ---- differential testing: decoded engine vs. reference engine ------- *)
 
-let capture f = try Ok (f ()) with Sim.Runtime_error m -> Error m
+let capture = Engines.capture
 
-(** Run both engines on the same program and insist on identical outcomes:
-    output, cycles, calls, per-tag traffic, block profiles — or the very
-    same [Runtime_error] message. *)
-let check_engines_agree ?fuel ?mem_words ?profile name prog =
-  let decoded = capture (fun () -> Sim.run ?fuel ?mem_words ?profile prog) in
-  let reference =
-    capture (fun () -> Sim.run_reference ?fuel ?mem_words ?profile prog)
-  in
-  match (decoded, reference) with
-  | Ok d, Ok r ->
-      Alcotest.(check (list int)) (name ^ ": output") r.Sim.output d.Sim.output;
-      Alcotest.(check int) (name ^ ": cycles") r.Sim.cycles d.Sim.cycles;
-      Alcotest.(check int) (name ^ ": calls") r.Sim.calls d.Sim.calls;
-      Alcotest.(check int) (name ^ ": data loads") r.Sim.data_loads
-        d.Sim.data_loads;
-      Alcotest.(check int) (name ^ ": data stores") r.Sim.data_stores
-        d.Sim.data_stores;
-      Alcotest.(check int) (name ^ ": scalar loads") r.Sim.scalar_loads
-        d.Sim.scalar_loads;
-      Alcotest.(check int) (name ^ ": scalar stores") r.Sim.scalar_stores
-        d.Sim.scalar_stores;
-      Alcotest.(check int) (name ^ ": save loads") r.Sim.save_loads
-        d.Sim.save_loads;
-      Alcotest.(check int) (name ^ ": save stores") r.Sim.save_stores
-        d.Sim.save_stores;
-      Alcotest.(check int) (name ^ ": call-save loads") r.Sim.call_save_loads
-        d.Sim.call_save_loads;
-      Alcotest.(check int) (name ^ ": call-save stores") r.Sim.call_save_stores
-        d.Sim.call_save_stores;
-      Alcotest.(check bool) (name ^ ": block counts") true
-        (d.Sim.block_counts = r.Sim.block_counts)
-  | Error d, Error r -> Alcotest.(check string) (name ^ ": error") r d
-  | Ok _, Error r ->
-      Alcotest.failf "%s: decoded succeeded, reference trapped: %s" name r
-  | Error d, Ok _ ->
-      Alcotest.failf "%s: decoded trapped (%s), reference succeeded" name d
+(** Run both engines on the same program, with block profiling off and on,
+    and insist on identical outcomes each time (see {!Engines.agree}). *)
+let check_engines_agree ?fuel ?mem_words name prog =
+  ignore (Engines.agree ?fuel ?mem_words name prog)
 
 let test_diff_fuel_exhaustion () =
   let src = "proc main() { var x = 1; while (x == 1) { x = 1; } }" in
@@ -286,6 +254,122 @@ let test_diff_profile_counts () =
   Alcotest.(check bool) "profiles nonempty" true (d.Sim.block_counts <> []);
   Alcotest.(check bool) "profiles equal" true
     (d.Sim.block_counts = r.Sim.block_counts)
+
+(* ---- chains: straight-line runs and their budget -------------------- *)
+
+(* a program with no procedure table: traps name "<unknown>" *)
+let bare code =
+  {
+    Asm.code = Array.of_list code;
+    entry = 0;
+    proc_addrs = [];
+    metas = [];
+    data_size = 0;
+    data_init = [];
+    block_pcs = [];
+  }
+
+(* every fuel from 0 past the program's cycle count: each budget stops
+   some chain at a different instruction, or lets the run finish.  Two
+   pages of memory hold these programs, and keep the reference engine's
+   flat image small across thousands of runs. *)
+let sweep_fuel name prog ~upto =
+  for fuel = 0 to upto do
+    check_engines_agree ~fuel ~mem_words:(2 * 4096)
+      (Printf.sprintf "%s fuel %d" name fuel)
+      prog
+  done
+
+let small_workload =
+  {|
+var tab[8];
+proc fib(n) { if (n < 2) { return n; } return fib(n - 1) + fib(n - 2); }
+proc main() {
+  var i = 0;
+  while (i < 8) { tab[i] = fib(i) * 3 + i; i = i + 1; }
+  print(tab[7]);
+}
+|}
+
+let test_fuel_sweep () =
+  let prog =
+    Pipeline.program
+      (Pipeline.compile_source Config.o3_sw (Pipeline.Src small_workload))
+  in
+  let cycles = (Sim.run prog).Sim.cycles in
+  (* the sweep must cross the end of the run *)
+  Alcotest.(check bool)
+    (Printf.sprintf "run of %d cycles ends inside the sweep" cycles)
+    true
+    (cycles > 500 && cycles < 2000);
+  sweep_fuel "small" prog ~upto:2000
+
+let test_jump_into_run () =
+  (* pcs 2-7 are one straight-line run ending in a [b]; the [j] at pc 1
+     enters it at pc 4, and the [b] re-enters it at pc 2 *)
+  let prog =
+    bare
+      [
+        Asm.Li (Machine.s0, 3);
+        Asm.J 4;
+        Asm.Binopi (Ir.Add, Machine.t0, Machine.t0, 100);
+        Asm.Binopi (Ir.Add, Machine.t0, Machine.t0, 10);
+        Asm.Binopi (Ir.Add, Machine.t0, Machine.t0, 1);
+        Asm.Print Machine.t0;
+        Asm.Binopi (Ir.Sub, Machine.s0, Machine.s0, 1);
+        Asm.B (Ir.Ne, Machine.s0, Machine.zero, 2);
+        Asm.Halt;
+      ]
+  in
+  let o = Sim.run prog in
+  Alcotest.(check (list int)) "output" [ 1; 112; 223 ] o.Sim.output;
+  Alcotest.(check int) "cycles" 19 o.Sim.cycles;
+  check_engines_agree "jump into a run" prog;
+  sweep_fuel "jump into a run" prog ~upto:25
+
+let test_run_off_the_end () =
+  let prog =
+    bare
+      [
+        Asm.Li (Machine.t0, 7);
+        Asm.Print Machine.t0;
+        Asm.Binopi (Ir.Add, Machine.t0, Machine.t0, 1);
+      ]
+  in
+  (match capture (fun () -> Sim.run prog) with
+  | Ok _ -> Alcotest.fail "expected the run to leave the code"
+  | Error msg -> Alcotest.(check string) "message" "pc out of range: 3" msg);
+  check_engines_agree "off the end" prog;
+  sweep_fuel "off the end" prog ~upto:5
+
+let test_trap_mid_run_counts () =
+  (* a straight-line run whose third instruction traps *)
+  let prog =
+    bare
+      [
+        Asm.Li (Machine.t0, 1);
+        Asm.Li (Machine.s0, 2);
+        Asm.Lw (Machine.a0, Machine.zero, -1, Asm.Tdata);
+        Asm.Print Machine.t0;
+        Asm.Halt;
+      ]
+  in
+  check_engines_agree "trap mid-run" prog;
+  List.iter
+    (fun profile ->
+      let counts = Array.make 5 7 in
+      (match
+         capture (fun () ->
+             Decode.execute ~profile ~pc_buf:counts (Decode.decode prog))
+       with
+      | Ok _ -> Alcotest.fail "expected an out-of-bounds trap"
+      | Error msg ->
+          Alcotest.(check string) "message"
+            "memory access out of bounds: -1 (pc 2, in <unknown>)" msg);
+      Alcotest.(check (array int))
+        (Printf.sprintf "counts up to the trap (profile %b)" profile)
+        [| 1; 1; 1; 0; 0 |] counts)
+    [ false; true ]
 
 (* ---- the decoded engine's pruned contract checker ------------------- *)
 
@@ -351,17 +435,6 @@ let test_checker_branch_clobber () =
 (* Memory-image reuse: [store_high] leaves a value near the top of memory;
    a later run must find zero there. *)
 let high = (1 lsl 20) - 4096
-
-let bare code =
-  {
-    Asm.code = Array.of_list code;
-    entry = 0;
-    proc_addrs = [];
-    metas = [];
-    data_size = 0;
-    data_init = [];
-    block_pcs = [];
-  }
 
 let store_high =
   bare
@@ -640,10 +713,10 @@ let prop_differential =
       let rng = Random.State.make [| seed; 0xd1ff |] in
       let config = if seed mod 2 = 0 then Config.o3_sw else Config.baseline in
       let prog = Pipeline.program (Pipeline.compile_source config (Pipeline.Src src)) in
-      check_engines_agree ~profile:true (Printf.sprintf "seed %d" seed) prog;
+      check_engines_agree (Printf.sprintf "seed %d" seed) prog;
       (* bounded fuel: a mutation can loop or recurse without limit *)
       let mname, mutated = mutate rng prog in
-      check_engines_agree ~profile:true ~fuel:200_000
+      check_engines_agree ~fuel:200_000
         (Printf.sprintf "seed %d %s" seed mname)
         mutated;
       true)
@@ -709,7 +782,7 @@ let prop_wild_memory =
         else (1 lsl 20) - 1 - Random.State.int rng (page - 1)
       in
       let mname, mutated = mutate_memory rng mem_words prog in
-      check_engines_agree ~profile:true ~fuel:200_000 ~mem_words
+      check_engines_agree ~fuel:200_000 ~mem_words
         (Printf.sprintf "seed %d %s of %d" seed mname mem_words)
         mutated;
       true)
@@ -739,6 +812,14 @@ let suite =
         test_diff_division_by_zero;
       Alcotest.test_case "diff: profile block counts" `Quick
         test_diff_profile_counts;
+      Alcotest.test_case "chains: fuel sweep over a small workload" `Quick
+        test_fuel_sweep;
+      Alcotest.test_case "chains: jump into the middle of a run" `Quick
+        test_jump_into_run;
+      Alcotest.test_case "chains: run falls off the end" `Quick
+        test_run_off_the_end;
+      Alcotest.test_case "chains: trap mid-run, exact pc counts" `Quick
+        test_trap_mid_run_counts;
       Alcotest.test_case "checker: clobber behind jal and jalr" `Quick
         test_checker_call_clobber;
       Alcotest.test_case "checker: clobber on one branch" `Quick
