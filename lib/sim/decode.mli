@@ -6,26 +6,26 @@
     and a per-pc procedure-meta index.  It also proves, from the code
     alone, which registers each procedure's activation may write, and
     keeps of each preserved-register contract only the registers that can
-    change.  Decode records, for each pc, the length of its chain: the
-    straight-line instructions from it up to and including the first [b]
-    or [j], stopping short of a [halt], a call, a return or a poison
-    opcode.
+    change.
 
-    [execute] compiles the chains once per run into operand-specialised
-    closures that capture that run's registers, page table and counters,
+    [execute] compiles every pc, once per run, into one operand-specialised
+    closure that captures that run's registers, page table and counters,
     so no two runs share state.  Each closure takes a budget of
-    instructions still allowed and runs the chain until the budget or the
-    chain ends, returning the next pc.  The main loop checks fuel and the
-    pc's range as the reference engine does, budgets each chain to
-    [min len (fuel - cycles)], and itself executes only [halt], calls,
-    returns and the poison opcodes.  Cycles are therefore exact wherever
-    they are observed: at every call and return hook, at a fuel trap
-    (which names the exact pc), and in the outcome.  Per-pc counts are
-    bumped by each closure before it executes, so they stay exact after a
-    trap.  The contract checker is allocation-free and covers the pruned
-    contracts; memory is paged, so a run allocates only the pages it
-    stores to.  Behaviourally identical to {!Sim.run_reference}, which the
-    differential test suite enforces. *)
+    instructions still allowed, executes its instruction, and tail-calls
+    the closure of the next pc — through branches, jumps, calls and
+    returns — until the budget is spent, [halt] or a poison opcode is
+    reached, or control leaves the code; it then returns that pc and
+    leaves its unspent budget in one cell.  The main loop checks fuel and
+    the pc's range as the reference engine does, executes [halt] and the
+    poison opcodes, and enters every other pc with a budget of
+    [fuel - cycles].  Calls and returns run inside their closures with the
+    exact cycle count, so cycles are exact wherever they are observed: at
+    every call and return hook, at a fuel trap (which names the exact pc),
+    and in the outcome.  Per-pc counts are bumped by each closure before
+    it executes, so they stay exact after a trap.  The contract checker is
+    allocation-free and covers the pruned contracts; memory is paged, so a
+    run allocates only the pages it stores to.  Behaviourally identical to
+    {!Sim.run_reference}, which the differential test suite enforces. *)
 
 exception Runtime_error of string
 

@@ -19,9 +19,10 @@
 
     Two engines implement the same semantics.  {!run} is the pre-decoded
     threaded engine ({!Decode}): a one-time pass specializes the program
-    into a flat int-coded array, each run compiles its straight-line runs
-    into chains of operand-specialised closures driven under an
-    instruction budget (so fuel traps and cycle counts stay exact), and
+    into a flat int-coded array, each run compiles every pc into an
+    operand-specialised closure that tail-calls the next pc's, through
+    branches, calls and returns, under an instruction budget (so fuel
+    traps and cycle counts stay exact), and
     the pass proves statically which preserved registers each procedure's
     activation may write, so its allocation-free contract checker
     snapshots and compares only those; its memory is paged, so a run

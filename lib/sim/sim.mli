@@ -51,14 +51,14 @@ val default_fuel : int
 
     This is the pre-decoded threaded engine ({!Decode}): the program is
     specialized once into a flat int-coded array, and each run compiles
-    every straight-line run, up to its branch or jump, into a chain of
-    operand-specialised closures that a main loop drives under a budget of
-    instructions, so fuel and cycle counts stay exact.  Calls and returns
-    run in the loop, through an allocation-free contract checker that
-    checks only the preserved registers decode finds some reachable
-    instruction may write (the others cannot change, so the verdicts are
-    those of the full check).  The decode pass and the chain build run on
-    every call and are amortized over the execution. *)
+    every pc into an operand-specialised closure that tail-calls the
+    closure of the next pc, through branches, calls and returns, under a
+    budget of instructions, so fuel and cycle counts stay exact.  Calls
+    and returns go through an allocation-free contract checker that checks
+    only the preserved registers decode finds some reachable instruction
+    may write (the others cannot change, so the verdicts are those of the
+    full check).  The decode pass and the closure build run on every call
+    and are amortized over the execution. *)
 val run :
   ?fuel:int ->
   ?mem_words:int ->

@@ -32,17 +32,21 @@ let same name (r : Sim.outcome) (d : Sim.outcome) =
   Alcotest.(check (list (pair string int)))
     (name ^ ": proc cycles") r.Sim.proc_cycles d.Sim.proc_cycles
 
-(** [agree ?fuel ?mem_words name prog] runs both engines with profiling off,
-    then on, and insists on identical outcomes each time (output, cycles,
-    calls, every traffic counter, block profiles and per-procedure cycles)
-    or the very same [Runtime_error] message.  It returns the decoded
-    engine's profiled result. *)
-let agree ?fuel ?mem_words name prog =
+(** [agree ?fuel ?mem_words ?check name prog] runs both engines with
+    profiling off, then on, and insists on identical outcomes each time
+    (output, cycles, calls, every traffic counter, block profiles and
+    per-procedure cycles) or the very same [Runtime_error] message.
+    [check] (default true) arms or disarms both engines' contract checker.
+    It returns the decoded engine's profiled result. *)
+let agree ?fuel ?mem_words ?check name prog =
   let run profile =
     let name = Printf.sprintf "%s (profile %b)" name profile in
-    let decoded = capture (fun () -> Sim.run ?fuel ?mem_words ~profile prog) in
+    let decoded =
+      capture (fun () -> Sim.run ?fuel ?mem_words ?check ~profile prog)
+    in
     let reference =
-      capture (fun () -> Sim.run_reference ?fuel ?mem_words ~profile prog)
+      capture (fun () ->
+          Sim.run_reference ?fuel ?mem_words ?check ~profile prog)
     in
     (match (decoded, reference) with
     | Ok d, Ok r -> same name r d

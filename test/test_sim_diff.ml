@@ -7,7 +7,10 @@
     per-tag load/store counter, block profiles and per-procedure cycles.
     A second group runs each workload at -O3+sw with fuel one short of
     its cycle count, equal to it and one past it: the first must trap
-    with the reference's exact message, the others complete.
+    with the reference's exact message, the others complete.  A third
+    holds the cycle counts the call-path hooks receive to the reference
+    engine's fuel traps, and a fourth runs one program of over 20 M
+    cycles on a small OCaml stack.
 
     This is its own test executable (see test/dune) so plain
     [dune runtest] always exercises the engine equivalence even when the
@@ -15,8 +18,12 @@
 
 module Config = Chow_compiler.Config
 module Pipeline = Chow_compiler.Pipeline
+module Decode = Chow_sim.Decode
 module Sim = Chow_sim.Sim
 module W = Chow_workloads.Workloads
+
+let compile_o3_sw source =
+  Pipeline.program (Pipeline.compile_source Config.o3_sw (Pipeline.Src source))
 
 let check_agree name (prog : Chow_codegen.Asm.program) =
   match Engines.agree name prog with
@@ -42,10 +49,7 @@ let test_workload (w : W.t) () =
          Chow_core.Allocator.all)
 
 let test_fuel_edges (w : W.t) () =
-  let prog =
-    Pipeline.program
-      (Pipeline.compile_source Config.o3_sw (Pipeline.Src w.W.source))
-  in
+  let prog = compile_o3_sw w.W.source in
   let cycles = (Sim.run prog).Sim.cycles in
   List.iter
     (fun fuel ->
@@ -56,6 +60,100 @@ let test_fuel_edges (w : W.t) () =
         (Printf.sprintf "%s: fuel %d completes" w.W.name fuel)
         (fuel >= cycles) (Result.is_ok r))
     [ cycles - 1; cycles; cycles + 1 ]
+
+(* The first 200 calls and 200 returns of a run, each with the cycle
+   count its hook received and the pc control moves to: the callee entry,
+   or the return address of the call it matches. *)
+let hook_events prog =
+  let events = ref [] and ncalls = ref 0 and nreturns = ref 0 in
+  let sites = Stack.create () in
+  let hooks =
+    {
+      Decode.h_call =
+        (fun ~site ~target ~cycles ~contract_saves:_ ~contract_restores:_
+             ~call_saves:_ ~call_restores:_ ->
+          Stack.push site sites;
+          if !ncalls < 200 then begin
+            incr ncalls;
+            events := ("call", cycles, target) :: !events
+          end);
+      h_return =
+        (fun ~cycles ~contract_saves:_ ~contract_restores:_ ~call_saves:_
+             ~call_restores:_ ->
+          let ret = Stack.pop sites + 1 in
+          if !nreturns < 200 then begin
+            incr nreturns;
+            events := ("return", cycles, ret) :: !events
+          end);
+    }
+  in
+  ignore (Decode.execute ~hooks (Decode.decode prog));
+  List.rev !events
+
+(* A hook's [cycles] counts the call or return itself, so the reference
+   engine given exactly that much fuel runs out right after the transfer,
+   and its trap names the pc control moved to. *)
+let test_hook_cycles name () =
+  let w = List.find (fun w -> w.W.name = name) W.all in
+  let prog = compile_o3_sw w.W.source in
+  let events = hook_events prog in
+  Alcotest.(check bool)
+    (name ^ ": 200 calls and 200 returns seen")
+    true
+    (List.length events = 400);
+  List.iter
+    (fun (kind, cycles, pc) ->
+      let what = Printf.sprintf "%s: %s at cycle %d" name kind cycles in
+      let prefix =
+        Printf.sprintf "out of fuel after %d cycles (pc %d, " cycles pc
+      in
+      match Engines.capture (fun () -> Sim.run_reference ~fuel:cycles prog) with
+      | Ok _ -> Alcotest.failf "%s: the reference run completed" what
+      | Error m ->
+          Alcotest.(check string)
+            what prefix
+            (String.sub m 0 (min (String.length m) (String.length prefix))))
+    events
+
+(* 1.25 M iterations of a loop around a call: straight-line code, taken
+   and untaken branches, a call and a return, over 21 M cycles.  Every
+   transfer between closures is a tail call, so the run needs no OCaml
+   stack in proportion to its length.  It runs in a fresh domain, whose
+   stack starts small, with the stack limit cut to 1 M words (8 MB), so
+   a closure that called the next one and then returned would overflow
+   it.  (The runner's own stack may already have grown past the limit.) *)
+let long_run =
+  {|
+proc step(x, i) {
+  if (i % 3 == 0) { return x + i; }
+  return (x * 7 + i) % 1000003;
+}
+proc main() {
+  var i = 0;
+  var s = 1;
+  while (i < 1250000) { s = step(s, i); i = i + 1; }
+  print(s);
+}
+|}
+
+let test_long_run () =
+  let prog = compile_o3_sw long_run in
+  let limit = (Gc.get ()).Gc.stack_limit in
+  let set_limit l = Gc.set { (Gc.get ()) with Gc.stack_limit = l } in
+  set_limit (1 lsl 20);
+  let d =
+    Fun.protect
+      ~finally:(fun () -> set_limit limit)
+      (fun () ->
+        Domain.join (Domain.spawn (fun () -> Engines.agree "long run" prog)))
+  in
+  match d with
+  | Error e -> Alcotest.failf "long run trapped: %s" e
+  | Ok d ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%d cycles, over 20 M" d.Sim.cycles)
+        true
+        (d.Sim.cycles > 20_000_000)
 
 let () =
   Alcotest.run "sim-diff"
@@ -68,4 +166,11 @@ let () =
         List.map
           (fun w -> Alcotest.test_case w.W.name `Quick (test_fuel_edges w))
           W.all );
+      ( "hooks see exact cycles",
+        List.map
+          (fun name -> Alcotest.test_case name `Quick (test_hook_cycles name))
+          [ "nim"; "dhrystone"; "calcc" ] );
+      ( "long run",
+        [ Alcotest.test_case "loop and call, 21 M cycles" `Quick test_long_run ]
+      );
     ]
