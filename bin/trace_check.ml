@@ -96,7 +96,7 @@ let read_file path =
   close_in ic;
   s
 
-let required_spans = [ "lex"; "parse"; "lower"; "allocate"; "color"; "sim" ]
+let required_spans = [ "parse"; "lower"; "allocate"; "color"; "sim" ]
 
 let required_counters =
   [ "color.ranges"; "dataflow.worklist_pops"; "sim.cycles" ]

@@ -35,10 +35,14 @@ let lookup env name = Hashtbl.find_opt env.table name
 
 type scope = { mutable names : string list; parent : scope option }
 
+let rec mem_name name = function
+  | [] -> false
+  | x :: rest -> String.equal x name || mem_name name rest
+
 let rec in_scope scope name =
   match scope with
   | None -> false
-  | Some s -> List.mem name s.names || in_scope s.parent name
+  | Some s -> mem_name name s.names || in_scope s.parent name
 
 let check_proc env (p : Ast.proc_decl) =
   let dups =

@@ -13,11 +13,15 @@ module Verify = Chow_ir.Verify
 
 type scope = { mutable bindings : (string * Ir.vreg) list; parent : scope option }
 
+let rec assoc_name name = function
+  | [] -> None
+  | (x, v) :: rest -> if String.equal x name then Some v else assoc_name name rest
+
 let rec lookup_local scope name =
   match scope with
   | None -> None
   | Some s -> (
-      match List.assoc_opt name s.bindings with
+      match assoc_name name s.bindings with
       | Some v -> Some v
       | None -> lookup_local s.parent name)
 

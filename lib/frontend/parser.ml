@@ -4,15 +4,18 @@
 
     Expression grammar, loosest to tightest:
     or-expr > and-expr > comparison > additive > multiplicative > unary
-    > primary. *)
+    > primary.
+
+    The parser pulls tokens from a {!Lexer.t} cursor one at a time, so
+    lexing runs inside the [parse] span and no token list is built. *)
 
 exception Error of string * int
 
-type state = { toks : (Token.t * int) array; mutable pos : int }
+type state = Lexer.t
 
-let peek st = fst st.toks.(st.pos)
-let line st = snd st.toks.(st.pos)
-let advance st = st.pos <- st.pos + 1
+let peek (st : state) = st.Lexer.tok
+let line (st : state) = st.Lexer.tok_line
+let advance = Lexer.next
 
 let error st fmt =
   Format.kasprintf (fun msg -> raise (Error (msg, line st))) fmt
@@ -192,7 +195,7 @@ let rec parse_stmt st : Ast.stmt =
       Ast.Sprint e
   | Token.IDENT name -> (
       (* assignment, array store, or expression statement *)
-      match fst st.toks.(st.pos + 1) with
+      match Lexer.peek2 st with
       | Token.ASSIGN ->
           advance st;
           advance st;
@@ -202,7 +205,7 @@ let rec parse_stmt st : Ast.stmt =
       | Token.LBRACKET -> (
           (* could be [g[e] = e2;] or an expression statement starting with
              an index; look for the assignment after the bracketed index *)
-          let save = st.pos in
+          let save = Lexer.mark st in
           advance st;
           advance st;
           let idx = parse_expr st in
@@ -214,7 +217,7 @@ let rec parse_stmt st : Ast.stmt =
               expect st Token.SEMI;
               Ast.Sstore (name, idx, e)
           | _ ->
-              st.pos <- save;
+              Lexer.reset st save;
               let e = parse_expr st in
               expect st Token.SEMI;
               Ast.Sexpr e)
@@ -308,14 +311,17 @@ let parse_top st : Ast.top =
       error st "expected top-level declaration but found %s"
         (Token.to_string t)
 
-(** [parse src] lexes and parses a full compilation unit. *)
+(** [parse src] lexes and parses a full compilation unit.  A lexical
+    error anywhere in the unit wins over a syntax error: before a
+    {!Error} leaves, the rest of the unit is lexed, so a malformed token
+    after the syntax error raises {!Lexer.Error} instead. *)
 let parse src : Ast.program =
-  let toks =
-    Chow_obs.Event.span "lex" (fun () -> Array.of_list (Lexer.tokenize src))
-  in
   Chow_obs.Event.span "parse" (fun () ->
-      let st = { toks; pos = 0 } in
+      let st = Lexer.create src in
       let rec go acc =
         if peek st = Token.EOF then List.rev acc else go (parse_top st :: acc)
       in
-      go [])
+      try go []
+      with Error _ as e ->
+        while peek st <> Token.EOF do advance st done;
+        raise e)

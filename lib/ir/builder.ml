@@ -68,13 +68,16 @@ let current_label t = t.current
 
 let emit t inst =
   let b = t.blocks.(t.current) in
-  if b.pterm = None then b.rev_insts <- inst :: b.rev_insts
-  (* emitting into a sealed block means the code is unreachable (e.g. a
-     statement after [return]); drop it. *)
+  match b.pterm with
+  | None -> b.rev_insts <- inst :: b.rev_insts
+  | Some _ ->
+      (* emitting into a sealed block means the code is unreachable (e.g.
+         a statement after [return]); drop it. *)
+      ()
 
 let terminate t term =
   let b = t.blocks.(t.current) in
-  if b.pterm = None then b.pterm <- Some term
+  match b.pterm with None -> b.pterm <- Some term | Some _ -> ()
 
 let is_terminated t = (t.blocks.(t.current)).pterm <> None
 

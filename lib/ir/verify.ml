@@ -1,6 +1,7 @@
-(** Structural sanity checks on IR procedures and programs.  Run by tests
-    and by the pipeline in debug mode; raises [Ill_formed] with a message
-    naming the offending procedure. *)
+(** Structural sanity checks on IR procedures and programs.  Run on every
+    compile, not only in tests: [Lower.lower_program] checks each unit it
+    lowers and [Split.apply] each procedure it splits.  Raises
+    [Ill_formed] with a message naming the offending procedure. *)
 
 exception Ill_formed of string
 
@@ -17,7 +18,7 @@ let check_proc (p : Ir.proc) =
     if l < 0 || l >= n then fail p "label L%d out of range" l
   in
   List.iter check_vreg p.params;
-  let sorted = List.sort_uniq compare p.params in
+  let sorted = List.sort_uniq Int.compare p.params in
   if List.length sorted <> List.length p.params then
     fail p "duplicate parameter vregs";
   if Array.length p.vreg_kinds <> p.nvregs then
@@ -28,10 +29,10 @@ let check_proc (p : Ir.proc) =
       if b.Ir.id <> l then fail p "block at index %d has id %d" l b.Ir.id;
       List.iter
         (fun i ->
-          List.iter check_vreg (Ir.inst_defs i);
-          List.iter check_vreg (Ir.inst_uses i))
+          Ir.iter_inst_defs check_vreg i;
+          Ir.iter_inst_uses check_vreg i)
         b.Ir.insts;
-      List.iter check_vreg (Ir.term_uses b.Ir.term);
+      Ir.iter_term_uses check_vreg b.Ir.term;
       List.iter check_label (Ir.successors b.Ir.term))
     p.blocks
 
@@ -46,7 +47,8 @@ let check_prog (prog : Ir.prog) =
   | d :: _ -> raise (Ill_formed ("duplicate procedure " ^ d))
   | [] -> ());
   let known nm =
-    List.mem nm names || List.mem nm prog.externs
+    List.exists (String.equal nm) names
+    || List.exists (String.equal nm) prog.externs
   in
   List.iter
     (fun p ->

@@ -14,7 +14,12 @@
     [bench_counts.txt] pins the paper's exact dynamic counts the same way,
     one [<row> <value>] line per count: executed saves and restores per
     workload and configuration, what a [--pgo] rebuild removes, and the
-    [--alloc] strategy matrix. *)
+    [--alloc] strategy matrix.
+
+    [token_digests.txt] pins the front end's token stream: one MD5 per
+    workload over its [Lexer.tokenize] [(token, line)] pairs, so a change
+    to how the lexer scans leaves every token and every line number as it
+    was. *)
 
 module Config = Chow_compiler.Config
 module Pipeline = Chow_compiler.Pipeline
@@ -23,7 +28,9 @@ module Asm = Chow_codegen.Asm
 module Coloring = Chow_core.Coloring
 module Objfile = Chow_codegen.Objfile
 module Protocol = Chow_server.Protocol
+module Lexer = Chow_frontend.Lexer
 module Lower = Chow_frontend.Lower
+module Token = Chow_frontend.Token
 module Profile = Chow_sim.Profile
 module Sim = Chow_sim.Sim
 module W = Chow_workloads.Workloads
@@ -139,6 +146,27 @@ let explain_suite =
   digest_suite ~name:"explain-digests" ~base:"explain_digests"
     ~total:(List.length W.all * List.length Config.all)
     ~cases:(per_workload explanations)
+
+(* one digest per workload over its token stream, one "<line> <token>"
+   row per token; identifiers and literals are tagged so no spelling can
+   stand for a keyword *)
+let tokens (w : W.t) =
+  let buf = Buffer.create 65536 in
+  List.iter
+    (fun (t, line) ->
+      let text =
+        match t with
+        | Token.IDENT s -> "id:" ^ s
+        | Token.INT n -> "int:" ^ string_of_int n
+        | t -> Token.to_string t
+      in
+      Printf.bprintf buf "%d %s\n" line text)
+    (Lexer.tokenize w.W.source);
+  [ (w.W.name, Digest.to_hex (Digest.string (Buffer.contents buf))) ]
+
+let token_suite =
+  digest_suite ~name:"token-digests" ~base:"token_digests"
+    ~total:(List.length W.all) ~cases:(per_workload tokens)
 
 (* ----- the paper's exact dynamic counts ----- *)
 

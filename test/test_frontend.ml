@@ -159,6 +159,105 @@ let test_parser_errors () =
   expect_error "var;";
   expect_error "proc f() { return 1 + ; }"
 
+(* ----- diagnostics: phase, message and line ----- *)
+
+let check_diag what src ~phase ~line message =
+  match Diag.catch (fun () -> Parser.parse src) with
+  | Ok _ -> Alcotest.failf "%s: expected a diagnostic" what
+  | Error e ->
+      Alcotest.(check string) (what ^ ": phase") (Diag.phase_name phase)
+        (Diag.phase_name e.Diag.phase);
+      Alcotest.(check string) (what ^ ": message") message e.Diag.message;
+      Alcotest.(check int) (what ^ ": line") line e.Diag.line
+
+(* a lexical error anywhere in the unit wins over an earlier syntax error *)
+let test_diag_lex_after_syntax () =
+  check_diag "stray character"
+    "proc main() {\n  print(1 +);\n  var x = 2 $ 3;\n}\n"
+    ~phase:Diag.Lex ~line:3 "unexpected character '$'";
+  check_diag "unterminated comment"
+    "proc main() {\n  return (;\n}\n/* never\nclosed\n"
+    ~phase:Diag.Lex ~line:6 "unterminated comment";
+  check_diag "out-of-range literal"
+    "proc main() { return ; }\nproc f() { return 99999999999999999999; }"
+    ~phase:Diag.Lex ~line:2 "integer literal out of range";
+  check_diag "syntax error alone"
+    "proc main() {\n  print(1 +);\n}\n"
+    ~phase:Diag.Parse ~line:2 "expected expression but found )"
+
+(* [g[i] ...] is parsed once as a store target, then again from the
+   saved cursor as an expression statement *)
+let test_diag_mark_reset () =
+  (match
+     Parser.parse
+       "var g[4];\nproc main() {\n  var i = 1;\n  g[i] + 1;\n  g[i] = 2;\n}"
+   with
+  | [
+   _;
+   Ast.Dproc
+     {
+       p_body =
+         [
+           Ast.Slocal _;
+           Ast.Sexpr
+             (Ast.Binop (Ast.Add, Ast.Index ("g", Ast.Var "i"), Ast.Int 1));
+           Ast.Sstore ("g", Ast.Var "i", Ast.Int 2);
+         ];
+       _;
+     };
+  ] ->
+      ()
+  | _ -> Alcotest.fail "g[i] + 1 then g[i] = 2");
+  check_diag "error after reset"
+    "var g[4];\nproc main() {\n  g[1]\n  + ;\n}"
+    ~phase:Diag.Parse ~line:4 "expected expression but found ;";
+  check_diag "error inside the index"
+    "var g[4];\nproc main() {\n  g[1 = 2;\n}"
+    ~phase:Diag.Parse ~line:3 "expected ] but found =";
+  check_diag "lex error after reset"
+    "var g[4];\nproc main() {\n  g[1] + @;\n}"
+    ~phase:Diag.Lex ~line:3 "unexpected character '@'"
+
+let test_diag_ident_last () =
+  Alcotest.(check bool)
+    "tokens" true
+    (Lexer.tokenize "x" = Token.[ (IDENT "x", 1); (EOF, 1) ]);
+  check_diag "statement" "proc main() {\n  x" ~phase:Diag.Parse ~line:2
+    "expected ; but found <eof>";
+  check_diag "global" "var g\n" ~phase:Diag.Parse ~line:2
+    "expected ; but found <eof>";
+  check_diag "top level" "\n\nx" ~phase:Diag.Parse ~line:3
+    "expected top-level declaration but found x"
+
+let test_diag_after_block_comment () =
+  check_diag "syntax" "/* one\n   two\n   three */ proc main() {\n  print(1)\n}"
+    ~phase:Diag.Parse ~line:5 "expected ; but found }";
+  check_diag "lexical" "/*\n\n*/\nproc main() { print(#); }" ~phase:Diag.Lex
+    ~line:4 "unexpected character '#'";
+  Alcotest.(check (list int))
+    "token lines" [ 3; 4; 4 ]
+    (List.map snd (Lexer.tokenize "// a\n/* b\n */ x\n y"))
+
+(* the front end allocates only short-lived values: with a minor heap
+   larger than a unit's allocation, no call on the way from source to IR
+   forces a minor collection (building an array over 256 words from young
+   values does) *)
+let test_frontend_no_forced_minor_gc () =
+  let saved = Gc.get () in
+  Fun.protect
+    ~finally:(fun () -> Gc.set saved)
+    (fun () ->
+      Gc.set { saved with Gc.minor_heap_size = 1 lsl 20 };
+      List.iter
+        (fun (w : Chow_workloads.Workloads.t) ->
+          Gc.minor ();
+          let before = (Gc.quick_stat ()).Gc.minor_collections in
+          ignore (Lower.compile_unit w.Chow_workloads.Workloads.source);
+          Alcotest.(check int)
+            (w.Chow_workloads.Workloads.name ^ ": minor collections")
+            before (Gc.quick_stat ()).Gc.minor_collections)
+        Chow_workloads.Workloads.all)
+
 let check_error src =
   match Lower.compile_unit src with
   | _ -> Alcotest.failf "expected semantic error"
@@ -265,6 +364,16 @@ let suite =
       Alcotest.test_case "parser array store vs expr" `Quick
         test_parser_array_vs_expr_stmt;
       Alcotest.test_case "parser errors" `Quick test_parser_errors;
+      Alcotest.test_case "diagnostics: lexical error wins" `Quick
+        test_diag_lex_after_syntax;
+      Alcotest.test_case "diagnostics: mark and reset" `Quick
+        test_diag_mark_reset;
+      Alcotest.test_case "diagnostics: identifier last" `Quick
+        test_diag_ident_last;
+      Alcotest.test_case "diagnostics: after a block comment" `Quick
+        test_diag_after_block_comment;
+      Alcotest.test_case "front end forces no minor collection" `Quick
+        test_frontend_no_forced_minor_gc;
       Alcotest.test_case "semantic errors" `Quick test_check_errors;
       Alcotest.test_case "nested shadowing" `Quick test_check_shadowing_ok;
       Alcotest.test_case "zero initialisation" `Quick test_lower_zero_init;

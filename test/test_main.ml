@@ -31,6 +31,7 @@ let () =
       Test_alloc_strategies.suite;
       Test_code_digests.suite;
       Test_code_digests.explain_suite;
+      Test_code_digests.token_suite;
       Test_code_digests.bench_suite;
       Test_code_digests.artifact_suite;
       Test_parallel.suite;

@@ -118,7 +118,6 @@ let test_trace_pipeline () =
         (Printf.sprintf "phase %s present" phase)
         true (List.mem phase names))
     [
-      "lex";
       "parse";
       "lower";
       "layout";
