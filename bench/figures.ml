@@ -4,13 +4,11 @@
     small program (or a hand-built CFG) plus measurements demonstrating the
     phenomenon the figure illustrates. *)
 
-module Bitset = Chow_support.Bitset
 module Ir = Chow_ir.Ir
 module Builder = Chow_ir.Builder
 module Cfg = Chow_ir.Cfg
 module Dom = Chow_ir.Dom
 module Loops = Chow_ir.Loops
-module Dataflow = Chow_ir.Dataflow
 module Machine = Chow_machine.Machine
 module Shrinkwrap = Chow_core.Shrinkwrap
 module Alloc_types = Chow_core.Alloc_types
@@ -150,15 +148,15 @@ let naive_placement cfg app reg =
   let ant = Shrinkwrap.solve_ant cfg app in
   let av = Shrinkwrap.solve_av cfg app in
   let save =
-    Shrinkwrap.compute_save cfg ~antin:ant.Dataflow.live_in
-      ~avin:av.Dataflow.live_in
+    Shrinkwrap.compute_save cfg ~antin:ant.Shrinkwrap.ins
+      ~avin:av.Shrinkwrap.ins
   in
   let restore =
-    Shrinkwrap.compute_restore cfg ~avout:av.Dataflow.live_out
-      ~antout:ant.Dataflow.live_out
+    Shrinkwrap.compute_restore cfg ~avout:av.Shrinkwrap.outs
+      ~antout:ant.Shrinkwrap.outs
   in
   let blocks_of arr =
-    List.filter (fun l -> Bitset.mem arr.(l) reg)
+    List.filter (fun l -> Machine.mask_mem arr.(l) reg)
       (List.init cfg.Cfg.nblocks (fun l -> l))
   in
   (blocks_of save, blocks_of restore)
@@ -176,9 +174,7 @@ let pp_placed ppf placed =
 
 let mk_app nblocks reg use_blocks =
   Array.init nblocks (fun l ->
-      let s = Bitset.create Machine.nregs in
-      if List.mem l use_blocks then Bitset.set s reg;
-      s)
+      if List.mem l use_blocks then Machine.mask_of_list [ reg ] else 0)
 
 let fig2 () =
   section "Figure 2: dependence on the form of control flow";
@@ -201,7 +197,7 @@ let fig2 () =
      is balanced here — the mutual SAVE/RESTORE dependence of the paper's@.\
      footnote.  The balance checker confirms:@.";
   let app = mk_app (Ir.nblocks p) reg use_blocks in
-  let placement = Shrinkwrap.compute cfg loops ~app [ reg ] in
+  let placement = Shrinkwrap.place cfg loops ~app [ reg ] in
   Format.printf
     "    final placement (%d round(s)): saves %a, restores %a@.@."
     placement.Shrinkwrap.iterations pp_placed placement.Shrinkwrap.save_at
@@ -221,7 +217,7 @@ let fig2 () =
   Format.printf
     "    -> the path L0-L4-L2 reaches the use in L2 with no save active@.";
   let app = mk_app (Ir.nblocks p) reg use_blocks in
-  let placement = Shrinkwrap.compute cfg loops ~app [ reg ] in
+  let placement = Shrinkwrap.place cfg loops ~app [ reg ] in
   Format.printf
     "    after APP range extension (%d round(s)): saves %a, restores %a@."
     placement.Shrinkwrap.iterations pp_placed placement.Shrinkwrap.save_at

@@ -366,7 +366,7 @@ let compile_cmd =
                 res.Alloc.r_assignment;
               (match Usage.find alloc.Ipra.usage name with
               | Some info ->
-                  Format.printf "mask: %a@," Machine.Set.pp info.Usage.mask
+                  Format.printf "mask: %a@," Machine.pp_mask info.Usage.mask
               | None -> ());
               Format.printf "@]@.")
             alloc.Ipra.results)
@@ -562,7 +562,7 @@ let callgraph_cmd =
               (String.concat ", " callees);
             match Usage.find alloc.Ipra.usage name with
             | Some info ->
-                Format.printf "  mask: %a@." Machine.Set.pp info.Usage.mask
+                Format.printf "  mask: %a@." Machine.pp_mask info.Usage.mask
             | None -> ())
           (Callgraph.processing_order cg))
       (Pipeline.allocs compiled)

@@ -79,7 +79,7 @@ let () =
           Format.printf "@[<v 2>%s — %s@," name why_open;
           (match Usage.find alloc.Ipra.usage name with
           | Some info ->
-              Format.printf "publishes mask %a@," Machine.Set.pp
+              Format.printf "publishes mask %a@," Machine.pp_mask
                 info.Usage.mask;
               Format.printf "expects parameters in: %a@,"
                 (Format.pp_print_list

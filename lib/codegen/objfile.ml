@@ -9,7 +9,6 @@
 
 module Ir = Chow_ir.Ir
 module Machine = Chow_machine.Machine
-module Bitset = Chow_support.Bitset
 module Usage = Chow_core.Usage
 module Alloc_types = Chow_core.Alloc_types
 module Wire = Chow_support.Wire
@@ -225,8 +224,8 @@ let get_param_loc r =
   | n -> corrupt "unknown param-loc kind %d" n
 
 let put_usage buf (u : Usage.info) =
-  Wire.put_uint buf (Bitset.length u.Usage.mask);
-  Wire.put_list buf Wire.put_uint (Bitset.elements u.Usage.mask);
+  Wire.put_uint buf Machine.nregs;
+  Wire.put_list buf Wire.put_uint (Machine.regs_of_mask u.Usage.mask);
   Wire.put_list buf put_param_loc u.Usage.param_locs
 
 let get_usage r : Usage.info =
@@ -234,7 +233,7 @@ let get_usage r : Usage.info =
   if cap <> Machine.nregs then corrupt "usage mask capacity %d" cap;
   let elems = Wire.get_list r Wire.get_uint in
   List.iter (fun e -> if e >= cap then corrupt "mask bit %d out of range" e) elems;
-  let mask = Bitset.of_list cap elems in
+  let mask = Machine.mask_of_list elems in
   let param_locs = Wire.get_list r get_param_loc in
   { Usage.mask; param_locs }
 
@@ -298,14 +297,15 @@ let get_payload r : t =
 (* ----- derived info and cross-checks ----- *)
 
 let externs_of_procs (procs : Asm.proc_code list) : string list =
-  let defined = List.map (fun p -> p.Asm.pc_name) procs in
+  let defined = Hashtbl.create 16 in
+  List.iter (fun p -> Hashtbl.replace defined p.Asm.pc_name ()) procs;
   let refs = Hashtbl.create 16 in
   List.iter
     (fun p ->
       List.iter
         (function
           | Asm.Inst (Asm.Jal f) | Asm.Inst (Asm.Lproc (_, f)) ->
-              if not (List.mem f defined) then Hashtbl.replace refs f ()
+              if not (Hashtbl.mem defined f) then Hashtbl.replace refs f ()
           | Asm.Inst _ | Asm.Label _ -> ())
         p.Asm.pc_items)
     procs;

@@ -36,6 +36,8 @@ type mode = {
   usage : Usage.table;
 }
 
+let rec popcount m = if m = 0 then 0 else 1 + popcount (m land (m - 1))
+
 let intra_mode ~shrinkwrap =
   { ipra = false; shrinkwrap; is_open = true; usage = Usage.create_table () }
 
@@ -59,11 +61,11 @@ type analysis = {
   honor_contract : bool;
       (** must this procedure preserve the callee-saved contract? *)
   usage : Usage.table;  (** the table consulted (empty when not IPRA) *)
-  site_clobber : Bitset.t array;
-      (** per call site: registers the callee may modify *)
+  site_clobber : int array;
+      (** per call site: mask of the registers the callee may modify *)
   site_arg_locs : param_loc list array;
       (** per call site: argument destinations under the callee's convention *)
-  callee_clobbers : Machine.Set.t;  (** union of [site_clobber] *)
+  callee_clobbers : int;  (** union of [site_clobber] *)
 }
 
 let analyze ?weights (config : Machine.config) (mode : mode) (p : Ir.proc) =
@@ -101,8 +103,7 @@ let analyze ?weights (config : Machine.config) (mode : mode) (p : Ir.proc) =
       lr.Liverange.call_sites
   in
   (* union of everything our callees may clobber *)
-  let callee_clobbers = Machine.Set.empty () in
-  Array.iter (Bitset.union_into callee_clobbers) site_clobber;
+  let callee_clobbers = Array.fold_left ( lor ) 0 site_clobber in
   {
     cfg;
     dom;
@@ -126,59 +127,60 @@ let finish (config : Machine.config) (mode : mode) (p : Ir.proc)
   in
   let honor_contract = a.honor_contract in
   (* ----- contract registers and save/restore placement ----- *)
-  let own_assigned = Machine.Set.empty () in
-  Array.iter
-    (function Lreg r -> Bitset.set own_assigned r | Lstack -> ())
-    assignment;
+  (* register sets are immediate masks ([Machine.nregs] fits an int) *)
+  let own_assigned =
+    Array.fold_left
+      (fun m loc -> match loc with Lreg r -> m lor (1 lsl r) | Lstack -> m)
+      0 assignment
+  in
   let candidates =
     List.filter
-      (fun r -> Bitset.mem own_assigned r || Bitset.mem callee_clobbers r)
+      (Machine.mask_mem (own_assigned lor callee_clobbers))
       Machine.callee_saved
   in
+  let candidate_mask = Machine.mask_of_list candidates in
   let has_calls = Array.length lr.Liverange.call_sites > 0 in
   (* APP: blocks where each candidate register carries a protected value *)
-  let app =
-    Array.init (Ir.nblocks p) (fun _ -> Bitset.create Machine.nregs)
-  in
+  let app = Array.make (Ir.nblocks p) 0 in
   Array.iteri
     (fun v loc ->
       match loc with
-      | Lreg r when List.mem r candidates ->
+      | Lreg r when Machine.mask_mem candidate_mask r ->
+          let bit = 1 lsl r in
           Bitset.iter
-            (fun l -> Bitset.set app.(l) r)
+            (fun l -> app.(l) <- app.(l) lor bit)
             lr.Liverange.ranges.(v).Liverange.blocks
       | Lreg _ | Lstack -> ())
     assignment;
   Array.iteri
     (fun cs_id cs ->
       let l = cs.Liverange.cs_block in
-      List.iter
-        (fun r ->
-          if Bitset.mem site_clobber.(cs_id) r then Bitset.set app.(l) r)
-        candidates;
-      if has_calls then Bitset.set app.(l) Machine.ra)
+      app.(l) <-
+        app.(l)
+        lor (site_clobber.(cs_id) land candidate_mask)
+        lor (1 lsl Machine.ra))
     lr.Liverange.call_sites;
   let sw_candidates =
     (if has_calls then [ Machine.ra ] else []) @ candidates
   in
   let placement =
     Event.span "shrinkwrap" (fun () ->
-        if mode.shrinkwrap then Shrinkwrap.compute cfg loops ~app sw_candidates
+        if mode.shrinkwrap then Shrinkwrap.place cfg loops ~app sw_candidates
         else Shrinkwrap.entry_exit_placement cfg sw_candidates)
   in
   (* §6 combining rule: closed procedures propagate a register's
      save/restore to their parents exactly when the save would sit at the
      procedure entry (or always, when shrink-wrap is off). [ra] never
-     propagates: it is meaningful only within the current activation. *)
+     propagates: it is meaningful only within the current activation, and
+     it is not a candidate. *)
   let propagated =
-    if honor_contract then []
-    else if not mode.shrinkwrap then candidates
+    if honor_contract then 0
+    else if not mode.shrinkwrap then candidate_mask
     else
-      List.filter
-        (fun r -> r <> Machine.ra && List.mem r candidates)
-        placement.Shrinkwrap.entry_save
+      Machine.mask_of_list placement.Shrinkwrap.entry_save
+      land candidate_mask
   in
-  let is_propagated r = List.mem r propagated in
+  let is_propagated r = Machine.mask_mem propagated r in
   let save_at =
     List.filter
       (fun (_, r) -> not (is_propagated r))
@@ -198,20 +200,20 @@ let finish (config : Machine.config) (mode : mode) (p : Ir.proc)
   let call_plans = Hashtbl.create 8 in
   Array.iteri
     (fun cs_id cs ->
-      let saves =
-        Bitset.fold
-          (fun v acc ->
-            match assignment.(v) with
-            | Lreg r
-              when Bitset.mem site_clobber.(cs_id) r && not (List.mem r acc)
-              ->
-                r :: acc
-            | Lreg _ | Lstack -> acc)
-          cs.Liverange.cs_live_across []
-      in
+      (* clobbered registers carrying a live-across range, in order of
+         their first vreg; [pending] drops each register once listed *)
+      let pending = ref site_clobber.(cs_id) and saves = ref [] in
+      Bitset.iter
+        (fun v ->
+          match assignment.(v) with
+          | Lreg r when Machine.mask_mem !pending r ->
+              pending := !pending land lnot (1 lsl r);
+              saves := r :: !saves
+          | Lreg _ | Lstack -> ())
+        cs.Liverange.cs_live_across;
       Hashtbl.replace call_plans
         (cs.Liverange.cs_block, cs.Liverange.cs_index)
-        { cp_arg_locs = site_arg_locs.(cs_id); cp_saves = List.rev saves })
+        { cp_arg_locs = site_arg_locs.(cs_id); cp_saves = List.rev !saves })
     lr.Liverange.call_sites;
 
   (* ----- parameter arrival locations ----- *)
@@ -245,9 +247,10 @@ let finish (config : Machine.config) (mode : mode) (p : Ir.proc)
   let info =
     if honor_contract then None
     else begin
-      let mask = Bitset.copy own_assigned in
-      Bitset.union_into mask callee_clobbers;
-      List.iter (fun r -> Bitset.clear mask r) contract_saves;
+      let mask =
+        (own_assigned lor callee_clobbers)
+        land lnot (Machine.mask_of_list contract_saves)
+      in
       Some { Usage.mask; param_locs }
     end
   in
@@ -278,7 +281,7 @@ let finish (config : Machine.config) (mode : mode) (p : Ir.proc)
         Array.fold_left
           (fun acc loc -> match loc with Lreg _ -> acc + 1 | Lstack -> acc)
           0 assignment;
-      s_distinct_regs = Bitset.cardinal own_assigned;
+      s_distinct_regs = popcount own_assigned;
       s_sw_iterations = placement.Shrinkwrap.iterations;
       s_splits = 0;
     }

@@ -8,7 +8,6 @@
     summary.  A strategy (see {!Allocator}) is just the code in
     between. *)
 
-module Bitset := Chow_support.Bitset
 module Machine := Chow_machine.Machine
 
 (** IPRA context of one allocation, shared by every strategy. *)
@@ -43,12 +42,12 @@ type analysis = {
       (** must this procedure preserve the callee-saved contract?
           [(not ipra) || is_open] *)
   usage : Usage.table;  (** the table consulted (empty when not IPRA) *)
-  site_clobber : Bitset.t array;
-      (** per call site: registers the callee may modify *)
+  site_clobber : int array;
+      (** per call site: mask of the registers the callee may modify *)
   site_arg_locs : Alloc_types.param_loc list array;
       (** per call site: argument destinations under the callee's
           convention *)
-  callee_clobbers : Machine.Set.t;  (** union of [site_clobber] *)
+  callee_clobbers : int;  (** union of [site_clobber] *)
 }
 
 (** [analyze ?weights config mode p] runs the strategy-independent

@@ -93,9 +93,7 @@ let vreg_name (p : Ir.proc) v =
   | Ir.Vparam (n, _) -> n ^ " (param)"
   | Ir.Vtemp -> "_"
 
-(* register sets as immediate masks: [nregs] fits an OCaml int *)
-let mask_of (s : Machine.Set.t) = Bitset.fold (fun r m -> m lor (1 lsl r)) s 0
-let callee_saved_mask = mask_of (Machine.Set.of_list Machine.callee_saved)
+let callee_saved_mask = Machine.mask_of_list Machine.callee_saved
 
 let allocate_once ?weights ?explain (config : Machine.config) (mode : mode)
     (p : Ir.proc) =
@@ -105,11 +103,7 @@ let allocate_once ?weights ?explain (config : Machine.config) (mode : mode)
   let explained = ref [] in
 
   (* ----- per-procedure tables ----- *)
-  let site_regs =
-    Array.map
-      (fun s -> Array.of_list (Bitset.elements s))
-      a.Alloc_shared.site_clobber
-  in
+  let site_clobber = a.Alloc_shared.site_clobber in
   (* the callee's argument register per (site, position), or -1 *)
   let site_arg_reg =
     Array.map
@@ -127,7 +121,7 @@ let allocate_once ?weights ?explain (config : Machine.config) (mode : mode)
            match cs.Liverange.cs_target with
            | Ir.Direct f -> (
                match Usage.find usage f with
-               | Some info -> m lor mask_of info.Usage.mask
+               | Some info -> m lor info.Usage.mask
                | None -> m)
            | Ir.Indirect _ -> m)
          0 sites)
@@ -137,7 +131,7 @@ let allocate_once ?weights ?explain (config : Machine.config) (mode : mode)
      clobbers (the contract pays for those anyway) *)
   let contract_free =
     if honor_contract then
-      callee_saved_mask land lnot (mask_of a.Alloc_shared.callee_clobbers)
+      callee_saved_mask land lnot a.Alloc_shared.callee_clobbers
     else 0
   in
   let callee_saved_in_use = ref 0 in
@@ -178,11 +172,13 @@ let allocate_once ?weights ?explain (config : Machine.config) (mode : mode)
   let dirty = ref 0 in
   let add_around cs_id =
     let cost = save_restore_cost *. sites.(cs_id).Liverange.cs_weight in
-    let regs = site_regs.(cs_id) in
-    for k = 0 to Array.length regs - 1 do
-      let r = regs.(k) in
-      around.(r) <- around.(r) +. cost;
-      dirty := !dirty lor (1 lsl r)
+    let m = site_clobber.(cs_id) in
+    dirty := !dirty lor m;
+    let rest = ref m and r = ref 0 in
+    while !rest <> 0 do
+      if !rest land 1 <> 0 then around.(!r) <- around.(!r) +. cost;
+      rest := !rest lsr 1;
+      incr r
     done
   in
   let add_argb (cs_id, pos) =
@@ -281,7 +277,7 @@ let allocate_once ?weights ?explain (config : Machine.config) (mode : mode)
                     Some
                       ( f,
                         List.filter
-                          (fun r -> not (Bitset.mem info.Usage.mask r))
+                          (fun r -> not (Machine.mask_mem info.Usage.mask r))
                           (Machine.caller_saved @ Machine.param_regs) )
                 | None -> None)
             | Ir.Indirect _ -> None)

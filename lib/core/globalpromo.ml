@@ -157,10 +157,11 @@ let weighted_accesses (p : Ir.proc) =
   let cfg = Cfg.of_proc p in
   let dom = Dom.compute cfg in
   let loops = Loops.compute cfg dom in
+  let weights = Liverange.default_weights p loops in
   let acc = ref StringMap.empty in
   Array.iteri
     (fun l b ->
-      let w = 10. ** float_of_int (min (Loops.depth loops l) 5) in
+      let w = weights.(l) in
       List.iter
         (fun i ->
           match i with

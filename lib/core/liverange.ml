@@ -37,9 +37,12 @@ type t = {
   weights : float array;  (** per-block frequency estimate *)
 }
 
+(* 10^d for d = 0..5: exact floats, the same values [10. ** d] yields *)
+let depth_weight = [| 1.; 10.; 100.; 1000.; 10000.; 100000. |]
+
 let default_weights (p : Ir.proc) (loops : Loops.t) =
   Array.init (Ir.nblocks p) (fun l ->
-      10. ** float_of_int (min (Loops.depth loops l) 5))
+      depth_weight.(min (Loops.depth loops l) 5))
 
 (** Substitute measured block frequencies (profile feedback, the paper's
     "future work" §8): callers normalise counts so the entry block is 1. *)

@@ -39,7 +39,6 @@ module Bitset = Chow_support.Bitset
 module Ir = Chow_ir.Ir
 module Cfg = Chow_ir.Cfg
 module Loops = Chow_ir.Loops
-module Dataflow = Chow_ir.Dataflow
 module Machine = Chow_machine.Machine
 module Metrics = Chow_obs.Metrics
 
@@ -56,8 +55,19 @@ type placement = {
   iterations : int;  (** range-extension rounds performed, for diagnostics *)
 }
 
-let nbits = Machine.nregs
 let max_iterations = 24
+
+(* Every attribute below is one register mask per block: [Machine.nregs]
+   fits an OCaml int, so a union is a [lor] and a set difference a
+   [land lnot]. *)
+
+let flags cfg ls =
+  let f = Array.make cfg.Cfg.nblocks false in
+  List.iter (fun l -> f.(l) <- true) ls;
+  f
+
+let exit_flags cfg = flags cfg cfg.Cfg.exits
+let entry_flags cfg = flags cfg [ Ir.entry_label ]
 
 (* Propagate APP over natural loops: a register used anywhere in a loop is
    treated as used in every block of that loop. *)
@@ -67,55 +77,84 @@ let propagate_loops (loops : Loops.t) app =
     changed := false;
     List.iter
       (fun { Loops.body; _ } ->
-        let union = Bitset.create nbits in
-        Bitset.iter (fun l -> Bitset.union_into union app.(l)) body;
+        let union = Bitset.fold (fun l m -> m lor app.(l)) body 0 in
         Bitset.iter
           (fun l ->
-            if not (Bitset.subset union app.(l)) then begin
-              Bitset.union_into app.(l) union;
+            if union land lnot app.(l) <> 0 then begin
+              app.(l) <- app.(l) lor union;
               changed := true
             end)
           body)
       loops.Loops.loops
   done
 
-let solve_ant cfg app =
-  Dataflow.solve cfg
-    {
-      Dataflow.nbits;
-      direction = Dataflow.Backward;
-      meet = Dataflow.Inter;
-      boundary = Bitset.create nbits;
-      gen = (fun l -> app.(l));
-      kill = (fun _ -> Bitset.create nbits);
-    }
+type flow = { ins : int array; outs : int array }
 
-let solve_av cfg app =
-  Dataflow.solve cfg
-    {
-      Dataflow.nbits;
-      direction = Dataflow.Forward;
-      meet = Dataflow.Inter;
-      boundary = Bitset.create nbits;
-      gen = (fun l -> app.(l));
-      kill = (fun _ -> Bitset.create nbits);
-    }
+(* The two ∩ problems share one shape: [conf.(l)] is the meet over
+   [sources l] of [value.(j)] (empty at a boundary block or one without
+   sources) and [value.(l) = app.(l) ∪ conf.(l)].  Every block starts at
+   all-ones, the lattice top, and the round-robin sweep over [order]
+   (the reachable blocks) descends to the greatest fixpoint: the one the
+   generic worklist solver reaches from the same top.  Unreachable blocks
+   keep the top, as they do there. *)
+let solve_inter order sources boundary app =
+  let n = Array.length app in
+  let top = (1 lsl Machine.nregs) - 1 in
+  let conf = Array.make n top in
+  let value = Array.make n top in
+  let rec meet acc = function
+    | [] -> acc
+    | j :: rest -> meet (acc land value.(j)) rest
+  in
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    for k = 0 to Array.length order - 1 do
+      let l = order.(k) in
+      let c =
+        if boundary.(l) then 0
+        else
+          match sources.(l) with
+          | [] -> 0
+          | j :: rest -> meet value.(j) rest
+      in
+      conf.(l) <- c;
+      let v = app.(l) lor c in
+      if v <> value.(l) then begin
+        value.(l) <- v;
+        changed := true
+      end
+    done
+  done;
+  (conf, value)
+
+(* ANTOUT/ANTIN (3.1, 3.2): backward, false below the exits *)
+let ant cfg is_exit app =
+  let outs, ins = solve_inter cfg.Cfg.postorder cfg.Cfg.succs is_exit app in
+  { ins; outs }
+
+(* AVIN/AVOUT (3.3, 3.4): forward, false at the entry *)
+let av cfg is_entry app =
+  let ins, outs = solve_inter cfg.Cfg.rpo cfg.Cfg.preds is_entry app in
+  { ins; outs }
+
+let solve_ant cfg app = ant cfg (exit_flags cfg) app
+let solve_av cfg app = av cfg (entry_flags cfg) app
+
+let union_over sets ls =
+  List.fold_left (fun m j -> m lor sets.(j)) 0 ls
 
 (* SAVE_i = ANTIN_i * (not AVIN_i) * prod_{j in pred(i)} (not ANTIN_j)  (3.5) *)
 let compute_save cfg ~antin ~avin =
   Array.init cfg.Cfg.nblocks (fun l ->
-      let s = Bitset.copy antin.(l) in
-      Bitset.diff_into s avin.(l);
-      List.iter (fun j -> Bitset.diff_into s antin.(j)) (Cfg.preds cfg l);
-      s)
+      antin.(l) land lnot avin.(l)
+      land lnot (union_over antin cfg.Cfg.preds.(l)))
 
 (* RESTORE_i = AVOUT_i * (not ANTOUT_i) * prod_{j in succ(i)} (not AVOUT_j) (3.6) *)
 let compute_restore cfg ~avout ~antout =
   Array.init cfg.Cfg.nblocks (fun l ->
-      let s = Bitset.copy avout.(l) in
-      Bitset.diff_into s antout.(l);
-      List.iter (fun j -> Bitset.diff_into s avout.(j)) (Cfg.succs cfg l);
-      s)
+      avout.(l) land lnot antout.(l)
+      land lnot (union_over avout cfg.Cfg.succs.(l)))
 
 type violation =
   | Conflicting_paths of Ir.label
@@ -127,9 +166,10 @@ type violation =
 
 (** Abstract interpretation of a single register's placement.  States:
     [-1] unknown, [0] unsaved, [1] saved, [2] conflicting. *)
-let check_balance cfg ~app ~save ~restore r =
+let balance cfg is_exit ~app ~save ~restore r =
   let n = cfg.Cfg.nblocks in
-  let has arr l = Bitset.mem arr.(l) r in
+  let bit = 1 lsl r in
+  let has arr l = arr.(l) land bit <> 0 in
   let transfer l s =
     if s < 0 || s = 2 then s
     else
@@ -141,6 +181,10 @@ let check_balance cfg ~app ~save ~restore r =
   let meet a b =
     if a = -1 then b else if b = -1 then a else if a = b then a else 2
   in
+  let rec meet_preds acc = function
+    | [] -> acc
+    | j :: rest -> meet_preds (meet acc (transfer j state_in.(j))) rest
+  in
   let changed = ref true in
   while !changed do
     changed := false;
@@ -148,10 +192,7 @@ let check_balance cfg ~app ~save ~restore r =
       (fun l ->
         let s =
           if l = Ir.entry_label then 0
-          else
-            List.fold_left
-              (fun acc j -> meet acc (transfer j state_in.(j)))
-              (-1) (Cfg.preds cfg l)
+          else meet_preds (-1) cfg.Cfg.preds.(l)
         in
         if s <> state_in.(l) then begin
           state_in.(l) <- s;
@@ -161,7 +202,6 @@ let check_balance cfg ~app ~save ~restore r =
   done;
   let violations = ref [] in
   let add v = violations := v :: !violations in
-  let is_exit l = List.mem l cfg.Cfg.exits in
   Array.iter
     (fun l ->
       let s = state_in.(l) in
@@ -174,18 +214,21 @@ let check_balance cfg ~app ~save ~restore r =
             if s = 1 then 0 else (add (Restore_unsaved l); 0)
           else s
         in
-        if is_exit l && s = 1 then add (Exit_unbalanced l)
+        if is_exit.(l) && s = 1 then add (Exit_unbalanced l)
       end)
     cfg.Cfg.rpo;
   !violations
 
+let check_balance cfg = balance cfg (exit_flags cfg)
+
 (* Range extension: where to grow APP for register [r] given a violation. *)
-let extend_for_violation cfg app r = function
+let extend_for_violation cfg app r =
+  let grow l = app.(l) <- app.(l) lor (1 lsl r) in
+  function
   | Conflicting_paths l | Double_save l | Unprotected_use l ->
-      List.iter (fun j -> Bitset.set app.(j) r) (Cfg.preds cfg l)
-  | Restore_unsaved l ->
-      List.iter (fun j -> Bitset.set app.(j) r) (Cfg.succs cfg l)
-  | Exit_unbalanced l -> Bitset.set app.(l) r
+      List.iter grow (Cfg.preds cfg l)
+  | Restore_unsaved l -> List.iter grow (Cfg.succs cfg l)
+  | Exit_unbalanced l -> grow l
 
 (** Entry/exit placement: the ordinary convention, used when shrink-wrap is
     disabled and as the sound fallback. *)
@@ -196,10 +239,11 @@ let entry_exit_placement cfg regs =
   in
   { save_at; restore_at; entry_save = regs; iterations = 0 }
 
-(** [compute cfg loops ~app candidates] shrink-wraps the registers in
-    [candidates] given their per-block protection requirements [app]
-    (modified in place by range extension). *)
-let compute cfg (loops : Loops.t) ~(app : Bitset.t array) candidates =
+(** [place cfg loops ~app candidates] shrink-wraps the registers in
+    [candidates] given their per-block protection masks [app] (modified
+    in place by loop propagation and range extension). *)
+let place cfg (loops : Loops.t) ~(app : int array) candidates =
+  let is_exit = exit_flags cfg and is_entry = entry_flags cfg in
   let remaining = ref candidates in
   let placed_save = ref [] in
   let placed_restore = ref [] in
@@ -209,19 +253,14 @@ let compute cfg (loops : Loops.t) ~(app : Bitset.t array) candidates =
   while (not !finished) && !rounds < max_iterations do
     incr rounds;
     propagate_loops loops app;
-    let ant = solve_ant cfg app in
-    let av = solve_av cfg app in
-    let save =
-      compute_save cfg ~antin:ant.Dataflow.live_in ~avin:av.Dataflow.live_in
-    in
-    let restore =
-      compute_restore cfg ~avout:av.Dataflow.live_out
-        ~antout:ant.Dataflow.live_out
-    in
+    let ant = ant cfg is_exit app in
+    let av = av cfg is_entry app in
+    let save = compute_save cfg ~antin:ant.ins ~avin:av.ins in
+    let restore = compute_restore cfg ~avout:av.outs ~antout:ant.outs in
     let bad, good =
       List.partition
         (fun r ->
-          match check_balance cfg ~app ~save ~restore r with
+          match balance cfg is_exit ~app ~save ~restore r with
           | [] -> false
           | violations ->
               List.iter (extend_for_violation cfg app r) violations;
@@ -232,12 +271,13 @@ let compute cfg (loops : Loops.t) ~(app : Bitset.t array) candidates =
        grows for the bad ones, and each register's bits are independent *)
     List.iter
       (fun r ->
+        let bit = 1 lsl r in
         for l = 0 to cfg.Cfg.nblocks - 1 do
-          if Bitset.mem save.(l) r then placed_save := (l, r) :: !placed_save;
-          if Bitset.mem restore.(l) r then
+          if save.(l) land bit <> 0 then placed_save := (l, r) :: !placed_save;
+          if restore.(l) land bit <> 0 then
             placed_restore := (l, r) :: !placed_restore
         done;
-        if Bitset.mem save.(Ir.entry_label) r then
+        if save.(Ir.entry_label) land bit <> 0 then
           entry_save := r :: !entry_save)
       good;
     remaining := bad;
@@ -254,3 +294,11 @@ let compute cfg (loops : Loops.t) ~(app : Bitset.t array) candidates =
     entry_save = fallback.entry_save @ !entry_save;
     iterations = !rounds;
   }
+
+(** [compute cfg loops ~app candidates] is {!place} over APP given as
+    register bitsets, which it reads and does not modify. *)
+let compute cfg loops ~(app : Bitset.t array) candidates =
+  let app =
+    Array.map (fun s -> Machine.mask_of_list (Bitset.elements s)) app
+  in
+  place cfg loops ~app candidates

@@ -7,13 +7,17 @@
     loop-propagation rule, and the APP range-extension iteration, driven by
     an explicit balance checker; registers that cannot be balanced fall
     back to entry/exit placement.  See the implementation header for the
-    full account, including the correction of the paper's (3.3) typo. *)
+    full account, including the correction of the paper's (3.3) typo.
+
+    Every attribute is one immediate register mask per block, solved by
+    the module's own ∩ fixpoints.  {!place} grows the APP array it is
+    given; the {!compute} adapter for callers holding bitsets reads its
+    APP and leaves it unchanged. *)
 
 module Bitset = Chow_support.Bitset
 module Machine = Chow_machine.Machine
 module Ir = Chow_ir.Ir
 module Cfg = Chow_ir.Cfg
-module Dataflow = Chow_ir.Dataflow
 
 type placement = {
   save_at : (Ir.label * Machine.reg) list;  (** save at entry of block *)
@@ -24,9 +28,14 @@ type placement = {
   iterations : int;  (** range-extension rounds performed *)
 }
 
-(** [compute cfg loops ~app candidates] shrink-wraps the given registers.
-    [app] is indexed by block and holds register bits; it is modified in
-    place by loop propagation and range extension. *)
+(** [place cfg loops ~app candidates] shrink-wraps the given registers.
+    [app] holds one register mask per block ({!Machine.mask_of_list});
+    loop propagation and range extension grow it in place. *)
+val place :
+  Cfg.t -> Chow_ir.Loops.t -> app:int array -> Machine.reg list -> placement
+
+(** [compute cfg loops ~app candidates] is {!place} over APP given as one
+    register bitset per block.  [app] is read, not modified. *)
 val compute :
   Cfg.t ->
   Chow_ir.Loops.t ->
@@ -40,20 +49,26 @@ val entry_exit_placement : Cfg.t -> Machine.reg list -> placement
 
 (** {2 Exposed internals}
 
-    The pieces below are the building blocks of {!compute}, exposed so that
+    The pieces below are the building blocks of {!place}, exposed so that
     tests and the Figure-2 bench can exercise the {e literal} equations and
-    the balance checker separately. *)
+    the balance checker separately.  Every set is a register mask per
+    block. *)
 
-val solve_ant : Cfg.t -> Bitset.t array -> Dataflow.result
-val solve_av : Cfg.t -> Bitset.t array -> Dataflow.result
+(** A solved attribute: its value at each block's entry and exit. *)
+type flow = { ins : int array; outs : int array }
+
+(** Equations (3.1)-(3.2): ANTIN/ANTOUT. *)
+val solve_ant : Cfg.t -> int array -> flow
+
+(** Equations (3.3)-(3.4): AVIN/AVOUT. *)
+val solve_av : Cfg.t -> int array -> flow
 
 (** Equation (3.5). *)
-val compute_save :
-  Cfg.t -> antin:Bitset.t array -> avin:Bitset.t array -> Bitset.t array
+val compute_save : Cfg.t -> antin:int array -> avin:int array -> int array
 
 (** Equation (3.6). *)
 val compute_restore :
-  Cfg.t -> avout:Bitset.t array -> antout:Bitset.t array -> Bitset.t array
+  Cfg.t -> avout:int array -> antout:int array -> int array
 
 type violation =
   | Conflicting_paths of Ir.label
@@ -66,8 +81,8 @@ type violation =
     balanced on every path. *)
 val check_balance :
   Cfg.t ->
-  app:Bitset.t array ->
-  save:Bitset.t array ->
-  restore:Bitset.t array ->
+  app:int array ->
+  save:int array ->
+  restore:int array ->
   Machine.reg ->
   violation list

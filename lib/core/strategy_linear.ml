@@ -51,11 +51,9 @@ let allocate ?weights ?explain:_ (config : Machine.config)
   (* registers clobbered by at least one call each range spans: the scan
      prefers to keep call-spanning ranges out of these *)
   let clobbered_across v =
-    let s = Machine.Set.empty () in
-    List.iter
-      (fun cs_id -> Bitset.union_into s a.Alloc_shared.site_clobber.(cs_id))
-      lr.Liverange.ranges.(v).Liverange.calls_across;
-    s
+    List.fold_left
+      (fun m cs_id -> m lor a.Alloc_shared.site_clobber.(cs_id))
+      0 lr.Liverange.ranges.(v).Liverange.calls_across
   in
   let order =
     List.init p.Ir.nvregs (fun v -> v)
@@ -67,23 +65,23 @@ let allocate ?weights ?explain:_ (config : Machine.config)
            compare (iu, u) (iv, v))
   in
   let scan_one v =
-    let forbidden = Machine.Set.empty () in
-    Bitset.iter
-      (fun u ->
-        match assignment.(u) with
-        | Lreg r -> Bitset.set forbidden r
-        | Lstack -> ())
-      (Interference.neighbors a.Alloc_shared.ig v);
+    let forbidden =
+      Bitset.fold
+        (fun u m ->
+          match assignment.(u) with Lreg r -> m lor (1 lsl r) | Lstack -> m)
+        (Interference.neighbors a.Alloc_shared.ig v)
+        0
+    in
     let hot = clobbered_across v in
     (* two passes over the allocatable list in machine preference order:
        first a register no spanned call clobbers, then any register *)
     let pick pred =
       List.find_opt
-        (fun r -> (not (Bitset.mem forbidden r)) && pred r)
+        (fun r -> (not (Machine.mask_mem forbidden r)) && pred r)
         config.Machine.allocatable
     in
     match
-      match pick (fun r -> not (Bitset.mem hot r)) with
+      match pick (fun r -> not (Machine.mask_mem hot r)) with
       | Some r -> Some r
       | None -> pick (fun _ -> true)
     with

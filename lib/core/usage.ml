@@ -7,12 +7,11 @@
     by the default linkage convention: all caller-saved and parameter
     registers are presumed clobbered, all callee-saved registers preserved. *)
 
-module Bitset = Chow_support.Bitset
 module Machine = Chow_machine.Machine
 module Ir = Chow_ir.Ir
 
 type info = {
-  mask : Bitset.t;  (** registers possibly modified by calling this proc *)
+  mask : int;  (** registers possibly modified by calling this proc *)
   param_locs : Alloc_types.param_loc list;
 }
 
@@ -28,7 +27,7 @@ let fold f (table : table) init =
   Hashtbl.fold (fun name info acc -> f name info acc) table init
 
 (** Clobber set under the default convention. *)
-let default_clobber () = Machine.Set.all_caller_saved_and_params ()
+let default_clobber = Machine.mask_of_list (Machine.caller_saved @ Machine.param_regs)
 
 (** [preserved_of_mask mask] is the registers a caller may assume survive a
     call to a procedure publishing [mask]: every conventional register the
@@ -36,20 +35,20 @@ let default_clobber () = Machine.Set.all_caller_saved_and_params ()
     save/restore contract from a usage summary; the pipeline's link-time
     cross-check re-runs it against the contract recorded in a unit
     artifact to prove the mask survived serialization. *)
-let preserved_of_mask (mask : Bitset.t) : Machine.reg list =
+let preserved_of_mask mask : Machine.reg list =
   List.filter
-    (fun r -> not (Bitset.mem mask r))
+    (fun r -> not (Machine.mask_mem mask r))
     (Machine.caller_saved @ Machine.param_regs @ Machine.callee_saved)
 
 (** [clobber_of_call table target] is the set of allocatable registers a
     call may modify, as seen by the caller. *)
 let clobber_of_call (table : table) (target : Ir.call_target) =
   match target with
-  | Ir.Indirect _ -> default_clobber ()
+  | Ir.Indirect _ -> default_clobber
   | Ir.Direct f -> (
       match find table f with
-      | Some info -> Bitset.copy info.mask
-      | None -> default_clobber ())
+      | Some info -> info.mask
+      | None -> default_clobber)
 
 (** Argument destinations for a call, under the callee's convention.
     Defaults: first [n_param_regs] arguments in the parameter registers,

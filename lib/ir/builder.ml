@@ -79,8 +79,6 @@ let terminate t term =
   let b = t.blocks.(t.current) in
   match b.pterm with None -> b.pterm <- Some term | Some _ -> ()
 
-let is_terminated t = (t.blocks.(t.current)).pterm <> None
-
 (** Depth-first sweep from the entry; returns old-label -> new-label (or -1)
     and the count of reachable blocks. *)
 let reachable_renaming t =

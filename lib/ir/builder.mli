@@ -37,8 +37,6 @@ val emit : t -> Ir.inst -> unit
 (** [terminate t term] seals the current block; later calls are no-ops. *)
 val terminate : t -> Ir.terminator -> unit
 
-val is_terminated : t -> bool
-
 (** [finish t] seals any open block with [ret], prunes unreachable blocks,
     renumbers, and returns the finished procedure. *)
 val finish : t -> Ir.proc

@@ -1,7 +1,8 @@
 (** Generic iterative bit-vector data-flow solver.
 
-    Both the shrink-wrap equations (3.1)-(3.4) of the paper and live-variable
-    analysis are instances of the classic gen/kill scheme:
+    Live-variable analysis is its client (the shrink-wrap equations
+    (3.1)-(3.4) are the same scheme over register masks, solved in
+    [Shrinkwrap]); both are instances of the classic gen/kill scheme:
 
     - forward:   [in(b)  = meet over preds p of out(p)],
                  [out(b) = gen(b) + (in(b) - kill(b))]
@@ -48,28 +49,29 @@ let solve (cfg : Cfg.t) spec =
   in
   let inb = Array.init n (fun _ -> init ()) in
   let outb = Array.init n (fun _ -> init ()) in
-  let meet_into acc sets =
-    match (spec.meet, sets) with
-    | _, [] -> Bitset.assign acc spec.boundary
-    | Union, _ ->
-        Bitset.clear_all acc;
-        List.iter (Bitset.union_into acc) sets
-    | Inter, first :: rest ->
-        Bitset.assign acc first;
-        List.iter (Bitset.inter_into acc) rest
+  (* the confluence reads [values] of [sources]: the predecessors' outs
+     (forward) or the successors' ins (backward) *)
+  let order, sources, values, conf, result, deps =
+    match spec.direction with
+    | Forward -> (cfg.rpo, cfg.preds, outb, inb, outb, cfg.succs)
+    | Backward -> (cfg.postorder, cfg.succs, inb, outb, inb, cfg.preds)
+  in
+  let rec meet_rest acc = function
+    | [] -> ()
+    | j :: rest ->
+        (match spec.meet with
+        | Union -> Bitset.union_into acc values.(j)
+        | Inter -> Bitset.inter_into acc values.(j));
+        meet_rest acc rest
   in
   (* boundary blocks: entry (forward) or [Ret] exits (backward).  A backward
-     exit has no successors so the [] case of [meet_into] applies; likewise
+     exit has no successors so it would take the boundary anyway; likewise
      the entry has no predecessors only if the CFG has no edge back to it,
      so we special-case entry/exit membership explicitly. *)
-  let is_boundary l =
-    match spec.direction with
-    | Forward -> l = Ir.entry_label
-    | Backward -> List.mem l cfg.exits
-  in
-  let order =
-    match spec.direction with Forward -> cfg.rpo | Backward -> cfg.postorder
-  in
+  let boundary = Array.make n false in
+  (match spec.direction with
+  | Forward -> boundary.(Ir.entry_label) <- true
+  | Backward -> List.iter (fun l -> boundary.(l) <- true) cfg.exits);
   (* Worklist refinement of the classic round-robin sweep: a FIFO seeded
      with the reachable blocks in propagation order (RPO forward,
      postorder backward), plus a block-indexed dirty bitmask to keep
@@ -89,34 +91,25 @@ let solve (cfg : Cfg.t) spec =
       Bitset.set dirty l;
       Queue.add l queue)
     order;
-  let deps l =
-    match spec.direction with
-    | Forward -> Cfg.succs cfg l
-    | Backward -> Cfg.preds cfg l
-  in
   let tmp = Bitset.create spec.nbits in
   let pops = ref 0 in
   while not (Queue.is_empty queue) do
     let l = Queue.pop queue in
     incr pops;
     Bitset.clear dirty l;
-    (* confluence *)
-    let conf_target, conf_sources =
-      match spec.direction with
-      | Forward -> (inb.(l), List.map (fun p -> outb.(p)) (Cfg.preds cfg l))
-      | Backward -> (outb.(l), List.map (fun s -> inb.(s)) (Cfg.succs cfg l))
-    in
-    if is_boundary l then
-      (* entry (forward) and [Ret] exits (backward) keep the boundary *)
-      Bitset.assign conf_target spec.boundary
-    else meet_into conf_target conf_sources;
+    (* confluence: entry (forward) and [Ret] exits (backward) keep the
+       boundary, as does a block with no sources *)
+    let conf_target = conf.(l) in
+    (match sources.(l) with
+    | first :: rest when not boundary.(l) ->
+        Bitset.assign conf_target values.(first);
+        meet_rest conf_target rest
+    | _ -> Bitset.assign conf_target spec.boundary);
     (* transfer *)
     Bitset.assign tmp conf_target;
     Bitset.diff_into tmp (spec.kill l);
     Bitset.union_into tmp (spec.gen l);
-    let out_target =
-      match spec.direction with Forward -> outb.(l) | Backward -> inb.(l)
-    in
+    let out_target = result.(l) in
     if not (Bitset.equal out_target tmp) then begin
       Bitset.assign out_target tmp;
       List.iter
@@ -125,7 +118,7 @@ let solve (cfg : Cfg.t) spec =
             Bitset.set dirty d;
             Queue.add d queue
           end)
-        (deps l)
+        deps.(l)
     end
   done;
   Metrics.incr m_solves;

@@ -1,6 +1,8 @@
 (** Generic iterative bit-vector data-flow solver: the classic gen/kill
-    scheme in both directions with either meet, the common machinery behind
-    live-variable analysis and the shrink-wrap equations (3.1)-(3.4).
+    scheme in both directions with either meet.  Live-variable analysis
+    uses it; the tests also use it as the oracle for the shrink-wrap
+    equations (3.1)-(3.4), which [Shrinkwrap] solves over register
+    masks.
 
     - forward:  [in(b) = meet over preds p of out(p)],
                 [out(b) = gen(b) + (in(b) - kill(b))]

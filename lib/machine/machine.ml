@@ -95,22 +95,17 @@ let restrict ~n_caller ~n_callee ~n_param =
     n_param_regs = 4;
   }
 
-(** Register sets as bitsets over [nregs]; used for IPRA usage masks. *)
-module Set = struct
-  type t = Chow_support.Bitset.t
+(** Register sets as immediate masks: bit [r] stands for register [r]
+    ([nregs] fits an OCaml int).  Usage masks, clobber sets and the §5
+    attributes are all such masks. *)
+let mask_of_list rs = List.fold_left (fun m r -> m lor (1 lsl r)) 0 rs
 
-  let empty () = Chow_support.Bitset.create nregs
-  let of_list rs = Chow_support.Bitset.of_list nregs rs
+let mask_mem m r = m land (1 lsl r) <> 0
+let regs_of_mask m = List.filter (mask_mem m) (List.init nregs Fun.id)
 
-  let all_caller_saved_and_params () =
-    of_list (caller_saved @ param_regs)
-
-  let pp ppf s =
-    let sep ppf () = Format.pp_print_string ppf ", " in
-    Format.fprintf ppf "{%a}"
-      (Chow_support.Pp.list ~sep pp)
-      (Chow_support.Bitset.elements s)
-end
+let pp_mask ppf m =
+  let sep ppf () = Format.pp_print_string ppf ", " in
+  Format.fprintf ppf "{%a}" (Chow_support.Pp.list ~sep pp) (regs_of_mask m)
 
 (** Cost model (memory operations are what the paper's metrics count). *)
 let load_cost = 1

@@ -26,7 +26,7 @@ val x0 : reg  (** assembler scratch, spill code *)
 val x1 : reg
 val x2 : reg
 
-val nregs : int  (** registers in the file; bitset width *)
+val nregs : int  (** registers in the file; register-mask width *)
 
 (** The three allocatable classes, in register-file order. *)
 
@@ -73,15 +73,21 @@ val seven_callee_saved : config
     sizes. *)
 val restrict : n_caller:int -> n_callee:int -> n_param:int -> config
 
-(** Register sets as bitsets over [nregs]; used for IPRA usage masks. *)
-module Set : sig
-  type t = Chow_support.Bitset.t
+(** {2 Register sets}
 
-  val empty : unit -> t
-  val of_list : reg list -> t
-  val all_caller_saved_and_params : unit -> t
-  val pp : Format.formatter -> t -> unit
-end
+    A set of registers is an immediate [int] mask: bit [r] stands for
+    register [r], and [nregs] fits an OCaml int. *)
+
+val mask_of_list : reg list -> int
+
+(** [mask_mem m r] is [true] iff register [r] is in mask [m]. *)
+val mask_mem : int -> reg -> bool
+
+(** [regs_of_mask m] lists the registers of [m] in increasing order. *)
+val regs_of_mask : int -> reg list
+
+(** Prints [{$t0, $t1}]. *)
+val pp_mask : Format.formatter -> int -> unit
 
 (** Cost model (memory operations are what the paper's metrics count). *)
 

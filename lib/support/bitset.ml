@@ -8,8 +8,6 @@ let create len =
   if len < 0 then invalid_arg "Bitset.create";
   { len; words = Array.make (max 1 (words_for len)) 0 }
 
-let length s = s.len
-
 let copy s = { len = s.len; words = Array.copy s.words }
 
 let check s i =
@@ -29,10 +27,17 @@ let mem s i =
   check s i;
   s.words.(i / bits_per_word) land (1 lsl (i mod bits_per_word)) <> 0
 
-let is_empty s = Array.for_all (fun w -> w = 0) s.words
+(* the whole-set operations below are plain loops over closed top-level
+   functions: without flambda an [Array.iteri]/[for_all] argument, or a
+   local function capturing the words, is a closure allocated per call *)
 
-let equal a b =
-  a.len = b.len && Array.for_all2 (fun x y -> x = y) a.words b.words
+let rec zero_from w i = i >= Array.length w || (w.(i) = 0 && zero_from w (i + 1))
+let is_empty s = zero_from s.words 0
+
+let rec equal_from x y i =
+  i >= Array.length x || (x.(i) = y.(i) && equal_from x y (i + 1))
+
+let equal a b = a.len = b.len && equal_from a.words b.words 0
 
 (* branch-free SWAR popcount, split into 32-bit halves so every mask fits
    OCaml's 63-bit immediate integers *)
@@ -53,15 +58,24 @@ let same_len a b =
 
 let union_into dst src =
   same_len dst src;
-  Array.iteri (fun i w -> dst.words.(i) <- dst.words.(i) lor w) src.words
+  let d = dst.words and s = src.words in
+  for i = 0 to Array.length s - 1 do
+    d.(i) <- d.(i) lor s.(i)
+  done
 
 let inter_into dst src =
   same_len dst src;
-  Array.iteri (fun i w -> dst.words.(i) <- dst.words.(i) land w) src.words
+  let d = dst.words and s = src.words in
+  for i = 0 to Array.length s - 1 do
+    d.(i) <- d.(i) land s.(i)
+  done
 
 let diff_into dst src =
   same_len dst src;
-  Array.iteri (fun i w -> dst.words.(i) <- dst.words.(i) land lnot w) src.words
+  let d = dst.words and s = src.words in
+  for i = 0 to Array.length s - 1 do
+    d.(i) <- d.(i) land lnot s.(i)
+  done
 
 let union a b = let r = copy a in union_into r b; r
 let inter a b = let r = copy a in inter_into r b; r

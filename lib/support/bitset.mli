@@ -11,9 +11,6 @@ type t
 (** [create n] is a bitset of capacity [n] with all bits clear. *)
 val create : int -> t
 
-(** [length s] is the capacity [s] was created with. *)
-val length : t -> int
-
 val copy : t -> t
 
 (** [set s i] sets bit [i].  Raises [Invalid_argument] when out of range. *)

@@ -146,7 +146,7 @@ let test_mask_published () =
               Alcotest.(check bool)
                 (Machine.name r ^ " in mask")
                 true
-                (Bitset.mem info.Usage.mask r)
+                (Machine.mask_mem info.Usage.mask r)
           | Alloc.Lstack -> ())
         res.Alloc.r_assignment;
       (* the parameter's arrival register matches the published location *)
@@ -274,6 +274,23 @@ let prop_validity_random =
           (true, false, Machine.seven_caller_saved);
         ])
 
+let test_default_clobber () =
+  (* an indirect call, or a direct call to a procedure that published no
+     summary, clobbers the caller-saved and parameter registers *)
+  let usage = Usage.create_table () in
+  let default = Machine.mask_of_list (Machine.caller_saved @ Machine.param_regs) in
+  Alcotest.(check int) "default convention" default Usage.default_clobber;
+  Alcotest.(check int) "indirect" default
+    (Usage.clobber_of_call usage (Ir.Indirect 0));
+  Alcotest.(check int) "unpublished callee" default
+    (Usage.clobber_of_call usage (Ir.Direct "elsewhere"));
+  Usage.publish usage "leaf"
+    { Usage.mask = Machine.mask_of_list [ Machine.t0 ]; param_locs = [] };
+  Alcotest.(check int) "published callee" (Machine.mask_of_list [ Machine.t0 ])
+    (Usage.clobber_of_call usage (Ir.Direct "leaf"));
+  Alcotest.(check int) "other callees keep the default" default
+    (Usage.clobber_of_call usage (Ir.Direct "elsewhere"))
+
 let suite =
   ( "coloring",
     [
@@ -292,5 +309,7 @@ let suite =
         test_restricted_machine_spills;
       Alcotest.test_case "dead-on-arrival param publication" `Quick
         test_dead_param_publication;
+      Alcotest.test_case "default clobber of unknown callees" `Quick
+        test_default_clobber;
       QCheck_alcotest.to_alcotest prop_validity_random;
     ] )

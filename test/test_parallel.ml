@@ -18,7 +18,6 @@ module Machine = Chow_machine.Machine
 module Config = Chow_compiler.Config
 module Pipeline = Chow_compiler.Pipeline
 module Pool = Chow_support.Pool
-module Bitset = Chow_support.Bitset
 module W = Chow_workloads.Workloads
 
 (* ----- the pool itself ----- *)
@@ -124,7 +123,7 @@ let check_result_equal name (a : Alloc.result) (b : Alloc.result) =
 let canon_usage (u : Usage.table) =
   Usage.fold
     (fun name (info : Usage.info) acc ->
-      (name, Bitset.elements info.Usage.mask, info.Usage.param_locs) :: acc)
+      (name, info.Usage.mask, info.Usage.param_locs) :: acc)
     u []
   |> List.sort compare
 

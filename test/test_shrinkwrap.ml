@@ -1,6 +1,7 @@
 (** Tests for the shrink-wrap placement machinery (§5): the ANT/AV
-    equations, SAVE/RESTORE placement, range extension, the loop rule, and
-    the balance invariant on random CFGs. *)
+    equations, SAVE/RESTORE placement, range extension, the loop rule, the
+    balance invariant on random CFGs, and the register-mask solver against
+    the generic bit-vector solver on the literal equations. *)
 
 module Ir = Chow_ir.Ir
 module Builder = Chow_ir.Builder
@@ -14,11 +15,10 @@ module Shrinkwrap = Chow_core.Shrinkwrap
 
 let reg = Machine.s0
 
+let bit = Machine.mask_of_list [ reg ]
+
 let mk_app nblocks use_blocks =
-  Array.init nblocks (fun l ->
-      let s = Bitset.create Machine.nregs in
-      if List.mem l use_blocks then Bitset.set s reg;
-      s)
+  Array.init nblocks (fun l -> if List.mem l use_blocks then bit else 0)
 
 let analyse p =
   let cfg = Cfg.of_proc p in
@@ -60,7 +60,7 @@ let test_chain_placement () =
   let p = chain () in
   let cfg, loops = analyse p in
   let app = mk_app 4 [ 2 ] in
-  let placement = Shrinkwrap.compute cfg loops ~app [ reg ] in
+  let placement = Shrinkwrap.place cfg loops ~app [ reg ] in
   Alcotest.(check (list int)) "save hoists to the entry" [ 0 ]
     (saves_of placement);
   Alcotest.(check (list int)) "restore sinks to the exit" [ 3 ]
@@ -72,7 +72,7 @@ let test_entry_spanning_use () =
   let p = chain () in
   let cfg, loops = analyse p in
   let app = mk_app 4 [ 0; 1; 2; 3 ] in
-  let placement = Shrinkwrap.compute cfg loops ~app [ reg ] in
+  let placement = Shrinkwrap.place cfg loops ~app [ reg ] in
   Alcotest.(check (list int)) "save at entry" [ 0 ] (saves_of placement);
   Alcotest.(check (list int)) "restore at exit" [ 3 ] (restores_of placement);
   Alcotest.(check (list int)) "flagged as entry save" [ reg ]
@@ -100,7 +100,7 @@ let test_cold_arm_wrapped () =
   let cfg, loops = analyse p in
   (* after DFS renumbering: entry 0, arm 1, join 2, other 3 *)
   let app = mk_app 4 [ 1 ] in
-  let placement = Shrinkwrap.compute cfg loops ~app [ reg ] in
+  let placement = Shrinkwrap.place cfg loops ~app [ reg ] in
   Alcotest.(check (list int)) "save only on the arm" [ 1 ] (saves_of placement);
   Alcotest.(check (list int)) "restore only on the arm" [ 1 ]
     (restores_of placement)
@@ -128,7 +128,7 @@ let test_loop_rule () =
   let p = loop_proc () in
   let cfg, loops = analyse p in
   let app = mk_app 4 [ 2 ] in
-  let placement = Shrinkwrap.compute cfg loops ~app [ reg ] in
+  let placement = Shrinkwrap.place cfg loops ~app [ reg ] in
   List.iter
     (fun l ->
       Alcotest.(check bool)
@@ -145,7 +145,7 @@ let test_no_use_no_code () =
   let p = chain () in
   let cfg, loops = analyse p in
   let app = mk_app 4 [] in
-  let placement = Shrinkwrap.compute cfg loops ~app [ reg ] in
+  let placement = Shrinkwrap.place cfg loops ~app [ reg ] in
   Alcotest.(check (list int)) "no saves" [] (saves_of placement);
   Alcotest.(check (list int)) "no restores" [] (restores_of placement)
 
@@ -195,25 +195,118 @@ let prop_balance =
       let cfg, loops = analyse p in
       let n = Ir.nblocks p in
       let app =
-        Array.init n (fun _ ->
-            let s = Bitset.create Machine.nregs in
-            if Random.State.int rng 3 = 0 then Bitset.set s reg;
-            s)
+        Array.init n (fun _ -> if Random.State.int rng 3 = 0 then bit else 0)
       in
-      let app_copy = Array.map Bitset.copy app in
-      let placement = Shrinkwrap.compute cfg loops ~app [ reg ] in
-      let save = Array.make n (Bitset.create Machine.nregs) in
-      let restore = Array.make n (Bitset.create Machine.nregs) in
-      for l = 0 to n - 1 do
-        save.(l) <- Bitset.create Machine.nregs;
-        restore.(l) <- Bitset.create Machine.nregs
-      done;
-      List.iter (fun (l, r) -> Bitset.set save.(l) r)
+      let app_copy = Array.copy app in
+      let placement = Shrinkwrap.place cfg loops ~app [ reg ] in
+      let save = Array.make n 0 and restore = Array.make n 0 in
+      List.iter (fun (l, r) -> save.(l) <- save.(l) lor (1 lsl r))
         placement.Shrinkwrap.save_at;
-      List.iter (fun (l, r) -> Bitset.set restore.(l) r)
+      List.iter (fun (l, r) -> restore.(l) <- restore.(l) lor (1 lsl r))
         placement.Shrinkwrap.restore_at;
       (* balanced w.r.t. the original APP (the extension only grows it) *)
       Shrinkwrap.check_balance cfg ~app:app_copy ~save ~restore reg = [])
+
+(* ------------- register masks against the generic solver ------------- *)
+
+(* the literal equations (3.1)-(3.6) over bitsets, solved by
+   [Dataflow.solve]: the oracle for the mask solver *)
+let oracle cfg (app : Bitset.t array) =
+  let solve direction =
+    Dataflow.solve cfg
+      {
+        Dataflow.nbits = Machine.nregs;
+        direction;
+        meet = Dataflow.Inter;
+        boundary = Bitset.create Machine.nregs;
+        gen = (fun l -> app.(l));
+        kill = (fun _ -> Bitset.create Machine.nregs);
+      }
+  in
+  let ant = solve Dataflow.Backward and av = solve Dataflow.Forward in
+  let eq first second others value =
+    Array.init cfg.Cfg.nblocks (fun l ->
+        let s = Bitset.diff first.(l) second.(l) in
+        List.iter (fun j -> Bitset.diff_into s value.(j)) (others l);
+        s)
+  in
+  let save =
+    eq ant.Dataflow.live_in av.Dataflow.live_in (Cfg.preds cfg)
+      ant.Dataflow.live_in
+  in
+  let restore =
+    eq av.Dataflow.live_out ant.Dataflow.live_out (Cfg.succs cfg)
+      av.Dataflow.live_out
+  in
+  (ant, av, save, restore)
+
+let mask_of_bitset s = Machine.mask_of_list (Bitset.elements s)
+
+(* APP over a few registers: $ra and three callee-saved ones, each block
+   holding each register with probability 1/3 *)
+let random_app rng n =
+  let regs = [ Machine.ra; Machine.s0; Machine.s0 + 1; Machine.s0 + 8 ] in
+  Array.init n (fun _ ->
+      Bitset.of_list Machine.nregs
+        (List.filter (fun _ -> Random.State.int rng 3 = 0) regs))
+
+let prop_masks_match_oracle =
+  QCheck.Test.make ~count:400
+    ~name:"mask ANT/AV/SAVE/RESTORE equal the bitset equations"
+    (QCheck.make
+       QCheck.Gen.(pair (int_bound 100000) (int_range 2 12))
+       ~print:(fun (s, n) -> Printf.sprintf "seed=%d nblocks=%d" s n))
+    (fun (seed, nblocks) ->
+      let rng = Random.State.make [| seed |] in
+      let p = random_cfg rng nblocks in
+      let cfg = Cfg.of_proc p in
+      let app = random_app rng (Ir.nblocks p) in
+      let ant, av, save, restore = oracle cfg app in
+      let masks = Array.map mask_of_bitset app in
+      let ant' = Shrinkwrap.solve_ant cfg masks in
+      let av' = Shrinkwrap.solve_av cfg masks in
+      let save' =
+        Shrinkwrap.compute_save cfg ~antin:ant'.Shrinkwrap.ins
+          ~avin:av'.Shrinkwrap.ins
+      in
+      let restore' =
+        Shrinkwrap.compute_restore cfg ~avout:av'.Shrinkwrap.outs
+          ~antout:ant'.Shrinkwrap.outs
+      in
+      let same name want got =
+        Array.iteri
+          (fun l s ->
+            if mask_of_bitset s <> got.(l) then
+              QCheck.Test.fail_reportf "%s differs at L%d: %#x vs %#x" name l
+                (mask_of_bitset s) got.(l))
+          want
+      in
+      same "ANTIN" ant.Dataflow.live_in ant'.Shrinkwrap.ins;
+      same "ANTOUT" ant.Dataflow.live_out ant'.Shrinkwrap.outs;
+      same "AVIN" av.Dataflow.live_in av'.Shrinkwrap.ins;
+      same "AVOUT" av.Dataflow.live_out av'.Shrinkwrap.outs;
+      same "SAVE" save save';
+      same "RESTORE" restore restore';
+      true)
+
+let prop_adapter_matches_masks =
+  QCheck.Test.make ~count:200
+    ~name:"bitset APP adapter places as the mask entry and keeps APP"
+    (QCheck.make
+       QCheck.Gen.(pair (int_bound 100000) (int_range 2 12))
+       ~print:(fun (s, n) -> Printf.sprintf "seed=%d nblocks=%d" s n))
+    (fun (seed, nblocks) ->
+      let rng = Random.State.make [| seed |] in
+      let p = random_cfg rng nblocks in
+      let cfg, loops = analyse p in
+      let app = random_app rng (Ir.nblocks p) in
+      let before = Array.map Bitset.copy app in
+      let regs = [ Machine.ra; Machine.s0; Machine.s0 + 1; Machine.s0 + 8 ] in
+      let via_bitsets = Shrinkwrap.compute cfg loops ~app regs in
+      let via_masks =
+        Shrinkwrap.place cfg loops ~app:(Array.map mask_of_bitset app) regs
+      in
+      via_bitsets = via_masks && Array.for_all2 Bitset.equal before app)
 
 let suite =
   ( "shrinkwrap",
@@ -226,4 +319,6 @@ let suite =
       Alcotest.test_case "entry/exit fallback" `Quick
         test_entry_exit_placement;
       QCheck_alcotest.to_alcotest prop_balance;
+      QCheck_alcotest.to_alcotest prop_masks_match_oracle;
+      QCheck_alcotest.to_alcotest prop_adapter_matches_masks;
     ] )
