@@ -18,8 +18,8 @@ type ctx = {
   frame : Frame.t;
   layout : (string, int) Hashtbl.t;
   mutable rev_items : Asm.item list;
-  save_map : (Ir.label, Machine.reg list) Hashtbl.t;
-  restore_map : (Ir.label, Machine.reg list) Hashtbl.t;
+  save_map : Machine.reg list array;  (** contract saves, per label *)
+  restore_map : Machine.reg list array;  (** contract restores, per label *)
 }
 
 let emit ctx i = ctx.rev_items <- Asm.Inst i :: ctx.rev_items
@@ -45,14 +45,15 @@ let fetch ctx o scratch =
           emit ctx (Asm.Lw (scratch, Machine.sp, home ctx v, Asm.Tscalar));
           scratch)
 
-(** Destination register for a vreg def, and the flush writing it back. *)
-let dest ctx v =
+(** Destination register for a vreg def; [flush] then writes a
+    memory-resident one back from it. *)
+let dest ctx v = match loc ctx v with Lreg r -> r | Lstack -> Machine.x0
+
+let flush ctx v =
   match loc ctx v with
-  | Lreg r -> (r, fun () -> ())
+  | Lreg _ -> ()
   | Lstack ->
-      ( Machine.x0,
-        fun () ->
-          emit ctx (Asm.Sw (Machine.x0, Machine.sp, home ctx v, Asm.Tscalar)) )
+      emit ctx (Asm.Sw (Machine.x0, Machine.sp, home ctx v, Asm.Tscalar))
 
 let move_into ctx (dst : Machine.reg) o =
   match o with
@@ -128,9 +129,9 @@ let emit_call ctx l idx target args ret =
 let emit_inst ctx l idx (inst : Ir.inst) =
   match inst with
   | Ir.Li (d, n) ->
-      let rd, flush = dest ctx d in
+      let rd = dest ctx d in
       emit ctx (Asm.Li (rd, n));
-      flush ()
+      flush ctx d
   | Ir.Mov (d, s) -> (
       match (loc ctx d, loc ctx s) with
       | Lreg rd, Lreg rs -> if rd <> rs then emit ctx (Asm.Move (rd, rs))
@@ -143,48 +144,48 @@ let emit_inst ctx l idx (inst : Ir.inst) =
           emit ctx (Asm.Sw (Machine.x0, Machine.sp, home ctx d, Asm.Tscalar)))
   | Ir.Neg (d, o) ->
       let rs = fetch ctx o Machine.x0 in
-      let rd, flush = dest ctx d in
+      let rd = dest ctx d in
       emit ctx (Asm.Neg (rd, rs));
-      flush ()
+      flush ctx d
   | Ir.Not (d, o) ->
       let rs = fetch ctx o Machine.x0 in
-      let rd, flush = dest ctx d in
+      let rd = dest ctx d in
       emit ctx (Asm.Not (rd, rs));
-      flush ()
+      flush ctx d
   | Ir.Binop (op, d, a, b) -> (
       let ra = fetch ctx a Machine.x0 in
       match b with
       | Ir.Imm n ->
-          let rd, flush = dest ctx d in
+          let rd = dest ctx d in
           emit ctx (Asm.Binopi (op, rd, ra, n));
-          flush ()
+          flush ctx d
       | Ir.Reg _ ->
           let rb = fetch ctx b Machine.x1 in
-          let rd, flush = dest ctx d in
+          let rd = dest ctx d in
           emit ctx (Asm.Binop (op, rd, ra, rb));
-          flush ())
+          flush ctx d)
   | Ir.Cmp (op, d, a, b) -> (
       let ra = fetch ctx a Machine.x0 in
       match b with
       | Ir.Imm n ->
-          let rd, flush = dest ctx d in
+          let rd = dest ctx d in
           emit ctx (Asm.Cmpi (op, rd, ra, n));
-          flush ()
+          flush ctx d
       | Ir.Reg _ ->
           let rb = fetch ctx b Machine.x1 in
-          let rd, flush = dest ctx d in
+          let rd = dest ctx d in
           emit ctx (Asm.Cmp (op, rd, ra, rb));
-          flush ())
+          flush ctx d)
   | Ir.Load (d, Ir.Global_word (g, k)) ->
-      let rd, flush = dest ctx d in
+      let rd = dest ctx d in
       emit ctx (Asm.Lw (rd, Machine.zero, base ctx g + k, Asm.Tdata));
-      flush ()
+      flush ctx d
   | Ir.Load (d, Ir.Global_index (g, idx)) ->
       let ri = fetch ctx idx Machine.x0 in
       emit ctx (Asm.Binopi (Ir.Add, Machine.x0, ri, base ctx g));
-      let rd, flush = dest ctx d in
+      let rd = dest ctx d in
       emit ctx (Asm.Lw (rd, Machine.x0, 0, Asm.Tdata));
-      flush ()
+      flush ctx d
   | Ir.Store (Ir.Global_word (g, k), o) ->
       let rs = fetch ctx o Machine.x1 in
       emit ctx (Asm.Sw (rs, Machine.zero, base ctx g + k, Asm.Tdata))
@@ -194,54 +195,70 @@ let emit_inst ctx l idx (inst : Ir.inst) =
       let rs = fetch ctx o Machine.x1 in
       emit ctx (Asm.Sw (rs, Machine.x0, 0, Asm.Tdata))
   | Ir.Addr_of_proc (d, f) ->
-      let rd, flush = dest ctx d in
+      let rd = dest ctx d in
       emit ctx (Asm.Lproc (rd, f));
-      flush ()
+      flush ctx d
   | Ir.Call { target; args; ret } -> emit_call ctx l idx target args ret
   | Ir.Print o ->
       let r = fetch ctx o Machine.x0 in
       emit ctx (Asm.Print r)
 
+(* the instructions of block [l] from index [idx] on *)
+let rec emit_insts ctx l idx = function
+  | [] -> ()
+  | inst :: rest ->
+      emit_inst ctx l idx inst;
+      emit_insts ctx l (idx + 1) rest
+
 (** Emit the restores scheduled at this block's exit.  [reads] are the
     registers the terminator still has to read; any of them being restored
     is first parked in a scratch register, and the substitution to apply to
-    the terminator is returned. *)
+    the terminator is returned as pairs for {!substitute}. *)
 let emit_restores ctx l ~reads =
-  let restored =
-    Option.value ~default:[] (Hashtbl.find_opt ctx.restore_map l)
-  in
-  let subst =
-    List.filter (fun r -> List.mem r restored) reads
-    |> List.mapi (fun i r ->
-           let scratch = if i = 0 then Machine.x0 else Machine.x1 in
-           emit ctx (Asm.Move (scratch, r));
-           (r, scratch))
-  in
-  List.iter
-    (fun r ->
-      emit ctx
-        (Asm.Lw (r, Machine.sp, Frame.contract_slot ctx.frame r, Asm.Tsave)))
-    restored;
-  fun r -> match List.assoc_opt r subst with Some s -> s | None -> r
+  match ctx.restore_map.(l) with
+  | [] -> []
+  | restored ->
+      let subst =
+        List.filter (fun r -> List.mem r restored) reads
+        |> List.mapi (fun i r ->
+               let scratch = if i = 0 then Machine.x0 else Machine.x1 in
+               emit ctx (Asm.Move (scratch, r));
+               (r, scratch))
+      in
+      List.iter
+        (fun r ->
+          emit ctx
+            (Asm.Lw
+               (r, Machine.sp, Frame.contract_slot ctx.frame r, Asm.Tsave)))
+        restored;
+      subst
 
+let substitute subst r =
+  match List.assoc_opt r subst with Some s -> s | None -> r
+
+(* [next_label] is the label laid out next, or -1 after the last block *)
 let emit_terminator ctx l (term : Ir.terminator) ~next_label =
   match term with
   | Ir.Jump target ->
-      let (_ : Machine.reg -> Machine.reg) = emit_restores ctx l ~reads:[] in
-      if Some target <> next_label then emit ctx (Asm.J target)
+      let (_ : (Machine.reg * Machine.reg) list) =
+        emit_restores ctx l ~reads:[]
+      in
+      if target <> next_label then emit ctx (Asm.J target)
   | Ir.Cbranch (op, a, b, ltrue, lfalse) ->
       let ra = fetch ctx a Machine.x0 in
       let rb = fetch ctx b Machine.x1 in
       let subst = emit_restores ctx l ~reads:[ ra; rb ] in
-      emit ctx (Asm.B (op, subst ra, subst rb, ltrue));
-      if Some lfalse <> next_label then emit ctx (Asm.J lfalse)
+      emit ctx (Asm.B (op, substitute subst ra, substitute subst rb, ltrue));
+      if lfalse <> next_label then emit ctx (Asm.J lfalse)
   | Ir.Ret o ->
       (* the return value reaches $v0 before contract restores run; a void
          return pins $v0 to 0 so behaviour never depends on allocation *)
       (match o with
       | Some op -> move_into ctx Machine.v0 op
       | None -> emit ctx (Asm.Li (Machine.v0, 0)));
-      let (_ : Machine.reg -> Machine.reg) = emit_restores ctx l ~reads:[] in
+      let (_ : (Machine.reg * Machine.reg) list) =
+        emit_restores ctx l ~reads:[]
+      in
       if ctx.frame.Frame.size > 0 then
         emit ctx
           (Asm.Binopi (Ir.Add, Machine.sp, Machine.sp, ctx.frame.Frame.size));
@@ -258,7 +275,7 @@ let emit_prologue ctx =
     (fun r ->
       emit ctx
         (Asm.Sw (r, Machine.sp, Frame.contract_slot ctx.frame r, Asm.Tsave)))
-    (Option.value ~default:[] (Hashtbl.find_opt ctx.save_map Ir.entry_label));
+    ctx.save_map.(Ir.entry_label);
   (* parameter arrival: spill stores first, then the register shuffle, then
      loads of stack-arriving parameters into registers *)
   let moves = ref [] in
@@ -285,21 +302,17 @@ let emit_prologue ctx =
 
 (** [emit_proc ~layout res frame] generates the assembly of one procedure. *)
 let emit_proc ~layout (res : result) (frame : Frame.t) : Asm.proc_code =
-  let save_map = Hashtbl.create 8 in
-  let restore_map = Hashtbl.create 8 in
-  List.iter
-    (fun (l, r) ->
-      Hashtbl.replace save_map l
-        (r :: Option.value ~default:[] (Hashtbl.find_opt save_map l)))
-    res.r_save_at;
-  List.iter
-    (fun (l, r) ->
-      Hashtbl.replace restore_map l
-        (r :: Option.value ~default:[] (Hashtbl.find_opt restore_map l)))
-    res.r_restore_at;
-  let ctx = { res; frame; layout; rev_items = []; save_map; restore_map } in
   let p = res.r_proc in
   let n = Ir.nblocks p in
+  (* each label's registers, last scheduled first *)
+  let by_label at =
+    let m = Array.make n [] in
+    List.iter (fun (l, r) -> m.(l) <- r :: m.(l)) at;
+    m
+  in
+  let save_map = by_label res.r_save_at in
+  let restore_map = by_label res.r_restore_at in
+  let ctx = { res; frame; layout; rev_items = []; save_map; restore_map } in
   for l = 0 to n - 1 do
     emit_label ctx l;
     if l = Ir.entry_label then emit_prologue ctx
@@ -308,10 +321,10 @@ let emit_proc ~layout (res : result) (frame : Frame.t) : Asm.proc_code =
         (fun r ->
           emit ctx
             (Asm.Sw (r, Machine.sp, Frame.contract_slot ctx.frame r, Asm.Tsave)))
-        (Option.value ~default:[] (Hashtbl.find_opt save_map l));
+        save_map.(l);
     let b = Ir.block p l in
-    List.iteri (fun idx inst -> emit_inst ctx l idx inst) b.Ir.insts;
-    let next_label = if l + 1 < n then Some (l + 1) else None in
+    emit_insts ctx l 0 b.Ir.insts;
+    let next_label = if l + 1 < n then l + 1 else -1 in
     emit_terminator ctx l b.Ir.term ~next_label
   done;
   { Asm.pc_name = p.Ir.pname; pc_items = List.rev ctx.rev_items }

@@ -18,18 +18,23 @@ open Chow_core.Alloc_types
 
 type t = {
   size : int;
-  spill_home : (Ir.vreg, int) Hashtbl.t;  (** sp-relative offsets *)
-  contract_slot : (Machine.reg, int) Hashtbl.t;
-  scratch_slot : (Machine.reg, int) Hashtbl.t;
+  spill_home : int array;  (** sp-relative offset per vreg, or -1 *)
+  contract_slot : int array;  (** offset per register, or -1 *)
+  scratch_slot : int array;  (** offset per register, or -1 *)
 }
 
 let home t v =
-  match Hashtbl.find_opt t.spill_home v with
-  | Some off -> off
-  | None -> invalid_arg "Frame.home: vreg has no spill home"
+  let off = t.spill_home.(v) in
+  if off < 0 then invalid_arg "Frame.home: vreg has no spill home";
+  off
 
-let contract_slot t r = Hashtbl.find t.contract_slot r
-let scratch_slot t r = Hashtbl.find t.scratch_slot r
+let slot slots r =
+  let off = slots.(r) in
+  if off < 0 then raise Not_found;
+  off
+
+let contract_slot t r = slot t.contract_slot r
+let scratch_slot t r = slot t.scratch_slot r
 
 let build (res : result) =
   let p = res.r_proc in
@@ -45,22 +50,15 @@ let build (res : result) =
     incr next;
     off
   in
-  let scratch_slot = Hashtbl.create 8 in
+  (* each register's slot is taken the first time it is met *)
+  let take slots r = if slots.(r) < 0 then slots.(r) <- alloc () in
+  let scratch_slot = Array.make Machine.nregs (-1) in
   Hashtbl.iter
-    (fun _ plan ->
-      List.iter
-        (fun r ->
-          if not (Hashtbl.mem scratch_slot r) then
-            Hashtbl.replace scratch_slot r (alloc ()))
-        plan.cp_saves)
+    (fun _ plan -> List.iter (take scratch_slot) plan.cp_saves)
     res.r_call_plans;
-  let contract_slot = Hashtbl.create 8 in
-  List.iter
-    (fun r ->
-      if not (Hashtbl.mem contract_slot r) then
-        Hashtbl.replace contract_slot r (alloc ()))
-    res.r_contract_saves;
-  let spill_home = Hashtbl.create 8 in
+  let contract_slot = Array.make Machine.nregs (-1) in
+  List.iter (take contract_slot) res.r_contract_saves;
+  let spill_home = Array.make p.Ir.nvregs (-1) in
   (* memory-resident vregs; stack-arriving parameters use incoming slots *)
   let stack_params =
     List.filteri
@@ -72,8 +70,7 @@ let build (res : result) =
   Array.iteri
     (fun v loc ->
       match loc with
-      | Lstack when not (List.mem v stack_params) ->
-          Hashtbl.replace spill_home v (alloc ())
+      | Lstack when not (List.mem v stack_params) -> spill_home.(v) <- alloc ()
       | Lstack | Lreg _ -> ())
     res.r_assignment;
   let size = !next in
@@ -81,7 +78,7 @@ let build (res : result) =
   List.iteri
     (fun i v ->
       match (List.nth res.r_param_locs i, res.r_assignment.(v)) with
-      | Pstack, Lstack -> Hashtbl.replace spill_home v (size + i)
+      | Pstack, Lstack -> spill_home.(v) <- size + i
       | (Pstack | Preg _), _ -> ())
     p.Ir.params;
   { size; spill_home; contract_slot; scratch_slot }

@@ -14,9 +14,9 @@
 
 type t = {
   size : int;
-  spill_home : (Chow_ir.Ir.vreg, int) Hashtbl.t;
-  contract_slot : (Chow_machine.Machine.reg, int) Hashtbl.t;
-  scratch_slot : (Chow_machine.Machine.reg, int) Hashtbl.t;
+  spill_home : int array;  (** offset per vreg, [-1] when it has none *)
+  contract_slot : int array;  (** offset per register, [-1] for none *)
+  scratch_slot : int array;  (** offset per register, [-1] for none *)
 }
 
 val build : Chow_core.Alloc_types.result -> t
@@ -24,6 +24,8 @@ val build : Chow_core.Alloc_types.result -> t
 (** Spill-home offset of a memory-resident vreg; raises otherwise. *)
 val home : t -> Chow_ir.Ir.vreg -> int
 
+(** The contract (entry/exit) and around-call save slots of a register;
+    raise [Not_found] when the frame has none. *)
 val contract_slot : t -> Chow_machine.Machine.reg -> int
 val scratch_slot : t -> Chow_machine.Machine.reg -> int
 

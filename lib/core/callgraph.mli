@@ -6,7 +6,11 @@
     address is taken, or it takes part in recursion (including
     self-calls).  All other procedures are {e closed}: every caller is
     compiled later in the depth-first order and can consume their
-    register-usage summary. *)
+    register-usage summary.
+
+    The graph is numbered once over [prog.procs] and walked over those
+    indices; callees are visited in [String.compare] order of their
+    names. *)
 
 type t
 
@@ -25,6 +29,10 @@ val processing_order : t -> string list
     Members of a cycle share a wave (and are open, so they never read
     each other's summaries). *)
 val waves : t -> string list list
+
+(** [waves] as the procedures themselves, taken from the graph's index
+    rather than looked up by name. *)
+val proc_waves : t -> Chow_ir.Ir.proc list list
 
 (** Direct callees defined in the same program, deduplicated. *)
 val direct_callees : t -> string -> string list

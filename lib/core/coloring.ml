@@ -95,6 +95,50 @@ let vreg_name (p : Ir.proc) v =
 
 let callee_saved_mask = Machine.mask_of_list Machine.callee_saved
 
+(* Scanning [order] and keeping the best (score, tree-used) pair picks the
+   same register; this finds it without scoring the plain registers one by
+   one.  Scores are never NaN, so [>] and [=] order them totally. *)
+let choose_register ~order ~order_mask ~forbidden ~tree_used ~special ~score
+    ~refs ~costly =
+  let cands = order_mask land lnot forbidden in
+  let explicit = cands land special in
+  let plain = cands land lnot special in
+  let cheap = plain land lnot costly and dear = plain land costly in
+  let dear_score = refs -. save_restore_cost in
+  let top =
+    ref
+      (if cheap <> 0 then refs
+       else if dear <> 0 then dear_score
+       else neg_infinity)
+  in
+  let rest = ref explicit and r = ref 0 in
+  while !rest <> 0 do
+    if !rest land 1 <> 0 && score.(!r) > !top then top := score.(!r);
+    rest := !rest lsr 1;
+    incr r
+  done;
+  let top = !top in
+  let winners =
+    ref
+      ((if refs = top then cheap else 0)
+      lor if dear_score = top then dear else 0)
+  in
+  let rest = ref explicit and r = ref 0 in
+  while !rest <> 0 do
+    if !rest land 1 <> 0 && score.(!r) = top then
+      winners := !winners lor (1 lsl !r);
+    rest := !rest lsr 1;
+    incr r
+  done;
+  let winners =
+    if !winners land tree_used <> 0 then !winners land tree_used else !winners
+  in
+  let k = ref 0 and n = Array.length order in
+  while !k < n && winners land (1 lsl order.(!k)) = 0 do
+    incr k
+  done;
+  if !k < n then order.(!k) else -1
+
 let allocate_once ?weights ?explain (config : Machine.config) (mode : mode)
     (p : Ir.proc) =
   let a = Alloc_shared.analyze ?weights config mode p in
@@ -136,6 +180,7 @@ let allocate_once ?weights ?explain (config : Machine.config) (mode : mode)
   in
   let callee_saved_in_use = ref 0 in
   let allocatable = Array.of_list config.Machine.allocatable in
+  let allocatable_mask = Machine.mask_of_list config.Machine.allocatable in
   (* default arrival register of each parameter, used for the prologue-copy
      bonus when the default convention applies; -1 for none *)
   let arrival = Array.make p.nvregs (-1) in
@@ -164,8 +209,10 @@ let allocate_once ?weights ?explain (config : Machine.config) (mode : mode)
      §2 around-call penalty and §4 argument bonus of register [r], walking
      the range's call sites in list order so each sum is the same float a
      per-register fold would produce; [score.(r)] is the composed
-     priority.  Selection and the --explain record both read these.
-     [dirty] masks the entries the previous range left non-zero. *)
+     priority, filled for the registers the range touched (every
+     allocatable one when explaining).  Selection and the --explain record
+     both read these.  [dirty] masks the entries the previous range left
+     non-zero. *)
   let around = Array.make Machine.nregs 0. in
   let argb = Array.make Machine.nregs 0. in
   let score = Array.make Machine.nregs 0. in
@@ -194,6 +241,14 @@ let allocate_once ?weights ?explain (config : Machine.config) (mode : mode)
       save_restore_cost
     else 0.
   in
+  (* the composed priority of [r], written into [score.(r)] rather than
+     returned so no float is boxed *)
+  let fill_score refs arrival r =
+    score.(r) <-
+      refs +. argb.(r)
+      +. (if r = arrival then move_bonus else 0.)
+      -. around.(r) -. contract_of r
+  in
   let color_one v =
     let range = ranges.(v) in
     let forbidden_v = forbidden.(v) in
@@ -209,31 +264,35 @@ let allocate_once ?weights ?explain (config : Machine.config) (mode : mode)
     List.iter add_around range.Liverange.calls_across;
     List.iter add_argb range.Liverange.arg_moves;
     let arrival = arrival.(v) in
-    (* scanning in allocatable order and replacing only on a strictly
-       better (score, tree-used) pair keeps the earliest register on a
-       full tie *)
-    let best = ref (-1) and best_tree = ref false in
-    for k = 0 to Array.length allocatable - 1 do
-      let r = allocatable.(k) in
-      let s =
-        range.Liverange.weighted_refs +. argb.(r)
-        +. (if r = arrival then move_bonus else 0.)
-        -. around.(r) -. contract_of r
-      in
-      score.(r) <- s;
-      if forbidden_v land (1 lsl r) = 0 then begin
-        let tree = !tree_used land (1 lsl r) <> 0 in
-        if
-          !best < 0
-          || s > score.(!best)
-          || (s = score.(!best) && tree && not !best_tree)
-        then begin
-          best := r;
-          best_tree := tree
-        end
+    let refs = range.Liverange.weighted_refs in
+    (* only the registers this range's calls and argument moves touched,
+       and its arrival register, need an explicit score; every other one
+       scores [refs], less the entry/exit save where [costly] says so *)
+    let special =
+      if arrival >= 0 then !dirty lor (1 lsl arrival) else !dirty
+    in
+    let costly = contract_free land lnot !callee_saved_in_use in
+    if explain <> None then Array.iter (fill_score refs arrival) allocatable
+    else begin
+      let rest = ref (special land allocatable_mask) and r = ref 0 in
+      while !rest <> 0 do
+        if !rest land 1 <> 0 then fill_score refs arrival !r;
+        rest := !rest lsr 1;
+        incr r
+      done
+    end;
+    let best =
+      choose_register ~order:allocatable ~order_mask:allocatable_mask
+        ~forbidden:forbidden_v ~tree_used:!tree_used ~special ~score ~refs
+        ~costly
+    in
+    let best_score =
+      if best < 0 then neg_infinity
+      else begin
+        if special land (1 lsl best) = 0 then fill_score refs arrival best;
+        score.(best)
       end
-    done;
-    let best = if !best < 0 then None else Some (!best, score.(!best)) in
+    in
     (* the audit record is taken before the assignment mutates the
        tie-break and contract state, so the recorded scores are exactly
        the ones the decision just ranked *)
@@ -253,19 +312,18 @@ let allocate_once ?weights ?explain (config : Machine.config) (mode : mode)
           config.Machine.allocatable
       in
       let chosen, denied =
-        match best with
-        | Some (r, s) when s > 0. -> (Some r, None)
-        | Some (r, s) ->
-            ( None,
-              Some
-                (Printf.sprintf
-                   "best candidate %s has non-positive priority %.1f"
-                   (Machine.name r) s) )
-        | None ->
-            ( None,
-              Some
-                "every allocatable register is blocked by an interfering \
-                 neighbour" )
+        if best < 0 then
+          ( None,
+            Some
+              "every allocatable register is blocked by an interfering \
+               neighbour" )
+        else if best_score > 0. then (Some best, None)
+        else
+          ( None,
+            Some
+              (Printf.sprintf
+                 "best candidate %s has non-positive priority %.1f"
+                 (Machine.name best) best_score) )
       in
       let freed =
         List.filter_map
@@ -299,17 +357,16 @@ let allocate_once ?weights ?explain (config : Machine.config) (mode : mode)
         }
         :: !explained
     end;
-    match best with
-    | Some (r, s) when s > 0. ->
-        let bit = 1 lsl r in
-        assignment.(v) <- Lreg r;
-        tree_used := !tree_used lor bit;
-        if callee_saved_mask land bit <> 0 then
-          callee_saved_in_use := !callee_saved_in_use lor bit;
-        Bitset.iter
-          (fun u -> forbidden.(u) <- forbidden.(u) lor bit)
-          (Interference.neighbors ig v)
-    | Some _ | None -> ()
+    if best >= 0 && best_score > 0. then begin
+      let bit = 1 lsl best in
+      assignment.(v) <- Lreg best;
+      tree_used := !tree_used lor bit;
+      if callee_saved_mask land bit <> 0 then
+        callee_saved_in_use := !callee_saved_in_use lor bit;
+      Bitset.iter
+        (fun u -> forbidden.(u) <- forbidden.(u) lor bit)
+        (Interference.neighbors ig v)
+    end
   in
   Event.span "color" (fun () -> List.iter color_one order);
   Option.iter (fun b -> b := List.rev !explained) explain;

@@ -72,3 +72,23 @@ val allocate :
   mode ->
   Chow_ir.Ir.proc ->
   Alloc_types.result * Usage.info option * stats
+
+(** [choose_register ~order ~order_mask ~forbidden ~tree_used ~special
+    ~score ~refs ~costly] is the §2 choice for one live range, or [-1]
+    when every register of [order] (the allocatable registers in
+    preference order, [order_mask] their mask) is [forbidden].  A register
+    in [special] scores [score.(r)]; any other scores [refs], less one
+    entry/exit save-restore when it is in [costly].  The winner has the
+    highest score; on a tie it is the first in [order] among the tied
+    registers in [tree_used], else the first of them.  Allocates
+    nothing. *)
+val choose_register :
+  order:Machine.reg array ->
+  order_mask:int ->
+  forbidden:int ->
+  tree_used:int ->
+  special:int ->
+  score:float array ->
+  refs:float ->
+  costly:int ->
+  int

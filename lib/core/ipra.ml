@@ -9,7 +9,7 @@
 
     The pass order only requires callee summaries to exist before their
     callers are colored, so the driver walks the call graph wave by wave
-    ([Callgraph.waves]) and colors the procedures of one wave concurrently
+    ([Callgraph.proc_waves]) and colors the procedures of one wave concurrently
     on a domain pool: per-procedure liveness, interference and coloring are
     independent, and the usage table is read-only while a wave is in
     flight.  Summaries are then published sequentially in processing
@@ -49,34 +49,32 @@ let allocate_program ?(ipra = false) ?(shrinkwrap = false)
   let usage = Usage.create_table () in
   let results = ref [] in
   let stats = ref [] in
-  let allocate_one ~wave_idx name =
-    match Ir.find_proc prog name with
-    | None -> None
-    | Some p ->
-        let is_open = (not ipra) || Callgraph.is_open callgraph name in
-        let mode = { Coloring.ipra; shrinkwrap; is_open; usage } in
-        let weights = profile name in
-        let explain =
-          match explain with
-          | Some (target, buf) when target = name -> Some buf
-          | _ -> None
-        in
-        let result, info, st =
-          (* the span name and args are built only when tracing is armed:
-             the disabled path must not allocate per procedure *)
-          if Event.trace_on () then
-            Event.span
-              ~args:
-                [
-                  ("wave", Event.Int wave_idx);
-                  ("open", Event.Str (if is_open then "yes" else "no"));
-                ]
-              ("alloc:" ^ name)
-              (fun () ->
-                Allocator.allocate strategy ?weights ?explain config mode p)
-          else Allocator.allocate strategy ?weights ?explain config mode p
-        in
-        Some (name, result, info, st)
+  let allocate_one ~wave_idx (p : Ir.proc) =
+    let name = p.Ir.pname in
+    let is_open = (not ipra) || Callgraph.is_open callgraph name in
+    let mode = { Coloring.ipra; shrinkwrap; is_open; usage } in
+    let weights = profile name in
+    let explain =
+      match explain with
+      | Some (target, buf) when target = name -> Some buf
+      | _ -> None
+    in
+    let result, info, st =
+      (* the span name and args are built only when tracing is armed:
+         the disabled path must not allocate per procedure *)
+      if Event.trace_on () then
+        Event.span
+          ~args:
+            [
+              ("wave", Event.Int wave_idx);
+              ("open", Event.Str (if is_open then "yes" else "no"));
+            ]
+          ("alloc:" ^ name)
+          (fun () ->
+            Allocator.allocate strategy ?weights ?explain config mode p)
+      else Allocator.allocate strategy ?weights ?explain config mode p
+    in
+    (name, result, info, st)
   in
   let run pool =
     List.iteri
@@ -88,16 +86,14 @@ let allocate_program ?(ipra = false) ?(shrinkwrap = false)
           in
           (* sequential publication, in processing order *)
           List.iter
-            (function
-              | None -> ()
-              | Some (name, result, info, st) ->
-                  results := (name, result) :: !results;
-                  stats := (name, st) :: !stats;
-                  Option.iter
-                    (fun i ->
-                      Usage.publish usage name i;
-                      Metrics.incr m_masks)
-                    info)
+            (fun (name, result, info, st) ->
+              results := (name, result) :: !results;
+              stats := (name, st) :: !stats;
+              Option.iter
+                (fun i ->
+                  Usage.publish usage name i;
+                  Metrics.incr m_masks)
+                info)
             allocated
         in
         if Event.trace_on () then
@@ -109,7 +105,7 @@ let allocate_program ?(ipra = false) ?(shrinkwrap = false)
               ]
             "wave" do_wave
         else do_wave ())
-      (Callgraph.waves callgraph)
+      (Callgraph.proc_waves callgraph)
   in
   (match pool with
   | Some p -> run p

@@ -17,37 +17,38 @@ type t = {
   defs : Bitset.t array;  (** kill: defined in block *)
 }
 
-let block_gen_kill (p : Ir.proc) l =
-  let gen = Bitset.create p.nvregs in
-  let kill = Bitset.create p.nvregs in
-  let b = Ir.block p l in
-  let use v = if not (Bitset.mem kill v) then Bitset.set gen v in
-  let def v = Bitset.set kill v in
-  List.iter
-    (fun i ->
-      Ir.iter_inst_uses use i;
-      Ir.iter_inst_defs def i)
-    b.insts;
-  Ir.iter_term_uses use b.term;
-  (gen, kill)
-
 let compute (p : Ir.proc) (cfg : Cfg.t) =
   let n = Ir.nblocks p in
-  let gens = Array.init n (fun l -> block_gen_kill p l) in
+  let gen = Array.init n (fun _ -> Bitset.create p.nvregs) in
+  let kill = Array.init n (fun _ -> Bitset.create p.nvregs) in
+  (* one [use]/[def] pair per procedure, over the block being scanned *)
+  let cur = ref 0 in
+  let use v = if not (Bitset.mem kill.(!cur) v) then Bitset.set gen.(!cur) v in
+  let def v = Bitset.set kill.(!cur) v in
+  let scan i =
+    Ir.iter_inst_uses use i;
+    Ir.iter_inst_defs def i
+  in
+  for l = 0 to n - 1 do
+    cur := l;
+    let b = Ir.block p l in
+    List.iter scan b.insts;
+    Ir.iter_term_uses use b.term
+  done;
   let spec =
     {
       Dataflow.nbits = p.nvregs;
       direction = Dataflow.Backward;
       meet = Dataflow.Union;
       boundary = Bitset.create p.nvregs;
-      gen = (fun l -> fst gens.(l));
-      kill = (fun l -> snd gens.(l));
+      gen = Array.get gen;
+      kill = Array.get kill;
     }
   in
   let r = Dataflow.solve cfg spec in
   {
     live_in = r.Dataflow.live_in;
     live_out = r.Dataflow.live_out;
-    upward_exposed = Array.map fst gens;
-    defs = Array.map snd gens;
+    upward_exposed = gen;
+    defs = kill;
   }

@@ -63,9 +63,18 @@ let compute ?weights (p : Ir.proc) (loops : Loops.t) (lv : Liveness.t)
   let arg_moves = Array.make p.nvregs [] in
   let call_sites = ref [] in
   let n_sites = ref 0 in
+  (* [present] and [touch] are built once per procedure and act on the
+     block being scanned, [cur] *)
+  let cur = ref 0 in
+  let present v = Bitset.set blocks.(v) !cur in
+  let touch v =
+    let l = !cur in
+    Bitset.set blocks.(v) l;
+    refs.(v) <- refs.(v) +. weights.(l)
+  in
   (* blocks where live-in *)
   for l = 0 to nb - 1 do
-    let present v = Bitset.set blocks.(v) l in
+    cur := l;
     Bitset.iter present lv.Liveness.live_in.(l);
     Bitset.iter present lv.Liveness.live_out.(l)
   done;
@@ -73,12 +82,9 @@ let compute ?weights (p : Ir.proc) (loops : Loops.t) (lv : Liveness.t)
      block adds the same weight, so the order within a block cannot change
      a sum *)
   for l = 0 to nb - 1 do
+    cur := l;
     let w = weights.(l) in
     let b = Ir.block p l in
-    let touch v =
-      Bitset.set blocks.(v) l;
-      refs.(v) <- refs.(v) +. w
-    in
     List.iteri
       (fun idx inst ->
         Ir.iter_inst_defs touch inst;

@@ -37,19 +37,24 @@ let check_proc (p : Ir.proc) =
     p.blocks
 
 let check_prog (prog : Ir.prog) =
-  let names = List.map (fun p -> p.Ir.pname) prog.procs in
-  let dups =
-    List.filter
-      (fun nm -> List.length (List.filter (String.equal nm) names) > 1)
-      names
-  in
-  (match dups with
-  | d :: _ -> raise (Ill_formed ("duplicate procedure " ^ d))
-  | [] -> ());
-  let known nm =
-    List.exists (String.equal nm) names
-    || List.exists (String.equal nm) prog.externs
-  in
+  (* one name table: each procedure's definition count, and the externs
+     at count 0 *)
+  let defs = Hashtbl.create 64 in
+  List.iter
+    (fun p ->
+      let nm = p.Ir.pname in
+      Hashtbl.replace defs nm
+        (1 + Option.value ~default:0 (Hashtbl.find_opt defs nm)))
+    prog.procs;
+  List.iter
+    (fun nm -> if not (Hashtbl.mem defs nm) then Hashtbl.add defs nm 0)
+    prog.externs;
+  (match
+     List.find_opt (fun p -> Hashtbl.find defs p.Ir.pname > 1) prog.procs
+   with
+  | Some p -> raise (Ill_formed ("duplicate procedure " ^ p.Ir.pname))
+  | None -> ());
+  let known nm = Hashtbl.mem defs nm in
   List.iter
     (fun p ->
       check_proc p;

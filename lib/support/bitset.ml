@@ -4,11 +4,26 @@ let bits_per_word = Sys.int_size
 
 let words_for len = (len + bits_per_word - 1) / bits_per_word
 
+(* Almost every set a compile makes (a procedure's vregs, blocks or call
+   sites) fits one or two words.  Those are built as array literals, which
+   the compiler allocates inline on the minor heap; [Array.make] and
+   [Array.copy] are C calls that cost more than the whole small set. *)
 let create len =
   if len < 0 then invalid_arg "Bitset.create";
-  { len; words = Array.make (max 1 (words_for len)) 0 }
+  if len <= bits_per_word then { len; words = [| 0 |] }
+  else if len <= 2 * bits_per_word then { len; words = [| 0; 0 |] }
+  else { len; words = Array.make (words_for len) 0 }
 
-let copy s = { len = s.len; words = Array.copy s.words }
+let copy s =
+  let w = s.words in
+  match Array.length w with
+  | 1 -> { len = s.len; words = [| Array.unsafe_get w 0 |] }
+  | 2 ->
+      {
+        len = s.len;
+        words = [| Array.unsafe_get w 0; Array.unsafe_get w 1 |];
+      }
+  | _ -> { len = s.len; words = Array.copy w }
 
 let check s i =
   if i < 0 || i >= s.len then invalid_arg "Bitset: index out of range"
@@ -77,13 +92,16 @@ let diff_into dst src =
     d.(i) <- d.(i) land lnot s.(i)
   done
 
-let union a b = let r = copy a in union_into r b; r
-let inter a b = let r = copy a in inter_into r b; r
 let diff a b = let r = copy a in diff_into r b; r
 
+(* a loop, not [Array.blit]: the liveness solver assigns several sets per
+   block visit, and a C call costs more than copying one or two words *)
 let assign dst src =
   same_len dst src;
-  Array.blit src.words 0 dst.words 0 (Array.length src.words)
+  let d = dst.words and s = src.words in
+  for i = 0 to Array.length s - 1 do
+    d.(i) <- s.(i)
+  done
 
 let clear_all s = Array.fill s.words 0 (Array.length s.words) 0
 
@@ -92,12 +110,6 @@ let set_all s =
   let rest = s.len mod bits_per_word in
   Array.fill s.words 0 full (-1);
   if rest > 0 then s.words.(full) <- s.words.(full) lor ((1 lsl rest) - 1)
-
-let disjoint a b =
-  same_len a b;
-  let n = Array.length a.words in
-  let rec go i = i >= n || (a.words.(i) land b.words.(i) = 0 && go (i + 1)) in
-  go 0
 
 let subset a b =
   same_len a b;
@@ -134,17 +146,3 @@ let of_list len xs =
   let s = create len in
   List.iter (set s) xs;
   s
-
-let choose s =
-  let exception Found of int in
-  try
-    iter (fun i -> raise (Found i)) s;
-    None
-  with Found i -> Some i
-
-let pp ppf s =
-  Format.fprintf ppf "{%a}"
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ",")
-       Format.pp_print_int)
-    (elements s)

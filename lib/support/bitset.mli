@@ -1,10 +1,13 @@
 (** Dense, mutable bitsets over the integers [0, capacity).
 
-    Register-usage masks and data-flow vectors in this code base are small
-    (a few dozen bits for registers, a few hundred for live ranges), so a
-    dense representation packed into an [int array] is both compact and
-    fast.  All binary operations require the two operands to have the same
-    capacity; this is asserted. *)
+    The allocator's per-procedure sets (liveness over vregs, a range's
+    blocks, the vregs live across a call site) are small: a procedure has
+    a few dozen vregs and blocks, so most sets fit one or two 63-bit
+    words.  Those are allocated inline on the minor heap, and every
+    whole-set operation is a plain loop, so no operation on a small set
+    makes a C call.  (Register sets are plain [int] masks, see
+    [Machine.mask_of_list].)  All binary operations require the two
+    operands to have the same capacity; this is asserted. *)
 
 type t
 
@@ -37,10 +40,7 @@ val union_into : t -> t -> unit
 val inter_into : t -> t -> unit
 val diff_into : t -> t -> unit
 
-(** Pure binary operations. *)
-
-val union : t -> t -> t
-val inter : t -> t -> t
+(** [diff a b] is a fresh set holding the bits of [a] not in [b]. *)
 val diff : t -> t -> t
 
 (** [assign dst src] overwrites [dst] with the contents of [src]. *)
@@ -51,9 +51,6 @@ val clear_all : t -> unit
 
 (** [set_all s] sets every bit in [0, length s). *)
 val set_all : t -> unit
-
-(** [disjoint a b] is [true] iff [a] and [b] share no set bit. *)
-val disjoint : t -> t -> bool
 
 (** [subset a b] is [true] iff every bit of [a] is set in [b]. *)
 val subset : t -> t -> bool
@@ -69,8 +66,3 @@ val elements : t -> int list
 
 (** [of_list n xs] is the capacity-[n] bitset containing exactly [xs]. *)
 val of_list : int -> int list -> t
-
-(** [choose s] is the smallest set bit, or [None] when empty. *)
-val choose : t -> int option
-
-val pp : Format.formatter -> t -> unit

@@ -156,6 +156,63 @@ let test_verify_undefined_callee () =
   | () -> Alcotest.fail "expected Ill_formed"
   | exception Verify.Ill_formed _ -> ()
 
+(* the program-level checks report the same message, naming the same
+   procedure first, whatever the lookup behind them *)
+let proc_calling ?(taken = []) name callees =
+  let b = Builder.create name ~exported:(name = "main") in
+  List.iter
+    (fun f ->
+      Builder.emit b (Ir.Call { target = Ir.Direct f; args = []; ret = None }))
+    callees;
+  List.iter
+    (fun f ->
+      let v = Builder.new_vreg b in
+      Builder.emit b (Ir.Addr_of_proc (v, f)))
+    taken;
+  Builder.terminate b (Ir.Ret None);
+  Builder.finish b
+
+let check_prog_message msg ?(externs = []) procs =
+  let prog = { Ir.procs; globals = []; externs } in
+  match Verify.check_prog prog with
+  | () -> Alcotest.failf "expected Ill_formed %S" msg
+  | exception Verify.Ill_formed m -> Alcotest.(check string) "message" msg m
+
+(* [a] is the first procedure whose name repeats, though [b]'s repeat
+   comes first and [c] is the last repeated name *)
+let test_verify_duplicate_message () =
+  check_prog_message "duplicate procedure a"
+    (List.map
+       (fun nm -> proc_calling nm [])
+       [ "main"; "a"; "b"; "b"; "c"; "a"; "c" ])
+
+let test_verify_undefined_call_message () =
+  check_prog_message "f: call to undefined procedure nowhere"
+    ~externs:[ "outside" ]
+    [
+      proc_calling "main" [ "f"; "outside" ];
+      proc_calling "f" [ "outside"; "main"; "nowhere"; "elsewhere" ];
+      proc_calling "g" [ "elsewhere" ];
+    ]
+
+let test_verify_undefined_taken_message () =
+  (* calls are checked before taken addresses; an extern's address is
+     known *)
+  check_prog_message "address taken of undefined procedure ghost"
+    ~externs:[ "outside" ]
+    [
+      proc_calling "main" [ "f" ] ~taken:[ "outside"; "f" ];
+      proc_calling "f" [] ~taken:[ "ghost"; "phantom" ];
+    ];
+  let prog =
+    {
+      Ir.procs = [ proc_calling "main" [ "outside" ] ~taken:[ "outside" ] ];
+      globals = [];
+      externs = [ "outside" ];
+    }
+  in
+  Verify.check_prog prog
+
 let suite =
   ( "cfg",
     [
@@ -174,4 +231,10 @@ let suite =
       Alcotest.test_case "verify: bad vreg" `Quick test_verify_catches_bad_vreg;
       Alcotest.test_case "verify: undefined callee" `Quick
         test_verify_undefined_callee;
+      Alcotest.test_case "verify: duplicate procedure message" `Quick
+        test_verify_duplicate_message;
+      Alcotest.test_case "verify: undefined call message" `Quick
+        test_verify_undefined_call_message;
+      Alcotest.test_case "verify: undefined taken address message" `Quick
+        test_verify_undefined_taken_message;
     ] )

@@ -291,6 +291,128 @@ let test_default_clobber () =
   Alcotest.(check int) "other callees keep the default" default
     (Usage.clobber_of_call usage (Ir.Direct "elsewhere"))
 
+(* ----- the mask-based register choice against the full scan ----- *)
+
+let save_restore_cost = float_of_int (Machine.load_cost + Machine.store_cost)
+
+(* the selection loop [Coloring.choose_register] replaced: score every
+   register of [order], keep the first best, and move to a tree-used
+   register on an equal score *)
+let scan_choice ~order ~forbidden ~tree_used ~special ~score ~refs ~costly =
+  let bit r = 1 lsl r in
+  let score_of r =
+    if special land bit r <> 0 then score.(r)
+    else if costly land bit r <> 0 then refs -. save_restore_cost
+    else refs
+  in
+  let best = ref (-1) and best_score = ref 0. and best_tree = ref false in
+  Array.iter
+    (fun r ->
+      let s = score_of r in
+      if forbidden land bit r = 0 then begin
+        let tree = tree_used land bit r <> 0 in
+        if
+          !best < 0 || s > !best_score
+          || (s = !best_score && tree && not !best_tree)
+        then begin
+          best := r;
+          best_score := s;
+          best_tree := tree
+        end
+      end)
+    order;
+  !best
+
+let orders =
+  [|
+    ("full", Array.of_list Machine.full.Machine.allocatable);
+    ("seven caller-saved",
+      Array.of_list Machine.seven_caller_saved.Machine.allocatable);
+    ("seven callee-saved",
+      Array.of_list Machine.seven_callee_saved.Machine.allocatable);
+  |]
+
+type choice_case = {
+  order_name : string;
+  order : int array;
+  forbidden : int;
+  tree_used : int;
+  special : int;
+  costly : int;
+  refs : float;
+  score : float array;
+}
+
+let gen_choice =
+  let open QCheck.Gen in
+  let all = (1 lsl Machine.nregs) - 1 in
+  (* a mask that is often sparse, sometimes full or empty *)
+  let gen_mask =
+    frequency
+      [
+        (4, map2 ( land ) (int_bound all) (int_bound all));
+        (3, int_bound all);
+        (1, return 0);
+        (1, return all);
+      ]
+  in
+  oneofa orders >>= fun (order_name, order) ->
+  oneofl [ 1.; 2.; 10.; 100.5 ] >>= fun refs ->
+  (* scores drawn from a few values, the plain ones among them, so ties
+     across explicit and plain registers are common *)
+  let gen_score =
+    oneofl
+      [ refs; refs -. save_restore_cost; refs +. 1.; refs -. 3.; 0.; -2.5 ]
+  in
+  map
+    (fun ((forbidden, tree_used, special, costly), score) ->
+      { order_name; order; forbidden; tree_used; special; costly; refs; score })
+    (pair (quad gen_mask gen_mask gen_mask gen_mask)
+       (array_repeat Machine.nregs gen_score))
+
+let print_choice c =
+  Printf.sprintf
+    "%s: forbidden %#x tree %#x special %#x costly %#x refs %g scores [%s]"
+    c.order_name c.forbidden c.tree_used c.special c.costly c.refs
+    (String.concat "; "
+       (Array.to_list (Array.map (Printf.sprintf "%g") c.score)))
+
+let choose c =
+  Coloring.choose_register ~order:c.order
+    ~order_mask:(Machine.mask_of_list (Array.to_list c.order))
+    ~forbidden:c.forbidden ~tree_used:c.tree_used ~special:c.special
+    ~score:c.score ~refs:c.refs ~costly:c.costly
+
+let prop_choice_matches_scan =
+  QCheck.Test.make ~count:2000 ~name:"mask choice equals the full scan"
+    (QCheck.make gen_choice ~print:print_choice) (fun c ->
+      choose c
+      = scan_choice ~order:c.order ~forbidden:c.forbidden
+          ~tree_used:c.tree_used ~special:c.special ~score:c.score
+          ~refs:c.refs ~costly:c.costly)
+
+(* the per-range choice allocates nothing: 1000 calls leave the minor
+   allocation counter where it was *)
+let test_choice_allocates_nothing () =
+  let order = Array.of_list Machine.full.Machine.allocatable in
+  let order_mask = Machine.mask_of_list Machine.full.Machine.allocatable in
+  let score = Array.init Machine.nregs (fun r -> float_of_int (r mod 5)) in
+  let special = Machine.mask_of_list [ Machine.t0; Machine.a0 + 1; Machine.s0 ]
+  and costly = Machine.mask_of_list Machine.callee_saved
+  and tree_used = Machine.mask_of_list [ Machine.t0 + 3; Machine.s0 ] in
+  let call () =
+    Coloring.choose_register ~order ~order_mask ~forbidden:0b1000_0000_0000
+      ~tree_used ~special ~score ~refs:4. ~costly
+  in
+  let chosen = call () in
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    ignore (Sys.opaque_identity (call ()))
+  done;
+  let after = Gc.minor_words () in
+  Alcotest.(check int) "choice" chosen (call ());
+  Alcotest.(check (float 0.)) "minor words" 0. (after -. before)
+
 let suite =
   ( "coloring",
     [
@@ -309,6 +431,9 @@ let suite =
         test_restricted_machine_spills;
       Alcotest.test_case "dead-on-arrival param publication" `Quick
         test_dead_param_publication;
+      QCheck_alcotest.to_alcotest prop_choice_matches_scan;
+      Alcotest.test_case "register choice allocates nothing" `Quick
+        test_choice_allocates_nothing;
       Alcotest.test_case "default clobber of unknown callees" `Quick
         test_default_clobber;
       QCheck_alcotest.to_alcotest prop_validity_random;
