@@ -69,6 +69,22 @@ let read_file path =
 
 (* ----- shared options ----- *)
 
+(* A numeric flag the libraries reject at zero or below is refused while
+   parsing the command line, so a bad value exits 2 naming the flag
+   instead of escaping as an [Invalid_argument] backtrace. *)
+let positive what of_string zero pp =
+  let parse s =
+    match of_string s with
+    | Some v when v > zero -> Ok v
+    | _ -> Error (Printf.sprintf "expected a positive %s, got %S" what s)
+  in
+  Arg.conv' (parse, pp)
+
+let positive_int = positive "integer" int_of_string_opt 0 Format.pp_print_int
+
+let positive_float =
+  positive "number" float_of_string_opt 0. Format.pp_print_float
+
 let file_arg =
   Arg.(
     required
@@ -170,7 +186,7 @@ let pgo_arg =
 let inline_budget_arg =
   Arg.(
     value
-    & opt float Pipeline.default_inline_budget
+    & opt positive_float Pipeline.default_inline_budget
     & info [ "inline-budget" ] ~docv:"X"
         ~doc:
           "Code-growth bound for $(b,--pgo): stop inlining once a unit \
@@ -720,13 +736,13 @@ let serve_cmd =
   in
   let workers_arg =
     Arg.(
-      value & opt int 4
+      value & opt positive_int 4
       & info [ "workers" ] ~docv:"N"
           ~doc:"Worker domains executing requests (each compiles with -j1).")
   in
   let queue_bound_arg =
     Arg.(
-      value & opt int 64
+      value & opt positive_int 64
       & info [ "queue-bound" ] ~docv:"N"
           ~doc:
             "Admission-queue depth: requests beyond $(docv) waiting jobs \
@@ -735,7 +751,7 @@ let serve_cmd =
   in
   let shards_arg =
     Arg.(
-      value & opt int 4
+      value & opt positive_int 4
       & info [ "shards" ] ~docv:"N"
           ~doc:
             "Artifact-cache shards: independent locks by key prefix, so \
@@ -799,7 +815,7 @@ let serve_cmd =
   in
   let sample_interval_arg =
     Arg.(
-      value & opt float 1.0
+      value & opt positive_float 1.0
       & info [ "sample-interval" ] ~docv:"SECONDS"
           ~doc:"Seconds between telemetry samples (default 1).")
   in
@@ -833,10 +849,6 @@ let serve_cmd =
             Printf.eprintf "log written to %s\n%!" path)
           log)
     @@ fun () ->
-    if sample_interval <= 0. then begin
-      Printf.eprintf "error: --sample-interval must be positive\n";
-      exit 2
-    end;
     let server =
       Server.create ~workers ~queue_bound ?cache_dir ~cache_shards:shards
         ?cache_max_entries:max_entries ~flight_path ?telemetry_path:telemetry
@@ -1071,7 +1083,7 @@ let top_cmd =
   in
   let interval_arg =
     Arg.(
-      value & opt float 1.0
+      value & opt positive_float 1.0
       & info [ "interval" ] ~docv:"SECONDS"
           ~doc:"Seconds between polls (default 1).")
   in
@@ -1151,10 +1163,6 @@ let top_cmd =
   in
   let top socket interval count =
     handle_errors @@ fun () ->
-    if interval <= 0. then begin
-      Printf.eprintf "error: --interval must be positive\n";
-      exit 2
-    end;
     try
       Client.with_connection ~socket_path:socket @@ fun c ->
       let poll () =

@@ -86,6 +86,37 @@ let test_workload (w : W.t) () =
         (penalty chow < penalty spill))
     configs
 
+(* the strategy switch through the CLI: [run --alloc S --counters]
+   prints the same program output for every strategy, and chow's
+   save/restore plus spill-home traffic lands strictly below
+   spill-all's *)
+let test_cli_alloc () =
+  Test_server.with_src "clialloc" Test_server.calls_src @@ fun dir src ->
+  let run strategy =
+    Test_server.run_pawnc dir
+      [ "run"; src; "--O3"; "--alloc"; strategy; "--counters" ]
+  in
+  let traffic out =
+    Test_server.save_restore_ops out
+    + Test_server.int_row ~prefix:"scalar loads:" out
+    + Test_server.int_row ~prefix:"scalar stores:" out
+  in
+  let chow = run "chow" in
+  let linear = run "linear" in
+  let spill = run "spill-all" in
+  List.iter
+    (fun (strategy, out) ->
+      Alcotest.(check (list string))
+        (strategy ^ ": output identical to chow")
+        (Test_server.program_output chow)
+        (Test_server.program_output out))
+    [ ("linear", linear); ("spill-all", spill) ];
+  Alcotest.(check bool)
+    (Printf.sprintf "chow < spill-all on save/spill traffic (%d < %d)"
+       (traffic chow) (traffic spill))
+    true
+    (traffic chow < traffic spill)
+
 (* -j1 vs -j4: the wave-parallel driver must be invisible in the output
    whatever the strategy decides *)
 let test_determinism strategy () =
@@ -121,4 +152,5 @@ let suite =
           Alcotest.test_case
             ("determinism -j1 vs -j4: " ^ Allocator.to_string s)
             `Slow (test_determinism s))
-        Allocator.all )
+        Allocator.all
+    @ [ Alcotest.test_case "cli: run --alloc S" `Quick test_cli_alloc ] )

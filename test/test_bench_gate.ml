@@ -4,16 +4,6 @@
     of band, a missing row, a null estimate, a broken in-run server
     ratio — fails with a diagnostic naming what broke. *)
 
-(* [dune runtest] runs this binary from the test directory, [dune exec]
-   from the workspace root — find the gate from either *)
-let trace_check_exe () =
-  match
-    List.find_opt Sys.file_exists
-      [ "../bin/trace_check.exe"; "_build/default/bin/trace_check.exe" ]
-  with
-  | Some p -> p
-  | None -> Alcotest.fail "trace_check binary not built (dune deps?)"
-
 (* [(name, field, JSON literal)]: one row of every band class, with the
    server rows satisfying the in-run invariants (warm 4x below cold,
    warm-sampled within 1.1x of warm) *)
@@ -60,18 +50,13 @@ let compare edits =
   let code =
     Sys.command
       (Printf.sprintf "%s --bench-compare %s %s >%s 2>&1"
-         (Filename.quote (trace_check_exe ()))
+         (Filename.quote (Test_server.bin_exe "trace_check"))
          (Filename.quote base_path) (Filename.quote cur_path)
          (Filename.quote out))
   in
   let text = In_channel.with_open_text out In_channel.input_all in
   List.iter Sys.remove [ base_path; cur_path; out ];
   (code, text)
-
-let contains text sub =
-  match Str.search_forward (Str.regexp_string sub) text 0 with
-  | _ -> true
-  | exception Not_found -> false
 
 let test_within_bands () =
   let code, text =
@@ -86,7 +71,7 @@ let test_within_bands () =
   in
   Alcotest.(check int) ("exit 0; output: " ^ text) 0 code;
   Alcotest.(check bool) "reports the rows compared" true
-    (contains text "rows within band")
+    (Test_server.contains "rows within band" text)
 
 let fails ~edits ~names () =
   let code, text = compare edits in
@@ -94,7 +79,7 @@ let fails ~edits ~names () =
   List.iter
     (fun name ->
       Alcotest.(check bool) (Printf.sprintf "%S in %S" name text) true
-        (contains text name))
+        (Test_server.contains name text))
     names
 
 let suite =

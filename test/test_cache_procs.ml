@@ -64,6 +64,14 @@ let test_concurrent_processes () =
       in
       Unix._exit (if child_ok then 0 else 1)
   | pid ->
+      (* the parent reaps the child before any check can fail, so the
+         directory is idle when it is removed *)
+      Fun.protect ~finally:(fun () ->
+          Array.iter
+            (fun n -> Sys.remove (Filename.concat dir n))
+            (Sys.readdir dir);
+          Unix.rmdir dir)
+      @@ fun () ->
       Metrics.reset ();
       Metrics.enable ();
       let parent_ok = hammer cache art in

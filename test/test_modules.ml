@@ -171,8 +171,8 @@ let test_closed_extern_rejected () =
 
 (* the same rules through [pawnc build -c] and [pawnc link]: exit 2 *)
 let test_cli_link_errors_exit_2 () =
-  let pawnc = Filename.quote (Test_server.pawnc_exe ()) in
-  let dir = Test_server.fresh_dir "linkrules" in
+  let pawnc = Filename.quote (Test_server.bin_exe "pawnc") in
+  Test_server.with_dir "linkrules" @@ fun dir ->
   let write name text =
     let path = Filename.concat dir name in
     Out_channel.with_open_text path (fun oc -> output_string oc text);

@@ -35,14 +35,11 @@ export proc cube(x) { return x * square(x); }
 
 let two_units = [ unit_main; unit_math ]
 
-(* a fresh empty cache in a unique directory under the system temp dir,
-   so runs never collide and nothing is left in the source tree *)
-let fresh_cache ?max_entries ?shards name =
-  let marker = Filename.temp_file ("chow88-" ^ name) ".cache" in
-  Sys.remove marker;
-  let cache = Cache.create ?max_entries ?shards ~dir:marker () in
-  Cache.clear cache;
-  cache
+(* [f] on a fresh empty cache in a unique temp directory, removed when
+   [f] ends, so runs never collide and nothing is left behind *)
+let with_cache ?max_entries ?shards name f =
+  Test_server.with_dir name (fun dir ->
+      f (Cache.create ?max_entries ?shards ~dir ()))
 
 let counter_value name =
   match List.assoc_opt name (Metrics.dump ()) with Some v -> v | None -> 0
@@ -79,7 +76,7 @@ let test_save_load_file () =
   (* a save that fails — here the rename, onto a non-empty directory —
      raises and leaves no temp file behind: the cache counts only *.pawno
      entries, so a leaked temp file would never be evicted *)
-  let dir = Test_server.fresh_dir "failsave" in
+  Test_server.with_dir "failsave" @@ fun dir ->
   let path = Filename.concat dir "k.pawno" in
   Sys.mkdir path 0o755;
   Out_channel.with_open_bin (Filename.concat path "occupant") ignore;
@@ -185,8 +182,8 @@ proc main() { print(helper(3, 4)); }
    the linker can catch it: [pawnc link] must answer a named link error
    and exit 2, in range or far past the procedure's item count. *)
 let test_dangling_label_exits_2 () =
-  let pawnc = Filename.quote (Test_server.pawnc_exe ()) in
-  let dir = Test_server.fresh_dir "dangling" in
+  let pawnc = Filename.quote (Test_server.bin_exe "pawnc") in
+  Test_server.with_dir "dangling" @@ fun dir ->
   let art =
     match
       Pipeline.artifacts
@@ -240,7 +237,7 @@ let test_dangling_label_exits_2 () =
 
 let test_warm_rebuild_identical_and_allocation_free () =
   let cold = Pipeline.compile_source Config.o3_sw (Pipeline.Srcs two_units) in
-  let cache = fresh_cache "warm" in
+  with_cache "warm" @@ fun cache ->
   let seed =
     Pipeline.compile_source ~cache Config.o3_sw (Pipeline.Srcs two_units)
   in
@@ -265,22 +262,41 @@ let test_warm_rebuild_identical_and_allocation_free () =
   Alcotest.(check int) "no misses" 0 misses;
   Alcotest.(check (list Alcotest.reject)) "no procedure allocated" []
     (Pipeline.allocs warm);
-  let contains ~needle hay =
-    let nl = String.length needle and hl = String.length hay in
-    let rec go i =
-      i + nl <= hl && (String.sub hay i nl = needle || go (i + 1))
-    in
-    go 0
-  in
   Alcotest.(check bool)
     "no allocate-unit span in the warm trace" false
-    (contains ~needle:"allocate-unit" trace);
+    (Test_server.contains "allocate-unit" trace);
   Alcotest.(check bool)
     "cache-resolve span present" true
-    (contains ~needle:"cache-resolve" trace)
+    (Test_server.contains "cache-resolve" trace)
+
+(* the same contract through [pawnc build --cache-dir --stats]: the
+   second build of the two units is served entirely from the cache *)
+let test_cli_warm_build () =
+  Test_server.with_dir "cliwarm" @@ fun dir ->
+  let units =
+    List.mapi
+      (fun i src ->
+        let path = Filename.concat dir (Printf.sprintf "u%d.pawn" i) in
+        Test_server.write_file path src;
+        path)
+      two_units
+  in
+  let build () =
+    Test_server.run_pawnc dir
+      (("build" :: units)
+      @ [ "--O3"; "--cache-dir"; Filename.concat dir "cache"; "--stats" ])
+  in
+  ignore (build ());
+  let warm = build () in
+  Alcotest.(check int)
+    "warm cache.hit = units" (List.length two_units)
+    (Test_server.int_row ~prefix:"cache.hit " warm);
+  Alcotest.(check int)
+    "warm cache.miss = 0" 0
+    (Test_server.int_row ~prefix:"cache.miss " warm)
 
 let test_config_fingerprint_misses () =
-  let cache = fresh_cache "fingerprint" in
+  with_cache "fingerprint" @@ fun cache ->
   ignore (Pipeline.compile_source ~cache Config.o3_sw (Pipeline.Srcs two_units));
   let hits =
     with_metrics (fun () ->
@@ -303,7 +319,7 @@ let test_config_fingerprint_misses () =
   Alcotest.(check int) "-j4 reuses -j1 artifacts" 2 hits_j4
 
 let test_data_base_shift_misses () =
-  let cache = fresh_cache "baseshift" in
+  with_cache "baseshift" @@ fun cache ->
   ignore (Pipeline.compile_source ~cache Config.o3_sw (Pipeline.Srcs two_units));
   (* grow the first unit's data segment: the second unit's source is
      unchanged but its globals move, and baked absolute addresses make the
@@ -322,7 +338,7 @@ var pad[8];
   Alcotest.(check int) "both units recompile" 2 misses
 
 let test_disk_corruption_recompiles () =
-  let cache = fresh_cache "corrupt" in
+  with_cache "corrupt" @@ fun cache ->
   let cold =
     Pipeline.compile_source ~cache Config.o3_sw (Pipeline.Srcs two_units)
   in
@@ -375,7 +391,7 @@ let test_disk_corruption_recompiles () =
   Alcotest.(check bool) "crafted entry deleted" false (Sys.file_exists crafted)
 
 let test_eviction () =
-  let cache = fresh_cache ~max_entries:2 "evict" in
+  with_cache ~max_entries:2 "evict" @@ fun cache ->
   let c = Pipeline.compile_source Config.o3_sw (Pipeline.Srcs two_units) in
   let art = List.hd (Pipeline.artifacts c) in
   let evicted =
@@ -405,7 +421,7 @@ let sorted_entries cache =
     is by (mtime, key), so equal mtimes must break the tie by key —
     deterministically, reproducibly across runs. *)
 let test_eviction_mtime_tie_break () =
-  let unbounded = fresh_cache "tie" in
+  with_cache "tie" @@ fun unbounded ->
   let c = Pipeline.compile_source Config.o3_sw (Pipeline.Srcs two_units) in
   let art = List.hd (Pipeline.artifacts c) in
   List.iter (fun key -> Cache.store unbounded key art) [ "k1"; "k2"; "k3"; "k4" ];
@@ -436,7 +452,7 @@ let conc_keys = List.init 16 (fun i -> Printf.sprintf "conc%02x" i)
     pre-stored key must hit with an intact artifact, nothing may be
     flagged corrupt, and the atomic counters must sum exactly. *)
 let test_concurrent_domains () =
-  let cache = fresh_cache ~shards:4 "domains" in
+  with_cache ~shards:4 "domains" @@ fun cache ->
   let c = Pipeline.compile_source Config.o3_sw (Pipeline.Srcs two_units) in
   let art = List.hd (Pipeline.artifacts c) in
   List.iter (fun k -> Cache.store cache k art) conc_keys;
@@ -532,6 +548,8 @@ let suite =
         test_dangling_label_exits_2;
       Alcotest.test_case "cache: warm rebuild identical, allocation-free"
         `Quick test_warm_rebuild_identical_and_allocation_free;
+      Alcotest.test_case "cli: warm build --cache-dir served from the cache"
+        `Quick test_cli_warm_build;
       Alcotest.test_case "cache: config fingerprint keys the store" `Quick
         test_config_fingerprint_misses;
       Alcotest.test_case "cache: data-base shift forces a miss" `Quick

@@ -42,16 +42,14 @@ let spans_of_trace txt =
   | Ok (Json.Arr events) ->
       List.filter_map
         (fun ev ->
+          let name = str "name" (Json.member "name" ev)
+          and ts = num "ts" (Json.member "ts" ev)
+          and tid = num "tid" (Json.member "tid" ev) in
           match str "ph" (Json.member "ph" ev) with
           | "X" ->
-              let ts = num "ts" (Json.member "ts" ev) in
-              Some
-                {
-                  s_name = str "name" (Json.member "name" ev);
-                  s_tid = num "tid" (Json.member "tid" ev);
-                  s_ts = ts;
-                  s_end = ts +. num "dur" (Json.member "dur" ev);
-                }
+              let dur = num "dur" (Json.member "dur" ev) in
+              if dur < 0. then Alcotest.failf "span %s has negative dur" name;
+              Some { s_name = name; s_tid = tid; s_ts = ts; s_end = ts +. dur }
           | "C" -> None
           | ph -> Alcotest.failf "unexpected event phase %S" ph)
         events
@@ -99,16 +97,10 @@ let check_nesting spans =
         l)
     by_tid
 
-let test_trace_pipeline () =
-  Event.reset ();
-  Event.enable_trace ();
-  let compiled =
-    Pipeline.compile_source (Config.with_jobs 4 Config.o3_sw) (Pipeline.Src (source_of "nim"))
-  in
-  ignore (Sim.run (Pipeline.program compiled));
-  Event.disable_trace ();
-  let txt = Event.chrome_json () in
-  Event.reset ();
+(** A compile-and-run trace: well-formed, nested per timeline, every
+    pipeline phase present, and the per-procedure spans carrying their
+    wave tag. *)
+let check_pipeline_trace txt =
   let spans = spans_of_trace txt in
   check_nesting spans;
   let names = List.map (fun s -> s.s_name) spans in
@@ -134,12 +126,39 @@ let test_trace_pipeline () =
       "decode";
       "sim";
     ];
-  (* per-procedure spans carry their wave tag *)
   Alcotest.(check bool)
     "a per-procedure alloc span exists" true
-    (List.exists
-       (fun s -> String.length s.s_name > 6 && String.sub s.s_name 0 6 = "alloc:")
-       spans)
+    (List.exists (fun s -> String.starts_with ~prefix:"alloc:" s.s_name) spans)
+
+let test_trace_pipeline () =
+  Event.reset ();
+  Event.enable_trace ();
+  let compiled =
+    Pipeline.compile_source (Config.with_jobs 4 Config.o3_sw) (Pipeline.Src (source_of "nim"))
+  in
+  ignore (Sim.run (Pipeline.program compiled));
+  Event.disable_trace ();
+  let txt = Event.chrome_json () in
+  Event.reset ();
+  check_pipeline_trace txt
+
+(* the same through [pawnc run --trace --stats]: the trace file passes
+   the same checks, and the stats table carries the load-bearing
+   counters *)
+let test_cli_trace_and_stats () =
+  Test_server.with_src "clitrace" Test_server.calls_src @@ fun dir src ->
+  let trace = Filename.concat dir "trace.json" in
+  let out =
+    Test_server.run_pawnc dir
+      [ "run"; src; "--O3"; "--stats"; "--trace"; trace ]
+  in
+  check_pipeline_trace (Test_server.read_file trace);
+  List.iter
+    (fun counter ->
+      Alcotest.(check bool)
+        (counter ^ " counted") true
+        (Test_server.int_row ~prefix:(counter ^ " ") out > 0))
+    [ "color.ranges"; "dataflow.worklist_pops"; "sim.cycles" ]
 
 let test_trace_disabled_records_nothing () =
   Event.reset ();
@@ -513,7 +532,8 @@ let test_percentile_both_semantics () =
 
 (** Golden page for a hand-built typed snapshot: dot-separated registry
     names sanitized into the OpenMetrics alphabet, [/item] suffixes
-    turned into escaped [item] labels sharing one family, counters
+    turned into escaped [item] labels sharing one family (a labelled
+    histogram's buckets carry the item before [le]), counters
     suffixed [_total], histogram buckets cumulative and closed by
     [le="+Inf"] with exact [_sum] and [_count], families sorted, page
     terminated by [# EOF]. *)
@@ -528,7 +548,11 @@ let test_export_golden () =
           ("odd.name/a\"b\\c\nd", 7);
           ("q.depth", 1);
         ];
-      t_histograms = [ ("server.run_us", [ (4, 90); (1024, 10) ], 10360) ];
+      t_histograms =
+        [
+          ("server.run_us", [ (4, 90); (1024, 10) ], 10360);
+          ("server.wait_us/ping", [ (2, 3) ], 5);
+        ];
     }
   in
   let expected =
@@ -547,6 +571,11 @@ let test_export_golden () =
      server_run_us_bucket{le=\"+Inf\"} 100\n\
      server_run_us_sum 10360\n\
      server_run_us_count 100\n\
+     # TYPE server_wait_us histogram\n\
+     server_wait_us_bucket{item=\"ping\",le=\"2\"} 3\n\
+     server_wait_us_bucket{item=\"ping\",le=\"+Inf\"} 3\n\
+     server_wait_us_sum{item=\"ping\"} 5\n\
+     server_wait_us_count{item=\"ping\"} 3\n\
      # EOF\n"
   in
   Alcotest.(check string) "OpenMetrics page" expected (Export.render snap)
@@ -690,6 +719,8 @@ let suite =
     [
       Alcotest.test_case "trace: pipeline spans well-formed and nested" `Quick
         test_trace_pipeline;
+      Alcotest.test_case "cli: run --trace --stats" `Quick
+        test_cli_trace_and_stats;
       Alcotest.test_case "trace: disabled records nothing" `Quick
         test_trace_disabled_records_nothing;
       Alcotest.test_case "trace: exception still closes span" `Quick

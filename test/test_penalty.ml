@@ -177,10 +177,7 @@ let test_golden_report () =
     Alcotest.failf "penalty report drifted:@.--- expected ---@.%s@.--- got ---@.%s"
       expected got
 
-let contains ~needle hay =
-  let nl = String.length needle and hl = String.length hay in
-  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-  go 0
+let contains = Test_server.contains
 
 (** Truncated output must announce itself: with the row limit below the
     site count, the report carries an "omitted" trailer; when every row
@@ -190,10 +187,10 @@ let test_report_truncation_trailer () =
   Alcotest.(check bool) "needs > 1 site" true (List.length r.Profile.sites > 1);
   let cut = Format.asprintf "%a" (Profile.pp_penalty_report ~limit:1) r in
   Alcotest.(check bool) "trailer present when rows are cut" true
-    (contains ~needle:"more site" cut && contains ~needle:"omitted" cut);
+    (contains "more site" cut && contains "omitted" cut);
   let full = Format.asprintf "%a" (Profile.pp_penalty_report ~limit:5) r in
   Alcotest.(check bool) "no trailer when all rows fit" false
-    (contains ~needle:"omitted" full)
+    (contains "omitted" full)
 
 (** The call-tree node cap no longer truncates silently: with a tiny
     [max_nodes], calls on new paths collapse into their parents and are
@@ -222,7 +219,7 @@ let test_tree_cap_reported () =
     (capped.Profile.counters = full.Profile.counters);
   let trailer = Format.asprintf "%a" (Profile.pp_calltree ~max_depth:3) capped in
   Alcotest.(check bool) "calltree trailer names the collapse" true
-    (contains ~needle:"collapsed" trailer)
+    (contains "collapsed" trailer)
 
 let suite =
   ( "penalty",

@@ -9,7 +9,6 @@
 
 module Config = Chow_compiler.Config
 module Pipeline = Chow_compiler.Pipeline
-module Cache = Chow_compiler.Cache
 module Diag = Chow_frontend.Diag
 module Profile = Chow_sim.Profile
 module Sim = Chow_sim.Sim
@@ -25,13 +24,6 @@ let with_metrics f =
   Metrics.reset ();
   Metrics.enable ();
   Fun.protect ~finally:Metrics.disable f
-
-let fresh_cache name =
-  let marker = Filename.temp_file ("chow88-" ^ name) ".cache" in
-  Sys.remove marker;
-  let cache = Cache.create ~dir:marker () in
-  Cache.clear cache;
-  cache
 
 (** Measure a penalty profile of [src] under [config] and distill it to
     an artifact, exactly as [pawnc profile --emit] does. *)
@@ -160,11 +152,11 @@ let test_rejects_stale () =
   (* a crafted file with a valid digest and a negative row count is the
      same diagnostic, and through the CLI a user error: exit 2, never an
      uncaught exception *)
-  let dir = Test_server.fresh_dir "pgoneg" in
+  Test_server.with_dir "pgoneg" @@ fun dir ->
   let src = Filename.concat dir "tiny.pawn"
   and prof = Filename.concat dir "bad.pawnp"
   and err = Filename.concat dir "stderr" in
-  Out_channel.with_open_bin src (fun oc -> output_string oc tiny_src);
+  Test_server.write_file src tiny_src;
   Out_channel.with_open_bin prof (fun oc ->
       output_string oc
         (Test_objfile.reseal
@@ -175,7 +167,7 @@ let test_rejects_stale () =
   let code =
     Sys.command
       (Printf.sprintf "%s run %s --O3 --pgo %s >/dev/null 2>%s"
-         (Filename.quote (Test_server.pawnc_exe ()))
+         (Filename.quote (Test_server.bin_exe "pawnc"))
          (Filename.quote src) (Filename.quote prof) (Filename.quote err))
   in
   Alcotest.(check int) "pawnc run --pgo CRAFTED exits 2" 2 code;
@@ -189,12 +181,46 @@ let test_rejects_stale () =
   | _ -> Alcotest.fail "budget 0 accepted"
   | exception Invalid_argument _ -> ()
 
+(* the profile -> build loop through the CLI: [profile --emit] reports
+   the rows it wrote, and [run --pgo --inline-budget 2] prints the plain
+   run's output with fewer calls and no more save/restore operations *)
+let test_cli_pgo () =
+  Test_server.with_src "clipgo" Test_server.calls_src @@ fun dir src ->
+  let prof = Filename.concat dir "p.pwnp" in
+  let emitted =
+    Test_server.run_pawnc dir [ "profile"; src; "--O3"; "--emit"; prof ]
+  in
+  Alcotest.(check bool)
+    "profile --emit reports its rows" true
+    (Test_server.contains "call-site rows" emitted);
+  let plain = Test_server.run_pawnc dir [ "run"; src; "--O3"; "--counters" ] in
+  let pgo =
+    Test_server.run_pawnc dir
+      [
+        "run"; src; "--O3"; "--pgo"; prof; "--inline-budget"; "2";
+        "--counters";
+      ]
+  in
+  Alcotest.(check (list string))
+    "same program output"
+    (Test_server.program_output plain)
+    (Test_server.program_output pgo);
+  let calls = Test_server.int_row ~prefix:"calls:" in
+  Alcotest.(check bool)
+    (Printf.sprintf "inlining removed calls (%d < %d)" (calls pgo)
+       (calls plain))
+    true
+    (calls pgo < calls plain);
+  Alcotest.(check bool)
+    "no more save/restore operations" true
+    (Test_server.save_restore_ops pgo <= Test_server.save_restore_ops plain)
+
 (* ----- cache-key interaction ----- *)
 
 (** A --pgo build must never alias a plain build (or a --pgo build under
     a different profile or budget) in the artifact cache. *)
 let test_cache_key_absorbs_profile () =
-  let cache = fresh_cache "pgo" in
+  Test_objfile.with_cache "pgo" @@ fun cache ->
   let srcs = [ tiny_src ] in
   let pgo = Pipeline.pgo ~config:Config.o3_sw ~srcs (measure tiny_src) in
   ignore (Pipeline.compile_source ~cache Config.o3_sw (Pipeline.Srcs srcs));
@@ -342,6 +368,7 @@ let suite =
       Alcotest.test_case "artifact rejects damage" `Quick test_rejects_damage;
       Alcotest.test_case "artifact save/load" `Quick test_save_load_atomic;
       Alcotest.test_case "stale profiles rejected" `Quick test_rejects_stale;
+      Alcotest.test_case "cli: profile --emit, run --pgo" `Quick test_cli_pgo;
       Alcotest.test_case "cache key absorbs profile and budget" `Quick
         test_cache_key_absorbs_profile;
       Alcotest.test_case "parallel determinism (uopt)" `Slow

@@ -13,10 +13,47 @@ module Metrics = Chow_obs.Metrics
 module Event = Chow_obs.Event
 module Json = Chow_obs.Json
 
+(* ----- scaffolding the suites share ----- *)
+
 let contains needle hay =
   let nl = String.length needle and hl = String.length hay in
   let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
   go 0
+
+let rec remove_tree path =
+  match (Unix.lstat path).Unix.st_kind with
+  | Unix.S_DIR ->
+      Array.iter
+        (fun name -> remove_tree (Filename.concat path name))
+        (Sys.readdir path);
+      Unix.rmdir path
+  | _ -> Sys.remove path
+  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
+
+(** Run [f] on a fresh private directory under the system temp dir, and
+    remove the directory with everything in it when [f] returns or
+    raises. *)
+let with_dir name f =
+  let d = Filename.temp_file ("chow88-" ^ name) ".d" in
+  Sys.remove d;
+  Unix.mkdir d 0o700;
+  Fun.protect ~finally:(fun () -> remove_tree d) (fun () -> f d)
+
+let write_file path text =
+  Out_channel.with_open_bin path (fun oc -> output_string oc text)
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+(* [dune runtest] runs the suites from the test directory, [dune exec]
+   from the workspace root: find a binary of bin/ from either *)
+let bin_exe name =
+  let rel = Filename.concat "bin" (name ^ ".exe") in
+  match
+    List.find_opt Sys.file_exists
+      [ Filename.concat ".." rel; Filename.concat "_build/default" rel ]
+  with
+  | Some p -> p
+  | None -> Alcotest.failf "%s binary not built (dune deps?)" rel
 
 (* ----- protocol ----- *)
 
@@ -223,19 +260,13 @@ let test_scheduler_bound_rejects () =
 
 (* ----- the daemon end-to-end, in process ----- *)
 
-let fresh_dir name =
-  let d = Filename.temp_file ("chow88-" ^ name) ".d" in
-  Sys.remove d;
-  Unix.mkdir d 0o700;
-  d
-
 let with_server ?(workers = 2) ?(queue_bound = 16) name f =
   (* the registry and the flight rings are global and other suites leave
      residues; the daemon tests assert exact counter values and event
      sets, so start both from zero *)
   Metrics.reset ();
   Event.reset ();
-  let dir = fresh_dir name in
+  with_dir name @@ fun dir ->
   let socket_path = Filename.concat dir "s.sock" in
   let server =
     Server.create ~workers ~queue_bound
@@ -328,6 +359,7 @@ let test_server_end_to_end () =
               Alcotest.(check int) "failed" 1 (v "server.failed");
               Alcotest.(check int) "hit" 1 (v "cache.hit");
               Alcotest.(check int) "accepted" 3 (v "server.accepted");
+              Alcotest.(check int) "never busy" 0 (v "server.busy");
               List.iter
                 (fun part ->
                   Alcotest.(check int)
@@ -557,9 +589,25 @@ let test_server_health_probe () =
       let ready, _ = probe () in
       Alcotest.(check bool) "ready again after drain" true ready)
 
-(* the OpenMetrics page over the wire: a live daemon's scrape carries the
-   level gauges and the request histograms alongside the counters, and
-   terminates with # EOF *)
+(* the OpenMetrics page over the wire: a live daemon's scrape declares
+   every family the daemon promises, each as its instrument (the level
+   gauges and the request histograms alongside the counters), and
+   terminates with # EOF; [Export]'s golden page pins the grammar *)
+let required_families =
+  [
+    ("server_accepted", "counter");
+    ("server_completed", "counter");
+    ("server_queue_depth", "gauge");
+    ("server_workers_busy", "gauge");
+    ("server_connections", "gauge");
+    ("server_inflight", "gauge");
+    ("gc_minor_words", "gauge");
+    ("gc_heap_words", "gauge");
+    ("cache_entries", "gauge");
+    ("server_run_us", "histogram");
+    ("server_queue_wait_us", "histogram");
+  ]
+
 let test_server_metrics_scrape () =
   with_server "scrape" (fun socket_path ->
       Client.with_connection ~socket_path (fun c ->
@@ -572,20 +620,17 @@ let test_server_metrics_scrape () =
                 (fun needle ->
                   Alcotest.(check bool)
                     (needle ^ " on the page") true (contains needle page))
-                [
-                  "# TYPE server_accepted counter";
-                  "server_accepted_total 1";
-                  "# TYPE server_queue_depth gauge";
-                  "# TYPE gc_heap_words gauge";
-                  "# TYPE cache_entries gauge";
-                  "server_run_us_bucket{le=\"+Inf\"}";
-                  "server_run_us_count 1";
-                ];
+                (List.map
+                   (fun (fam, ty) -> Printf.sprintf "# TYPE %s %s\n" fam ty)
+                   required_families
+                @ [
+                    "server_accepted_total 1";
+                    "server_run_us_bucket{le=\"+Inf\"}";
+                    "server_run_us_count 1";
+                  ]);
               Alcotest.(check bool)
                 "page ends with # EOF" true
-                (let tail = "# EOF\n" in
-                 let pl = String.length page and tl = String.length tail in
-                 pl >= tl && String.sub page (pl - tl) tl = tail)
+                (String.ends_with ~suffix:"# EOF\n" page)
           | _ -> Alcotest.fail "Metrics_text request failed"))
 
 let test_server_malformed_frame () =
@@ -605,11 +650,18 @@ let test_server_malformed_frame () =
                 "rejection names the version" true
                 (contains "version" message)
           | _ -> Alcotest.fail "old-version frame: want a protocol Error"));
-      (* the daemon survives and serves the next connection *)
+      (* the daemon survives, serves the next connection, and has both
+         frames on its books *)
       Client.with_connection ~socket_path (fun c ->
           Alcotest.(check bool)
             "daemon alive after garbage" true
-            (Client.request c Protocol.Ping = Protocol.Pong)))
+            (Client.request c Protocol.Ping = Protocol.Pong);
+          match Client.request c Protocol.Stats with
+          | Protocol.Stats_reply counters ->
+              Alcotest.(check (option int))
+                "two protocol errors counted" (Some 2)
+                (List.assoc_opt "server.protocol_error" counters)
+          | _ -> Alcotest.fail "Stats failed"))
 
 let test_server_client_vanishes () =
   (* regression for the fd lifetime: a client that submits a request and
@@ -755,9 +807,11 @@ let test_flight_dump_during_write () =
     (match Json.parse (Event.flight_json ()) with
     | Error msg -> Alcotest.failf "mid-write dump does not parse: %s" msg
     | Ok j ->
-        (match Json.member "capacity" j with
-        | Some (Json.Num f) when int_of_float f = Event.capacity -> ()
-        | _ -> Alcotest.fail "dump lost its capacity field");
+        (match (Json.member "capacity" j, Json.member "dropped" j) with
+        | Some (Json.Num f), Some (Json.Num d)
+          when int_of_float f = Event.capacity && d >= 0. ->
+            ()
+        | _ -> Alcotest.fail "dump lost its capacity or dropped field");
         (match Json.member "events" j with
         | Some (Json.Arr evs) ->
             List.iter
@@ -774,26 +828,16 @@ let test_flight_dump_during_write () =
   Alcotest.(check bool) "dumped at least once mid-write" true (!dumps >= 1);
   Event.reset ()
 
-(* ----- the pawnc client's exit codes ----- *)
+(* ----- the pawnc CLI ----- *)
 
 (* [pawnc request] must exit 3 — distinct from the generic failure 2 — on
    [Busy], so callers (CI wrappers, retry loops) can tell backpressure
    from a broken request.  Driven against a fake daemon that answers
    every compile with [Busy]: the real admission queue can't be wedged
    deterministically from outside. *)
-(* [dune runtest] runs this binary from the test directory, [dune exec]
-   from the workspace root — find the CLI from either *)
-let pawnc_exe () =
-  match
-    List.find_opt Sys.file_exists
-      [ "../bin/pawnc.exe"; "_build/default/bin/pawnc.exe" ]
-  with
-  | Some p -> p
-  | None -> Alcotest.fail "pawnc binary not built (dune deps?)"
-
 let test_request_busy_exits_3 () =
-  let pawnc = pawnc_exe () in
-  let dir = fresh_dir "busy3" in
+  let pawnc = bin_exe "pawnc" in
+  with_dir "busy3" @@ fun dir ->
   let socket_path = Filename.concat dir "s.sock" in
   let listen_fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Fun.protect
@@ -812,9 +856,7 @@ let test_request_busy_exits_3 () =
           ()
       in
       let src = Filename.concat dir "x.p" in
-      let oc = open_out src in
-      output_string oc good_src;
-      close_out oc;
+      write_file src good_src;
       let code =
         Sys.command
           (Printf.sprintf "%s request run %s --socket %s >/dev/null 2>&1"
@@ -824,19 +866,21 @@ let test_request_busy_exits_3 () =
       Thread.join fake_daemon;
       Alcotest.(check int) "Busy exits 3" 3 code)
 
-(* Start [pawnc args] with stdout captured to a file and stderr
-   silenced. *)
-let spawn_pawnc ~out args =
-  let pawnc = pawnc_exe () in
-  let fd = Unix.openfile out [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o600
-  and null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+(* Start [pawnc args] with stdout captured to [out] and stderr to [err]
+   (silenced by default). *)
+let spawn_pawnc ?(err = "/dev/null") ~out args =
+  let pawnc = bin_exe "pawnc" in
+  let open_w path =
+    Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o600
+  in
+  let out_fd = open_w out and err_fd = open_w err in
   let pid =
     Unix.create_process pawnc
       (Array.of_list (pawnc :: args))
-      Unix.stdin fd null
+      Unix.stdin out_fd err_fd
   in
-  Unix.close fd;
-  Unix.close null;
+  Unix.close out_fd;
+  Unix.close err_fd;
   pid
 
 (* Wait for [pid]'s exit code, killing it after [timeout] seconds: a
@@ -858,54 +902,147 @@ let exit_code ?(timeout = 20.) pid =
   in
   wait ()
 
-(* [--trace] and [--log] open their files before any work, so an
-   unwritable path is a named error and exit 2 up front — not a program
-   that runs (or a daemon that serves) and then dies at exit *)
-let test_unwritable_sink_exits_2 () =
-  let dir = fresh_dir "sink2" in
-  let src = Filename.concat dir "x.p" in
-  Out_channel.with_open_bin src (fun oc -> output_string oc good_src);
-  let bad = Filename.concat dir "missing/out.json" in
+(* Run [pawnc args] to completion, its stdout kept in [dir]: fail unless
+   it exits [code] (default 0), else return the output. *)
+let run_pawnc ?(code = 0) dir args =
   let out = Filename.concat dir "stdout" in
-  let code =
-    exit_code (spawn_pawnc ~out [ "run"; src; "--O3"; "--trace"; bad ])
-  in
-  Alcotest.(check int) "run --trace UNWRITABLE exits 2" 2 code;
-  Alcotest.(check string)
-    "and fails before the program runs" ""
-    (In_channel.with_open_bin out In_channel.input_all);
-  let sock = Filename.concat dir "s.sock" in
-  let code =
-    exit_code (spawn_pawnc ~out [ "serve"; "--socket"; sock; "--log"; bad ])
-  in
-  Alcotest.(check int) "serve --log UNWRITABLE exits 2" 2 code;
-  Alcotest.(check bool)
-    "and fails before it listens" false (Sys.file_exists sock)
+  Alcotest.(check int)
+    (Printf.sprintf "pawnc %s exits %d" (List.hd args) code)
+    code
+    (exit_code (spawn_pawnc ~out args));
+  read_file out
 
-(* The log streams: a daemon killed with SIGKILL after serving requests
-   has already written their lines, whole and in timestamp order *)
-let test_log_survives_kill_9 () =
-  let dir = fresh_dir "kill9" in
-  let sock = Filename.concat dir "s.sock"
-  and log = Filename.concat dir "serve.log" in
+(* Run [f socket pid] against [pawnc serve --socket SOCKET args] started
+   in [dir], once it answers; the daemon is killed afterwards unless [f]
+   has reaped it. *)
+let with_pawnc_serve dir args f =
+  let sock = Filename.concat dir "s.sock" in
   let pid =
-    spawn_pawnc ~out:(Filename.concat dir "stdout")
-      [
-        "serve"; "--socket"; sock; "--workers"; "1"; "--log"; log;
-        "--log-level"; "debug";
-      ]
+    spawn_pawnc ~out:(Filename.concat dir "serve.out")
+      ("serve" :: "--socket" :: sock :: args)
   in
-  let killed = ref false in
   Fun.protect
     ~finally:(fun () ->
-      if not !killed then begin
-        Unix.kill pid Sys.sigkill;
-        ignore (Unix.waitpid [] pid)
-      end)
+      match Unix.waitpid [ Unix.WNOHANG ] pid with
+      | 0, _ ->
+          Unix.kill pid Sys.sigkill;
+          ignore (Unix.waitpid [] pid)
+      | _ -> ()
+      | exception Unix.Unix_error (Unix.ECHILD, _, _) -> ())
     (fun () ->
       Alcotest.(check bool)
         "daemon answers" true
         (Client.wait_ready ~socket_path:sock ());
+      f sock pid)
+
+(* [with_dir], plus [src] written into it as a source file *)
+let with_src name src f =
+  with_dir name @@ fun dir ->
+  let path = Filename.concat dir "src.pawn" in
+  write_file path src;
+  f dir path
+
+(* a call tree deep enough for IPRA waves, shrink-wrapping, spill-home
+   traffic under [--alloc spill-all] and call sites worth inlining *)
+let calls_src =
+  {|var total;
+proc square(x) { return x * x; }
+proc sum_squares(n) {
+  var acc = 0; var i = 1;
+  while (i <= n) { acc = acc + square(i); i = i + 1; }
+  return acc;
+}
+proc main() {
+  var k = 1;
+  while (k <= 5) { total = total + sum_squares(k); k = k + 1; }
+  print(total);
+}|}
+
+(* The rest of the first [prefix]-led line of a [--counters] or
+   [--stats] dump, e.g. [row ~prefix:"calls:"] or
+   [row ~prefix:"cache.hit "]. *)
+let row ~prefix text =
+  let pl = String.length prefix in
+  match
+    List.find_map
+      (fun line ->
+        let line = String.trim line in
+        if String.starts_with ~prefix line then
+          Some (String.trim (String.sub line pl (String.length line - pl)))
+        else None)
+      (String.split_on_char '\n' text)
+  with
+  | Some rest -> rest
+  | None -> Alcotest.failf "no %S row in:\n%s" prefix text
+
+let int_row ~prefix text = int_of_string (row ~prefix text)
+
+(* save/restore memory operations from a [--counters] dump *)
+let save_restore_ops text =
+  Scanf.sscanf (row ~prefix:"save/restore:" text) "%d loads, %d stores" ( + )
+
+(* the program's own output: the lines before [--counters]' header *)
+let program_output text =
+  let rec take = function
+    | line :: rest when not (String.starts_with ~prefix:"--- " line) ->
+        line :: take rest
+    | _ -> []
+  in
+  take (String.split_on_char '\n' text)
+
+(* [--trace] and [--log] open their files before any work, so an
+   unwritable path is a named error and exit 2 up front — not a program
+   that runs (or a daemon that serves) and then dies at exit *)
+let test_unwritable_sink_exits_2 () =
+  with_src "sink2" good_src @@ fun dir src ->
+  let bad = Filename.concat dir "missing/out.json" in
+  Alcotest.(check string)
+    "run --trace UNWRITABLE fails before the program runs" ""
+    (run_pawnc ~code:2 dir [ "run"; src; "--O3"; "--trace"; bad ]);
+  let sock = Filename.concat dir "s.sock" in
+  ignore (run_pawnc ~code:2 dir [ "serve"; "--socket"; sock; "--log"; bad ]);
+  Alcotest.(check bool)
+    "and fails before it listens" false (Sys.file_exists sock)
+
+(* A numeric flag the libraries reject at zero or below is a CLI error:
+   exit 2 with a stderr naming the flag, never an uncaught
+   [Invalid_argument] *)
+let test_bad_numeric_flags_exit_2 () =
+  with_src "flags" calls_src @@ fun dir src ->
+  let sock = Filename.concat dir "s.sock"
+  and prof = Filename.concat dir "p.pwnp"
+  and out = Filename.concat dir "stdout"
+  and err = Filename.concat dir "stderr" in
+  (* a valid profile, so only the budget can be wrong *)
+  ignore (run_pawnc dir [ "profile"; src; "--O3"; "--emit"; prof ]);
+  List.iter
+    (fun (flag, args) ->
+      let code = exit_code (spawn_pawnc ~err ~out args) in
+      let msg = read_file err in
+      Alcotest.(check int) (flag ^ " out of range: exit 2") 2 code;
+      Alcotest.(check bool)
+        (Printf.sprintf "stderr %S names %s" msg flag)
+        true (contains flag msg))
+    [
+      ("--workers", [ "serve"; "--socket"; sock; "--workers"; "0" ]);
+      ("--queue-bound", [ "serve"; "--socket"; sock; "--queue-bound"; "0" ]);
+      ("--shards", [ "serve"; "--socket"; sock; "--shards=-3" ]);
+      ( "--sample-interval",
+        [ "serve"; "--socket"; sock; "--sample-interval"; "0" ] );
+      ( "--inline-budget",
+        [ "run"; src; "--O3"; "--pgo"; prof; "--inline-budget"; "0" ] );
+    ]
+
+(* The log streams: a daemon killed with SIGKILL after serving requests
+   has already written their lines, whole and in timestamp order, every
+   request-scoped line naming the client's request id *)
+let test_log_survives_kill_9 () =
+  with_dir "kill9" @@ fun dir ->
+  let log = Filename.concat dir "serve.log" in
+  let ids = [ 601; 602; 603 ] in
+  with_pawnc_serve dir
+    [ "--workers"; "1"; "--log"; log; "--log-level"; "debug" ]
+    (fun sock pid ->
       (* one worker runs jobs in submission order, so the third reply
          proves the first two finished — done line and drain included *)
       Client.with_connection ~socket_path:sock (fun c ->
@@ -914,14 +1051,11 @@ let test_log_survives_kill_9 () =
               match Client.request c (compile_req ~id [ good_src ]) with
               | Protocol.Done _ -> ()
               | _ -> Alcotest.failf "request %d failed" id)
-            [ 601; 602; 603 ]);
+            ids);
       Unix.kill pid Sys.sigkill;
-      ignore (Unix.waitpid [] pid);
-      killed := true);
+      ignore (Unix.waitpid [] pid));
   let lines =
-    List.filter (fun l -> l <> "")
-      (String.split_on_char '\n'
-         (In_channel.with_open_bin log In_channel.input_all))
+    List.filter (fun l -> l <> "") (String.split_on_char '\n' (read_file log))
   in
   let last_ts = ref neg_infinity and done_ids = ref [] in
   List.iter
@@ -936,6 +1070,8 @@ let test_log_survives_kill_9 () =
               last_ts := ts
           | _ -> Alcotest.failf "log line %S has no ts" line);
           match (Json.member "event" j, Json.member "req" j) with
+          | _, Some (Json.Num r) when not (List.mem (int_of_float r) ids) ->
+              Alcotest.failf "log line %S names an unknown request" line
           | Some (Json.Str "done"), Some (Json.Num r) ->
               done_ids := int_of_float r :: !done_ids
           | _ -> ()))
@@ -947,10 +1083,91 @@ let test_log_survives_kill_9 () =
         true (List.mem id !done_ids))
     [ 601; 602 ]
 
+(* The daemon's file sinks and probe through the real CLI: [--flight-dump]
+   receives a postmortem dump when a malformed frame arrives, holding the
+   earlier request's lifecycle; [request health] exits 0 printing ready;
+   Shutdown ends the process with exit 0; and [--telemetry] has sampled
+   the registry as JSON lines with monotone timestamps *)
+let test_serve_sinks () =
+  with_dir "sinks" @@ fun dir ->
+  let flight = Filename.concat dir "flight.json"
+  and telemetry = Filename.concat dir "telemetry.jsonl" in
+  with_pawnc_serve dir
+    [
+      "--workers"; "1"; "--flight-dump"; flight; "--telemetry"; telemetry;
+      "--sample-interval"; "0.1";
+    ]
+    (fun sock pid ->
+      let request req =
+        Client.with_connection ~socket_path:sock (fun c -> Client.request c req)
+      in
+      (match request (compile_req ~id:777 [ good_src ]) with
+      | Protocol.Done _ -> ()
+      | _ -> Alcotest.fail "compile request failed");
+      Client.with_connection ~socket_path:sock (fun c ->
+          Protocol.write_frame (Client.fd c) "\xff\x00garbage";
+          ignore (Protocol.recv_reply (Client.fd c)));
+      let out = run_pawnc dir [ "request"; "health"; "--socket"; sock ] in
+      Alcotest.(check bool)
+        (Printf.sprintf "health printed %S, want ready" out)
+        true
+        (String.starts_with ~prefix:"ready" out);
+      Alcotest.(check bool)
+        "Shutdown answers Bye" true
+        (request Protocol.Shutdown = Protocol.Bye);
+      Alcotest.(check int) "serve exits 0 after Shutdown" 0 (exit_code pid));
+  let events =
+    match Json.parse (read_file flight) with
+    | Ok j -> (
+        match Json.member "events" j with
+        | Some (Json.Arr evs) -> evs
+        | _ -> Alcotest.fail "flight dump has no events array")
+    | Error msg -> Alcotest.failf "flight dump does not parse: %s" msg
+  in
+  let has ?req name =
+    List.exists
+      (fun ev ->
+        Json.member "event" ev = Some (Json.Str name)
+        && (req = None
+           || Json.member "req" ev
+              = Option.map (fun r -> Json.Num (float_of_int r)) req))
+      events
+  in
+  List.iter
+    (fun name ->
+      Alcotest.(check bool)
+        (name ^ " of request 777 in the postmortem dump")
+        true (has ~req:777 name))
+    [ "submit"; "exec-start"; "exec-done" ];
+  Alcotest.(check bool)
+    "the dump records the protocol error" true (has "protocol-error");
+  let samples =
+    List.filter (fun l -> l <> "")
+      (String.split_on_char '\n' (read_file telemetry))
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d telemetry samples, want >= 2" (List.length samples))
+    true
+    (List.length samples >= 2);
+  ignore
+    (List.fold_left
+       (fun last line ->
+         match Json.parse line with
+         | Ok j -> (
+             match (Json.member "ts" j, Json.member "metrics" j) with
+             | Some (Json.Num ts), Some (Json.Obj (_ :: _)) ->
+                 if ts < last then
+                   Alcotest.failf "sample ts decreases: %s" line;
+                 ts
+             | _ -> Alcotest.failf "sample lacks ts or metrics: %s" line)
+         | Error msg ->
+             Alcotest.failf "sample does not parse (%s): %s" msg line)
+       neg_infinity samples)
+
 (* ----- shard routing ----- *)
 
 let test_shard_routing () =
-  let dir = fresh_dir "routing" in
+  with_dir "routing" @@ fun dir ->
   let cache = Cache.create ~shards:4 ~dir () in
   Alcotest.(check int) "shard count" 4 (Cache.shards cache);
   let keys =
@@ -1034,6 +1251,10 @@ let suite =
         test_request_busy_exits_3;
       Alcotest.test_case "cli: unwritable --trace/--log exit 2 up front"
         `Quick test_unwritable_sink_exits_2;
+      Alcotest.test_case "cli: out-of-range numeric flags exit 2" `Quick
+        test_bad_numeric_flags_exit_2;
+      Alcotest.test_case "cli: serve flight dump, telemetry, health, exit 0"
+        `Quick test_serve_sinks;
       Alcotest.test_case "daemon: streamed log survives kill -9" `Quick
         test_log_survives_kill_9;
       Alcotest.test_case "cache: shard routing deterministic and spread"
