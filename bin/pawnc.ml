@@ -821,7 +821,7 @@ let serve_cmd =
   in
   let telemetry_lines_arg =
     Arg.(
-      value & opt int 10_000
+      value & opt positive_int 10_000
       & info [ "telemetry-lines" ] ~docv:"N"
           ~doc:
             "Rotate the telemetry file after $(docv) samples (default \

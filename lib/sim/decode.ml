@@ -33,6 +33,20 @@
     counts are on, each closure bumps its pc's count before it executes,
     so counts after a trap are exact too.
 
+    Six kinds of adjacent pair share one closure: [li] then [b], [addi]
+    then [lw], [addi] or [subi] then [sw], [lw] then [addi], [move] then
+    [move], and [move] then [j].  They are among the most frequent pairs
+    of the workloads at -O2 and -O3+sw, and their instructions do little
+    work of their own (EXPERIMENTS).  The closure of the first pc
+    executes both and runs on with [n - 2]; at [n = 1] it executes only
+    the first and stops at the second's pc, as its own closure would, so
+    the budget stays exact.  A trap names the pc of the instruction that
+    raised it.  The second pc keeps its own closure, for control that
+    enters it directly.  No call or return is fused, so the hooks' path
+    is unchanged, and with per-pc counts on nothing is fused, so every pc
+    bumps its own count.  Each opcode keeps one definition: an arm, or an
+    inlined effect helper that the single and the fused closures share.
+
     Decode also proves, from the linked code alone, which registers each
     procedure's activation may write ([may_write]), and keeps of each
     published contract only [preserved ∩ may_write], in contract order.
@@ -353,7 +367,8 @@ let decode (prog : Asm.program) : t =
   }
 
 (** Which procedure the given pc belongs to: the nearest entry at or below
-    it.  Used only on error paths, to give traps a source context. *)
+    it.  Traps use it to give their source context, and {!Profile} to name
+    the procedure of each pc against a table it computes once per run. *)
 let attribute_pc (entries : int array) (names : string array) pc =
   let n = Array.length entries in
   if n = 0 then "<unknown>"
@@ -470,15 +485,17 @@ let[@inline] set (regs : int array) r v = Array.unsafe_set regs r v
    run's one cell for the budget a closure hands back to the loop: what it
    did not spend when it returns a pc instead of running on.
 
-   After a straight-line op: run on into [next], the closure of the
+   [stop]: the instruction just executed was the last one allowed; hand
+   the fall-through pc [nx] back with nothing left. *)
+let[@inline] stop left nx =
+  left := 0;
+  nx
+
+(* after a straight-line op: run on into [next], the closure of the
    fall-through pc [nx], or stop there when this was the last instruction
-   allowed. *)
+   allowed *)
 let[@inline] step left n nx (next : int -> int) =
-  if n > 1 then next (n - 1)
-  else begin
-    left := 0;
-    nx
-  end
+  if n > 1 then next (n - 1) else stop left nx
 
 (* after a transfer to [target]: run on into its closure when it is
    [inside] the code and budget is left; otherwise hand it back to the
@@ -490,6 +507,45 @@ let[@inline] jump left (closures : (int -> int) array) n inside target =
     left := n - 1;
     target
   end
+
+(* The effects of the opcodes that fused pairs share with their own arms in
+   [execute]: each is the opcode's one definition. *)
+let[@inline] li regs a imm = set regs a imm
+let[@inline] move regs a b = set regs a (get regs b)
+let[@inline] addi regs a b imm = set regs a (get regs b + imm)
+let[@inline] subi regs a b imm = set regs a (get regs b - imm)
+
+(* A load or store is true when its address lies inside memory, and
+   false, without effect, when it does not.  The caller then traps with
+   [oob] in tail position, so the closure needs no stack frame. *)
+let[@inline] lw regs pages loads mem_words tg a b c =
+  let addr = get regs b + c in
+  addr >= 0 && addr < mem_words
+  && begin
+       set regs a
+         (Array.unsafe_get
+            (Array.unsafe_get pages (addr lsr page_bits))
+            (addr land page_mask));
+       Array.unsafe_set loads tg (Array.unsafe_get loads tg + 1);
+       true
+     end
+
+let[@inline] sw regs zero pages stores mem_words tg a b c =
+  let addr = get regs b + c in
+  addr >= 0 && addr < mem_words
+  && begin
+       store zero pages addr (get regs a);
+       Array.unsafe_set stores tg (Array.unsafe_get stores tg + 1);
+       true
+     end
+
+(* the six relations of [b], on registers [a] and [b] *)
+let[@inline] b_eq regs a b = get regs a = get regs b
+let[@inline] b_ne regs a b = get regs a <> get regs b
+let[@inline] b_lt regs a b = get regs a < get regs b
+let[@inline] b_le regs a b = get regs a <= get regs b
+let[@inline] b_gt regs a b = get regs a > get regs b
+let[@inline] b_ge regs a b = get regs a >= get regs b
 
 let execute ?(fuel = default_fuel) ?(mem_words = 1 lsl 20) ?(check = true)
     ?(profile = false) ?hooks ?pc_buf (t : t) : outcome =
@@ -569,7 +625,10 @@ let execute ?(fuel = default_fuel) ?(mem_words = 1 lsl 20) ?(check = true)
   in
   let overflow_limit = prog.Asm.data_size + 64 in
   let where pc = attribute_pc t.entries t.names pc in
-  let oob addr pc =
+  (* the trap of a [lw] or [sw] at [pc] whose address, register [b] plus
+     [c], lies outside memory *)
+  let oob b c pc =
+    let addr = get regs b + c in
     error "memory access out of bounds: %d (pc %d, in %s)" addr pc (where pc)
   in
   let stack_overflow pc = error "stack overflow (pc %d, in %s)" pc (where pc) in
@@ -673,25 +732,26 @@ let execute ?(fuel = default_fuel) ?(mem_words = 1 lsl 20) ?(check = true)
     pc
   in
   (* [op k next] is the closure for the instruction at [k], [next] that of
-     [k + 1]; a trap inside it names [k].  Each arm is the opcode's one
-     definition, except for the direct [jal] arm (see [direct_calls]), and
-     indexes registers unchecked: [decode] validated every operand. *)
+     [k + 1]; a trap inside it names [k].  Each arm, or the effect helper
+     it shares with [pair], is the opcode's one definition, except for the
+     direct [jal] arm (see [direct_calls]), and indexes registers
+     unchecked: [decode] validated every operand. *)
+  let in_code pc = pc >= 0 && pc < ncode in
   let op k next : int -> int =
     let base = k lsl 2 in
     let o = code.(base) in
     let a = code.(base + 1) and b = code.(base + 2) and c = code.(base + 3) in
     let nx = k + 1 in
-    let in_code pc = pc >= 0 && pc < ncode in
     match o with
     | 0 (* halt *) | 58 (* unlinked Jal/Lproc *) | 59 (* bad register *) ->
         exit_at k
     | 1 (* li *) ->
         fun n ->
-          set regs a b;
+          li regs a b;
           step left n nx next
     | 2 (* move *) ->
         fun n ->
-          set regs a (get regs b);
+          move regs a b;
           step left n nx next
     | 3 (* neg *) ->
         fun n ->
@@ -751,11 +811,11 @@ let execute ?(fuel = default_fuel) ?(mem_words = 1 lsl 20) ?(check = true)
           step left n nx next
     | 15 (* addi *) ->
         fun n ->
-          set regs a (get regs b + c);
+          addi regs a b c;
           step left n nx next
     | 16 (* subi *) ->
         fun n ->
-          set regs a (get regs b - c);
+          subi regs a b c;
           step left n nx next
     | 17 (* muli *) ->
         fun n ->
@@ -842,55 +902,43 @@ let execute ?(fuel = default_fuel) ?(mem_words = 1 lsl 20) ?(check = true)
     | (37 | 38 | 39 | 40 | 41) as o (* lw, by tag *) ->
         let tg = o - k_lw in
         fun n ->
-          let addr = get regs b + c in
-          if addr < 0 || addr >= mem_words then oob addr k
-          else begin
-            set regs a
-              (Array.unsafe_get
-                 (Array.unsafe_get pages (addr lsr page_bits))
-                 (addr land page_mask));
-            Array.unsafe_set loads tg (Array.unsafe_get loads tg + 1);
-            step left n nx next
-          end
+          if lw regs pages loads mem_words tg a b c then step left n nx next
+          else oob b c k
     | (42 | 43 | 44 | 45 | 46) as o (* sw, by tag *) ->
         let tg = o - k_sw in
         fun n ->
-          let addr = get regs b + c in
-          if addr < 0 || addr >= mem_words then oob addr k
-          else begin
-            store zero pages addr (get regs a);
-            Array.unsafe_set stores tg (Array.unsafe_get stores tg + 1);
+          if sw regs zero pages stores mem_words tg a b c then
             step left n nx next
-          end
+          else oob b c k
     | 47 (* b eq *) ->
         let inside = in_code c in
         fun n ->
-          if get regs a = get regs b then jump left closures n inside c
+          if b_eq regs a b then jump left closures n inside c
           else step left n nx next
     | 48 (* b ne *) ->
         let inside = in_code c in
         fun n ->
-          if get regs a <> get regs b then jump left closures n inside c
+          if b_ne regs a b then jump left closures n inside c
           else step left n nx next
     | 49 (* b lt *) ->
         let inside = in_code c in
         fun n ->
-          if get regs a < get regs b then jump left closures n inside c
+          if b_lt regs a b then jump left closures n inside c
           else step left n nx next
     | 50 (* b le *) ->
         let inside = in_code c in
         fun n ->
-          if get regs a <= get regs b then jump left closures n inside c
+          if b_le regs a b then jump left closures n inside c
           else step left n nx next
     | 51 (* b gt *) ->
         let inside = in_code c in
         fun n ->
-          if get regs a > get regs b then jump left closures n inside c
+          if b_gt regs a b then jump left closures n inside c
           else step left n nx next
     | 52 (* b ge *) ->
         let inside = in_code c in
         fun n ->
-          if get regs a >= get regs b then jump left closures n inside c
+          if b_ge regs a b then jump left closures n inside c
           else step left n nx next
     | 53 (* j *) ->
         let inside = in_code a in
@@ -920,20 +968,145 @@ let execute ?(fuel = default_fuel) ?(mem_words = 1 lsl 20) ?(check = true)
           step left n nx next
     | _ -> assert false
   in
+  (* [pair k next2] is one closure for the instructions at [k] and
+     [k + 1] when their opcodes form one of the pairs below, else [None];
+     [next2] is the closure of [k + 2].  It executes both and runs on from
+     the second with [n - 1], so the pc after the pair is entered with
+     [n - 2]; at [n = 1] it executes only the first and stops at [k + 1],
+     as [k]'s own closure would.  A trap names the pc of the instruction
+     that raised it. *)
+  let pair k next2 : (int -> int) option =
+    let base = k lsl 2 in
+    let a = code.(base + 1) and b = code.(base + 2) and c = code.(base + 3) in
+    let a2 = code.(base + 5) and b2 = code.(base + 6) in
+    let c2 = code.(base + 7) in
+    let nx = k + 1 and nx2 = k + 2 in
+    match (code.(base), code.(base + 4)) with
+    | 1, 47 (* li; b eq *) ->
+        let inside = in_code c2 in
+        Some
+          (fun n ->
+            li regs a b;
+            if n <= 1 then stop left nx
+            else if b_eq regs a2 b2 then jump left closures (n - 1) inside c2
+            else step left (n - 1) nx2 next2)
+    | 1, 48 (* li; b ne *) ->
+        let inside = in_code c2 in
+        Some
+          (fun n ->
+            li regs a b;
+            if n <= 1 then stop left nx
+            else if b_ne regs a2 b2 then jump left closures (n - 1) inside c2
+            else step left (n - 1) nx2 next2)
+    | 1, 49 (* li; b lt *) ->
+        let inside = in_code c2 in
+        Some
+          (fun n ->
+            li regs a b;
+            if n <= 1 then stop left nx
+            else if b_lt regs a2 b2 then jump left closures (n - 1) inside c2
+            else step left (n - 1) nx2 next2)
+    | 1, 50 (* li; b le *) ->
+        let inside = in_code c2 in
+        Some
+          (fun n ->
+            li regs a b;
+            if n <= 1 then stop left nx
+            else if b_le regs a2 b2 then jump left closures (n - 1) inside c2
+            else step left (n - 1) nx2 next2)
+    | 1, 51 (* li; b gt *) ->
+        let inside = in_code c2 in
+        Some
+          (fun n ->
+            li regs a b;
+            if n <= 1 then stop left nx
+            else if b_gt regs a2 b2 then jump left closures (n - 1) inside c2
+            else step left (n - 1) nx2 next2)
+    | 1, 52 (* li; b ge *) ->
+        let inside = in_code c2 in
+        Some
+          (fun n ->
+            li regs a b;
+            if n <= 1 then stop left nx
+            else if b_ge regs a2 b2 then jump left closures (n - 1) inside c2
+            else step left (n - 1) nx2 next2)
+    | 15, ((37 | 38 | 39 | 40 | 41) as o2) (* addi; lw *) ->
+        let tg = o2 - k_lw in
+        Some
+          (fun n ->
+            addi regs a b c;
+            if n <= 1 then stop left nx
+            else if lw regs pages loads mem_words tg a2 b2 c2 then
+              step left (n - 1) nx2 next2
+            else oob b2 c2 nx)
+    | 15, ((42 | 43 | 44 | 45 | 46) as o2) (* addi; sw *) ->
+        let tg = o2 - k_sw in
+        Some
+          (fun n ->
+            addi regs a b c;
+            if n <= 1 then stop left nx
+            else if sw regs zero pages stores mem_words tg a2 b2 c2 then
+              step left (n - 1) nx2 next2
+            else oob b2 c2 nx)
+    | 16, ((42 | 43 | 44 | 45 | 46) as o2) (* subi; sw *) ->
+        let tg = o2 - k_sw in
+        Some
+          (fun n ->
+            subi regs a b c;
+            if n <= 1 then stop left nx
+            else if sw regs zero pages stores mem_words tg a2 b2 c2 then
+              step left (n - 1) nx2 next2
+            else oob b2 c2 nx)
+    | ((37 | 38 | 39 | 40 | 41) as o), 15 (* lw; addi *) ->
+        let tg = o - k_lw in
+        Some
+          (fun n ->
+            if lw regs pages loads mem_words tg a b c then
+              if n <= 1 then stop left nx
+              else begin
+                addi regs a2 b2 c2;
+                step left (n - 1) nx2 next2
+              end
+            else oob b c k)
+    | 2, 53 (* move; j *) ->
+        let inside = in_code a2 in
+        Some
+          (fun n ->
+            move regs a b;
+            if n <= 1 then stop left nx
+            else jump left closures (n - 1) inside a2)
+    | 2, 2 (* move; move *) ->
+        Some
+          (fun n ->
+            move regs a b;
+            if n <= 1 then stop left nx
+            else begin
+              move regs a2 b2;
+              step left (n - 1) nx2 next2
+            end)
+    | _ -> None
+  in
   (* built back to front, so each closure captures the next one; the last
      pc's falls off the end of the code into the loop's range trap.  With
-     per-pc counts on, each closure that executes its instruction is
-     wrapped by one that bumps its pc's count first, so counts after a trap
-     are exact; the loop counts [halt] and the poison opcodes itself. *)
+     per-pc counts on, no pair is fused, and each closure that executes its
+     instruction is wrapped by one that bumps its pc's count first, so
+     counts after a trap are exact; the loop counts [halt] and the poison
+     opcodes itself. *)
+  let next_of k = if k + 1 < ncode then closures.(k + 1) else exit_at ncode in
   for k = ncode - 1 downto 0 do
-    let next = if k + 1 < ncode then closures.(k + 1) else exit_at ncode in
-    let f = op k next in
-    let o = code.(k lsl 2) in
+    let fused =
+      if count_pcs || k + 1 >= ncode then None else pair k (next_of (k + 1))
+    in
     closures.(k) <-
-      (if count_pcs && o <> k_halt && o < k_unlinked then fun n ->
-         Array.unsafe_set pc_counts k (Array.unsafe_get pc_counts k + 1);
-         f n
-       else f)
+      (match fused with
+      | Some f -> f
+      | None ->
+          let f = op k (next_of k) in
+          let o = code.(k lsl 2) in
+          if count_pcs && o <> k_halt && o < k_unlinked then fun n ->
+            Array.unsafe_set pc_counts k (Array.unsafe_get pc_counts k + 1);
+            f n
+          else f)
   done;
   (* The loop runs the fuel and range traps, in the reference's order, and
      executes [halt] and the poison opcodes.  Any other pc is entered with

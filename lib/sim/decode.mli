@@ -21,8 +21,13 @@
     [fuel - cycles].  Calls and returns run inside their closures with the
     exact cycle count, so cycles are exact wherever they are observed: at
     every call and return hook, at a fuel trap (which names the exact pc),
-    and in the outcome.  Per-pc counts are bumped by each closure before
-    it executes, so they stay exact after a trap.  The contract checker is
+    and in the outcome.  A few kinds of frequent adjacent pair ([li] then
+    [b], [addi] then [lw], [addi] or [subi] then [sw], [lw] then [addi],
+    [move] then [move] or [j]) share one closure that executes both,
+    stops after the first when the budget allows only one, and names the
+    pc of the instruction that traps.  Per-pc counts are bumped by each
+    closure before it executes, so they stay exact after a trap; with
+    them on, no pair is fused.  The contract checker is
     allocation-free and covers the pruned contracts; memory is paged, so a
     run allocates only the pages it stores to.  Behaviourally identical to
     {!Sim.run_reference}, which the differential test suite enforces. *)
@@ -123,6 +128,13 @@ val execute :
     reads 0, and no two runs (other threads, other domains, runs nested in
     a hook) share a page.  An out-of-range [data_init] address raises
     [Invalid_argument "index out of bounds"], as the flat image did. *)
+
+val attribute_pc : int array -> string array -> int -> string
+(** [attribute_pc entries names pc] names the procedure whose entry is
+    the greatest in [entries] at or below [pc], by binary search over
+    [entries] sorted as {!Chow_codegen.Asm.proc_table} returns them;
+    ["<stub>"] below the first entry, ["<unknown>"] when [entries] is
+    empty.  For callers that look up many pcs against one table. *)
 
 val proc_name_of : Chow_codegen.Asm.program -> int -> string
 (** The procedure containing the given pc (nearest entry at or below it),

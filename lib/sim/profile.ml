@@ -88,21 +88,6 @@ let site_of_callsave code pc ~store =
     !i
   end
 
-(* nearest procedure entry at or below [pc] (cf. Decode.attribute_pc, but
-   over a table computed once per run instead of per query) *)
-let lookup entries names pc =
-  let n = Array.length entries in
-  if n = 0 then "<unknown>"
-  else if pc < entries.(0) then "<stub>"
-  else begin
-    let lo = ref 0 and hi = ref (n - 1) in
-    while !lo < !hi do
-      let mid = (!lo + !hi + 1) / 2 in
-      if entries.(mid) <= pc then lo := mid else hi := mid - 1
-    done;
-    names.(!lo)
-  end
-
 let m_p_entry_saves = Metrics.counter "sim.penalty.entry_saves"
 let m_p_exit_restores = Metrics.counter "sim.penalty.exit_restores"
 let m_p_call_saves = Metrics.counter "sim.penalty.call_saves"
@@ -135,7 +120,7 @@ let run ?fuel ?mem_words ?check ?trace ?(trace_depth = 16)
   let code = prog.Asm.code in
   let ncode = Array.length code in
   let entries, names = Asm.proc_table prog in
-  let proc_at pc = lookup entries names pc in
+  let proc_at pc = Decode.attribute_pc entries names pc in
   let t = Event.span "decode" (fun () -> Decode.decode prog) in
   let pc_buf = Array.make (max ncode 1) 0 in
   (* ----- call-tree nodes, id order = creation order (parents first) ----- *)
@@ -529,7 +514,7 @@ let artifact ~source_digest ~config_fp (prog : Asm.program) (r : report) :
     for pc = entries.(i) to hi - 1 do
       match code.(pc) with
       | Asm.Jal_pc t ->
-          let callee = lookup entries names t in
+          let callee = Decode.attribute_pc entries names t in
           let o = Option.value ~default:0 (Hashtbl.find_opt ord callee) in
           Hashtbl.replace ord callee (o + 1);
           Hashtbl.replace site_tbl pc (names.(i), callee, o)

@@ -1029,6 +1029,8 @@ let test_bad_numeric_flags_exit_2 () =
       ("--shards", [ "serve"; "--socket"; sock; "--shards=-3" ]);
       ( "--sample-interval",
         [ "serve"; "--socket"; sock; "--sample-interval"; "0" ] );
+      ( "--telemetry-lines",
+        [ "serve"; "--socket"; sock; "--telemetry-lines"; "0" ] );
       ( "--inline-budget",
         [ "run"; src; "--O3"; "--pgo"; prof; "--inline-budget"; "0" ] );
     ]

@@ -178,7 +178,7 @@ proc main() { print(forever(0)); }
   | _ -> Alcotest.fail "expected stack overflow"
   | exception Sim.Runtime_error msg ->
       (* the trap names the executing procedure and pc *)
-      let has s = Str.string_match (Str.regexp (".*" ^ Str.quote s)) msg 0 in
+      let has s = Test_server.contains s msg in
       Alcotest.(check bool)
         (Printf.sprintf "names pc and procedure (%s)" msg)
         true
@@ -201,7 +201,7 @@ let test_diff_fuel_exhaustion () =
   | Ok _ -> Alcotest.fail "expected fuel exhaustion"
   | Error msg ->
       (* satellite fix: the message now names the executing procedure and pc *)
-      let has s = Str.string_match (Str.regexp (".*" ^ Str.quote s)) msg 0 in
+      let has s = Test_server.contains s msg in
       Alcotest.(check bool) "names pc and procedure" true
         (has "out of fuel" && has "pc " && has "in main")
 
@@ -214,7 +214,7 @@ let test_diff_oob_context () =
   match capture (fun () -> Sim.run prog) with
   | Ok _ -> Alcotest.fail "expected out-of-bounds trap"
   | Error msg ->
-      let has s = Str.string_match (Str.regexp (".*" ^ Str.quote s)) msg 0 in
+      let has s = Test_server.contains s msg in
       Alcotest.(check bool) "names pc and procedure" true
         (has "out of bounds" && has "pc " && has "in f")
 
@@ -415,7 +415,7 @@ let expect_clobber name reg prog =
   match capture (fun () -> Sim.run prog) with
   | Ok _ -> Alcotest.failf "%s: expected a contract violation" name
   | Error msg ->
-      let has s = Str.string_match (Str.regexp (".*" ^ Str.quote s)) msg 0 in
+      let has s = Test_server.contains s msg in
       Alcotest.(check bool)
         (Printf.sprintf "%s names %s (%s)" name (Machine.name reg) msg)
         true

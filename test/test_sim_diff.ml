@@ -10,12 +10,18 @@
     with the reference's exact message, the others complete.  A third
     holds the cycle counts the call-path hooks receive to the reference
     engine's fuel traps, and a fourth runs one program of over 20 M
-    cycles on a small OCaml stack.
+    cycles on a small OCaml stack.  A fifth cuts a short program holding
+    every pair kind the decoded engine fuses at every fuel from 1 to one
+    past its cycle count, and traps the load or store of each memory
+    pair.
 
     This is its own test executable (see test/dune) so plain
     [dune runtest] always exercises the engine equivalence even when the
     slow suites of the main runner are skipped. *)
 
+module Asm = Chow_codegen.Asm
+module Ir = Chow_ir.Ir
+module Machine = Chow_machine.Machine
 module Config = Chow_compiler.Config
 module Pipeline = Chow_compiler.Pipeline
 module Decode = Chow_sim.Decode
@@ -60,6 +66,99 @@ let test_fuel_edges (w : W.t) () =
         (Printf.sprintf "%s: fuel %d completes" w.W.name fuel)
         (fuel >= cycles) (Result.is_ok r))
     [ cycles - 1; cycles; cycles + 1 ]
+
+(* The pair kinds [Decode.execute] fuses into one closure, by the
+   instructions at pc k and k + 1. *)
+let fused_kind (i : Asm.inst) (j : Asm.inst) =
+  match (i, j) with
+  | Asm.Li _, Asm.B _ -> Some "li;b"
+  | Asm.Binopi (Ir.Add, _, _, _), Asm.Lw _ -> Some "addi;lw"
+  | Asm.Binopi ((Ir.Add | Ir.Sub), _, _, _), Asm.Sw _ -> Some "addi|subi;sw"
+  | Asm.Lw _, Asm.Binopi (Ir.Add, _, _, _) -> Some "lw;addi"
+  | Asm.Move _, Asm.Move _ -> Some "move;move"
+  | Asm.Move _, Asm.J _ -> Some "move;j"
+  | _ -> None
+
+(* loops give li;b, addi;lw, addi;sw and move;j, frames subi;sw and
+   lw;addi, and the swapped arguments of [flip]'s call move;move *)
+let fused_src =
+  {|
+var a[8];
+proc mix(x, y) { return y * 100 + x; }
+proc flip(x, y) { return mix(y, x); }
+proc sum(n) {
+  var s = 0;
+  var i = 0;
+  while (i < n) { s = s + a[i]; i = i + 1; }
+  return s;
+}
+proc main() {
+  var i = 0;
+  while (i < 8) { a[i] = i * 3; i = i + 1; }
+  print(sum(8));
+  print(flip(sum(4), 7));
+}
+|}
+
+(* A fused closure must stop after its first instruction when the budget
+   allows only one, so every fuel cut, inside a pair or between pairs,
+   traps as the reference engine does or completes with its outcome. *)
+let test_fuel_sweep () =
+  let prog = compile_o3_sw fused_src in
+  let code = prog.Asm.code in
+  let counts = Array.make (Array.length code) 0 in
+  let cycles =
+    (Decode.execute ~pc_buf:counts (Decode.decode prog)).Decode.cycles
+  in
+  List.iter
+    (fun kind ->
+      let runs k =
+        fused_kind code.(k) code.(k + 1) = Some kind
+        && counts.(k) > 0
+        && counts.(k + 1) > 0
+      in
+      Alcotest.(check bool)
+        (kind ^ ": in the code, both instructions executed")
+        true
+        (List.exists runs (List.init (Array.length code - 1) Fun.id)))
+    [ "li;b"; "addi;lw"; "addi|subi;sw"; "lw;addi"; "move;move"; "move;j" ];
+  for fuel = 1 to cycles + 1 do
+    let r = Engines.agree ~fuel (Printf.sprintf "fuel %d" fuel) prog in
+    Alcotest.(check bool)
+      (Printf.sprintf "fuel %d completes" fuel)
+      (fuel >= cycles) (Result.is_ok r)
+  done
+
+(* pc 0 sets t1 to -3, so the load or store through t1 in the pair at
+   pcs 1 and 2 traps, naming its own pc [at] *)
+let test_pair_traps (first, second, at) () =
+  let t0 = Machine.t0 and t1 = Machine.t0 + 1 in
+  let prog =
+    {
+      Asm.code = [| Asm.Li (t1, -3); first t0 t1; second t0 t1; Asm.Halt |];
+      entry = 0;
+      proc_addrs = [ ("main", 0) ];
+      metas = [];
+      data_size = 0;
+      data_init = [];
+      block_pcs = [];
+    }
+  in
+  Alcotest.(check bool)
+    "pcs 1 and 2 are a fused pair" true
+    (fused_kind prog.Asm.code.(1) prog.Asm.code.(2) <> None);
+  match Engines.agree "trap" prog with
+  | Ok _ -> Alcotest.fail "expected an out-of-bounds trap"
+  | Error msg ->
+      Alcotest.(check string)
+        "names the trapping instruction's pc"
+        (Printf.sprintf "memory access out of bounds: -3 (pc %d, in main)" at)
+        msg
+
+let addi d _ = Asm.Binopi (Ir.Add, d, d, 1)
+let subi d _ = Asm.Binopi (Ir.Sub, d, d, 1)
+let lw d b = Asm.Lw (d, b, 0, Asm.Tdata)
+let sw s b = Asm.Sw (s, b, 0, Asm.Tdata)
 
 (* The first 200 calls and 200 returns of a run, each with the cycle
    count its hook received and the pc control moves to: the callee entry,
@@ -170,6 +269,18 @@ let () =
         List.map
           (fun name -> Alcotest.test_case name `Quick (test_hook_cycles name))
           [ "nim"; "dhrystone"; "calcc" ] );
+      ( "fused pairs",
+        Alcotest.test_case "every fuel, every pair kind" `Quick
+          test_fuel_sweep
+        :: List.map
+             (fun (name, pair) ->
+               Alcotest.test_case name `Quick (test_pair_traps pair))
+             [
+               ("addi; lw out of bounds", (addi, lw, 2));
+               ("addi; sw out of bounds", (addi, sw, 2));
+               ("subi; sw out of bounds", (subi, sw, 2));
+               ("lw out of bounds; addi", (lw, addi, 1));
+             ] );
       ( "long run",
         [ Alcotest.test_case "loop and call, 21 M cycles" `Quick test_long_run ]
       );
