@@ -1,12 +1,13 @@
 (** Benchmark driver.  With no arguments it regenerates every table and
-    figure of the paper plus the Bechamel compiler-throughput timings;
-    individual experiments run with [table1], [table2], [fig1].. [fig4],
-    [timing]. *)
+    figure of the paper, the ablation, global-promotion and splitting
+    experiments, and the Bechamel compiler-throughput timings; individual
+    experiments run with [table1], [table2], [tables], [fig1].. [fig4],
+    [figures], [ablation], [promo], [split], [timing]. *)
 
 let usage () =
   print_endline
     "usage: main.exe \
-     [all|table1|table2|fig1..fig4|figures|ablation|profile|promo|split|timing] \
+     [all|table1|table2|tables|fig1..fig4|figures|ablation|promo|split|timing] \
      [--json] [--smoke] [--serve] [--trace FILE]";
   exit 1
 
@@ -40,7 +41,6 @@ let () =
           ignore (Tables.run ());
           Figures.run ();
           Ablation.run ();
-          Profile_fb.run ();
           Promo_bench.run ();
           Split_bench.run ();
           Timing.run ~json ~smoke ~serve ?trace ()
@@ -53,7 +53,6 @@ let () =
       | "fig4" -> Figures.fig4 ()
       | "figures" -> Figures.run ()
       | "ablation" -> Ablation.run ()
-      | "profile" -> Profile_fb.run ()
       | "promo" -> Promo_bench.run ()
       | "split" -> Split_bench.run ()
       | "timing" ->

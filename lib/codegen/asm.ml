@@ -61,10 +61,6 @@ type program = {
   metas : (int * meta) list;  (** keyed by procedure entry pc *)
   data_size : int;  (** words of static data *)
   data_init : (int * int) list;  (** address, initial value *)
-  block_pcs : (int * (string * label)) list;
-      (** address of each basic block's first instruction; lets the
-          simulator attribute execution counts back to IR blocks for
-          profile feedback *)
 }
 
 (** Array-friendly views of the link-time metadata, for consumers (the

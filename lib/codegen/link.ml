@@ -45,7 +45,7 @@ let link ~(metas : (string * Asm.meta) list) (procs : Asm.proc_code list)
      rejected before it can size anything. *)
   let stub_len = 2 in
   let entries = Names.create 64 in
-  let proc_addrs = ref [] and block_pcs = ref [] in
+  let proc_addrs = ref [] in
   let pc = ref stub_len in
   let label_pcs =
     List.map
@@ -64,8 +64,7 @@ let link ~(metas : (string * Asm.meta) list) (procs : Asm.proc_code list)
                   error "%s: label %d is out of range" name l;
                 if pcs.(l) >= 0 then
                   error "%s: label %d is defined more than once" name l;
-                pcs.(l) <- !pc;
-                block_pcs := (!pc, (name, l)) :: !block_pcs
+                pcs.(l) <- !pc
             | Asm.Inst _ -> incr pc)
           p.Asm.pc_items;
         pcs)
@@ -117,12 +116,4 @@ let link ~(metas : (string * Asm.meta) list) (procs : Asm.proc_code list)
         Option.map (fun a -> (a, m)) (Names.find_opt entries name))
       metas
   in
-  {
-    Asm.code;
-    entry = 0;
-    proc_addrs;
-    metas;
-    data_size;
-    data_init;
-    block_pcs = List.rev !block_pcs;
-  }
+  { Asm.code; entry = 0; proc_addrs; metas; data_size; data_init }

@@ -23,9 +23,9 @@ val layout :
 (** [link ~metas procs ~data_size ~data_init] concatenates a startup stub
     ([jal main; halt]) with the emitted procedures, resolves block labels
     to absolute addresses, and rewrites [Jal]/[Lproc] to code addresses.
-    [block_pcs] of the result is in ascending pc order.  Raises
-    {!Undefined_procedure} for calls that no unit defines and {!Error}
-    for a procedure defined twice or a label that does not resolve. *)
+    Raises {!Undefined_procedure} for calls that no unit defines and
+    {!Error} for a procedure defined twice or a label that does not
+    resolve. *)
 val link :
   metas:(string * Asm.meta) list ->
   Asm.proc_code list ->

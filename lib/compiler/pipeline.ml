@@ -253,12 +253,12 @@ let preserved_regs (alloc : Ipra.t) (res : Alloc_types.result) =
     | Some info -> Usage.preserved_of_mask info.Usage.mask
     | None -> Machine.callee_saved
 
-let allocate_unit ?profile ?pool ?explain (config : Config.t) ~unit_idx
+let allocate_unit ?pool ?explain (config : Config.t) ~unit_idx
     (unit_ir : Ir.prog) =
   let alloc () =
     Ipra.allocate_program ~ipra:config.Config.ipra
       ~shrinkwrap:config.Config.shrinkwrap ~strategy:config.Config.alloc
-      ?profile ?pool ?explain config.Config.machine unit_ir
+      ?pool ?explain config.Config.machine unit_ir
   in
   if Event.trace_on () then
     phase ~args:[ ("unit", Event.Int unit_idx) ] "allocate-unit" alloc
@@ -393,7 +393,7 @@ let link_units (arts : Objfile.t list) : Asm.program =
     concurrently on one domain pool of [config.jobs] lanes; the same pool
     is shared with the per-unit wave allocation (nested
     [Pool.parallel_map] is safe), and unit order is preserved. *)
-let fresh_unit_arts ?profile ?explain (config : Config.t)
+let fresh_unit_arts ?explain (config : Config.t)
     (units : Ir.prog list) =
   let layouts = phase "layout" (fun () -> unit_layouts units) in
   let indexed =
@@ -403,7 +403,7 @@ let fresh_unit_arts ?profile ?explain (config : Config.t)
     phase "allocate" (fun () ->
         Pool.with_pool config.Config.jobs (fun pool ->
             Pool.parallel_map pool indexed (fun (unit_idx, u, _) ->
-                allocate_unit ?profile ~pool ?explain config ~unit_idx u)))
+                allocate_unit ~pool ?explain config ~unit_idx u)))
   in
   let arts =
     phase "emit" (fun () ->
@@ -418,7 +418,7 @@ let promo_units units =
   phase "promo" (fun () ->
       List.iter (fun u -> ignore (Chow_core.Globalpromo.transform u)) units)
 
-let compile_irs ?profile ?(global_promo = false) ?explain (config : Config.t)
+let compile_irs ?(global_promo = false) ?explain (config : Config.t)
     (units : Ir.prog list) : compiled =
   if global_promo then promo_units units;
   let merged =
@@ -428,7 +428,7 @@ let compile_irs ?profile ?(global_promo = false) ?explain (config : Config.t)
       externs = [];
     }
   in
-  let arts, allocs = fresh_unit_arts ?profile ?explain config units in
+  let arts, allocs = fresh_unit_arts ?explain config units in
   let program = phase "link" (fun () -> link_units arts) in
   {
     c_config = config;
@@ -529,7 +529,7 @@ let units_of_srcs = function
       Lower.compile_unit ~require_main:true first
       :: List.map (Lower.compile_unit ~require_main:false) rest
 
-let compile_source ?profile ?global_promo ?explain ?cache ?pgo
+let compile_source ?global_promo ?explain ?cache ?pgo
     (config : Config.t) (source : source) : compiled =
   let with_pgo units =
     match pgo with
@@ -538,18 +538,18 @@ let compile_source ?profile ?global_promo ?explain ?cache ?pgo
   in
   match source with
   | Ir unit_ir ->
-      compile_irs ?profile ?global_promo ?explain config (with_pgo [ unit_ir ])
+      compile_irs ?global_promo ?explain config (with_pgo [ unit_ir ])
   | Units [] -> no_units ()
   | Units units ->
-      compile_irs ?profile ?global_promo ?explain config (with_pgo units)
+      compile_irs ?global_promo ?explain config (with_pgo units)
   | (Src _ | Srcs _) as s -> (
       let srcs = match s with Src x -> [ x ] | Srcs xs -> xs | _ -> [] in
       if srcs = [] then no_units ();
       match cache with
-      | Some cache when profile = None && explain = None ->
+      | Some cache when explain = None ->
           compile_srcs_cached ?global_promo ?pgo ~cache config srcs
       | _ ->
-          compile_irs ?profile ?global_promo ?explain config
+          compile_irs ?global_promo ?explain config
             (with_pgo (units_of_srcs srcs)))
 
 (** [compile_artifacts config srcs] compiles each source unit to its
@@ -575,19 +575,18 @@ let compile_artifacts ?global_promo ?cache ?pgo (config : Config.t)
       if global_promo = Some true then promo_units units;
       fst (fresh_unit_arts config units)
 
-let compile_result ?profile ?global_promo ?explain ?cache ?pgo config source =
+let compile_result ?global_promo ?explain ?cache ?pgo config source =
   Diag.catch (fun () ->
-      compile_source ?profile ?global_promo ?explain ?cache ?pgo config source)
+      compile_source ?global_promo ?explain ?cache ?pgo config source)
 
 (** [run c] simulates the compiled program with contract checking on,
     using the default pre-decoded engine. *)
-let run ?fuel ?check ?profile (c : compiled) =
-  Sim.run ?fuel ?check ?profile c.c_program
+let run ?fuel ?check (c : compiled) = Sim.run ?fuel ?check c.c_program
 
 (** [run_reference c] is {!run} on the reference (specification) engine —
     the slow path kept for differential testing and benchmarking. *)
-let run_reference ?fuel ?check ?profile (c : compiled) =
-  Sim.run_reference ?fuel ?check ?profile c.c_program
+let run_reference ?fuel ?check (c : compiled) =
+  Sim.run_reference ?fuel ?check c.c_program
 
 (** [profile_penalty c] runs the program under the dynamic penalty
     profiler: per-site save/restore attribution and a call-path tree. *)
@@ -595,33 +594,6 @@ let profile_penalty ?fuel ?check ?trace ?trace_depth ?trace_limit
     (c : compiled) =
   Chow_sim.Profile.run ?fuel ?check ?trace ?trace_depth ?trace_limit
     c.c_program
-
-(** Profile-guided compilation, the paper's §8 future work: compile once,
-    execute under the block profiler, normalise the measured block
-    frequencies per procedure (entry block = 1), and recompile with the
-    measured weights replacing the static loop-depth estimates.  Returns
-    the recompiled program and the training run's outcome. *)
-let compile_with_profile ?fuel (config : Config.t) src =
-  let unit_ir = Lower.compile_unit src in
-  let training = compile_source config (Ir unit_ir) in
-  let outcome = Sim.run ?fuel ~profile:true training.c_program in
-  let counts : (string, float array) Hashtbl.t = Hashtbl.create 16 in
-  List.iter
-    (fun p ->
-      Hashtbl.replace counts p.Ir.pname
-        (Array.make (Ir.nblocks p) 0.))
-    unit_ir.Ir.procs;
-  List.iter
-    (fun ((pname, l), n) ->
-      match Hashtbl.find_opt counts pname with
-      | Some arr when l < Array.length arr -> arr.(l) <- float_of_int n
-      | Some _ | None -> ())
-    outcome.Sim.block_counts;
-  let profile name =
-    Option.map Chow_core.Liverange.weights_of_profile
-      (Hashtbl.find_opt counts name)
-  in
-  (compile_source ~profile config (Ir unit_ir), outcome)
 
 (** Compile and run under every configuration, returning
     [(config, outcome)] pairs — the harness behind every table. *)

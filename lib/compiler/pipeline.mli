@@ -93,16 +93,13 @@ type source =
 
 (** [compile_source config source] runs the full pipeline.
 
-    - [profile] supplies measured block frequencies per procedure (§8
-      future work); procedures without one keep static loop-depth
-      estimates.
     - [global_promo] promotes global scalars to registers within
       procedures (§1) before allocation.
     - [explain] names one procedure whose allocation decisions are
       recorded into the supplied {!Coloring.explanation} buffer.
     - [cache] makes [Src]/[Srcs] compilation incremental.  Ignored when
-      [profile] or [explain] is supplied (their effects are not part of
-      the cache key) and for IR sources (no source text to address by).
+      [explain] is supplied (its effect is not part of the cache key) and
+      for IR sources (no source text to address by).
     - [pgo] inlines the profile's highest-penalty call sites into each
       unit before allocation.  Composes with [cache]: the profile digest
       and budget are absorbed into the cache fingerprint, so PGO builds
@@ -112,7 +109,6 @@ type source =
     {!compile_result} for a result-returning surface — and
     {!Chow_codegen.Link.Undefined_procedure} at link time. *)
 val compile_source :
-  ?profile:(string -> float array option) ->
   ?global_promo:bool ->
   ?explain:string * Coloring.explanation ->
   ?cache:Cache.t ->
@@ -125,7 +121,6 @@ val compile_source :
     front-end failure modes (and the empty-source-list case) reified as
     a {!Diag.error} instead of an exception. *)
 val compile_result :
-  ?profile:(string -> float array option) ->
   ?global_promo:bool ->
   ?explain:string * Coloring.explanation ->
   ?cache:Cache.t ->
@@ -165,12 +160,10 @@ val link_units : Objfile.t list -> Asm.program
 
 (** [run c] simulates the compiled program on the pre-decoded engine with
     contract checking on by default. *)
-val run :
-  ?fuel:int -> ?check:bool -> ?profile:bool -> compiled -> Sim.outcome
+val run : ?fuel:int -> ?check:bool -> compiled -> Sim.outcome
 
 (** [run_reference c] is {!run} on the reference (specification) engine. *)
-val run_reference :
-  ?fuel:int -> ?check:bool -> ?profile:bool -> compiled -> Sim.outcome
+val run_reference : ?fuel:int -> ?check:bool -> compiled -> Sim.outcome
 
 (** [profile_penalty c] runs the compiled program under the dynamic
     penalty profiler ({!Chow_sim.Profile}): save/restore attribution per
@@ -184,12 +177,6 @@ val profile_penalty :
   ?trace_limit:int ->
   compiled ->
   Profile.report
-
-(** Profile-guided compilation (§8 future work): compile, run under the
-    block profiler, recompile with measured weights.  Returns the
-    recompiled program and the training run's outcome. *)
-val compile_with_profile :
-  ?fuel:int -> Config.t -> string -> compiled * Sim.outcome
 
 (** Compile and run under every configuration (default: all six of the
     paper), returning [(config, outcome)] pairs. *)

@@ -68,25 +68,14 @@ type analysis = {
   callee_clobbers : int;  (** union of [site_clobber] *)
 }
 
-let analyze ?weights (config : Machine.config) (mode : mode) (p : Ir.proc) =
-  (* splitting appends blocks, so a measured-profile weight vector may be
-     shorter than the current block count; new blocks weigh 1 *)
-  let weights =
-    Option.map
-      (fun w ->
-        let n = Ir.nblocks p in
-        if Array.length w < n then
-          Array.append w (Array.make (n - Array.length w) 1.)
-        else w)
-      weights
-  in
+let analyze (config : Machine.config) (mode : mode) (p : Ir.proc) =
   let cfg = Cfg.of_proc p in
   let dom = Dom.compute cfg in
   let loops = Loops.compute cfg dom in
   let lv = Event.span "liveness" (fun () -> Liveness.compute p cfg) in
   let ig = Event.span "interference" (fun () -> Interference.build p lv) in
   let lr =
-    Event.span "ranges" (fun () -> Liverange.compute ?weights p loops lv ig)
+    Event.span "ranges" (fun () -> Liverange.compute p loops lv ig)
   in
   let honor_contract = (not mode.ipra) || mode.is_open in
   let usage = if mode.ipra then mode.usage else Usage.create_table () in

@@ -50,12 +50,8 @@ type analysis = {
   callee_clobbers : int;  (** union of [site_clobber] *)
 }
 
-(** [analyze ?weights config mode p] runs the strategy-independent
-    analyses.  [weights] overrides the static [10^loop-depth] block
-    frequencies (profile feedback); a vector shorter than the block count
-    (possible after splitting) is padded with weight 1. *)
+(** [analyze config mode p] runs the strategy-independent analyses. *)
 val analyze :
-  ?weights:float array ->
   Machine.config ->
   mode ->
   Chow_ir.Ir.proc ->

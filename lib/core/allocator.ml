@@ -29,7 +29,6 @@ module type S = sig
   val name : string
 
   val allocate :
-    ?weights:float array ->
     ?explain:Coloring.explanation ->
     Chow_machine.Machine.config ->
     Alloc_shared.mode ->
@@ -68,6 +67,6 @@ let of_strategy : strategy -> (module S) = function
   | Linear -> strategy_linear
   | Spill_all -> strategy_spill_all
 
-let allocate strategy ?weights ?explain config mode p =
+let allocate strategy ?explain config mode p =
   let (module M : S) = of_strategy strategy in
-  M.allocate ?weights ?explain config mode p
+  M.allocate ?explain config mode p

@@ -18,7 +18,7 @@ module type S = sig
   val name : string
   (** the [--alloc] spelling *)
 
-  (** [allocate ?weights ?explain config mode p] assigns every vreg of
+  (** [allocate ?explain config mode p] assigns every vreg of
       [p] a location.  Contract guaranteed to downstream passes whatever
       the policy: the assignment respects interference; parameters that
       are live on entry of a closed procedure get pairwise-distinct
@@ -27,7 +27,6 @@ module type S = sig
       by strategies with a cost model to report and ignored by the
       rest. *)
   val allocate :
-    ?weights:float array ->
     ?explain:Coloring.explanation ->
     Chow_machine.Machine.config ->
     Alloc_shared.mode ->
@@ -58,11 +57,10 @@ val strategy_spill_all : (module S)
 
 val of_strategy : strategy -> (module S)
 
-(** [allocate strategy ?weights ?explain config mode p] dispatches to the
+(** [allocate strategy ?explain config mode p] dispatches to the
     strategy's {!S.allocate}. *)
 val allocate :
   strategy ->
-  ?weights:float array ->
   ?explain:Coloring.explanation ->
   Chow_machine.Machine.config ->
   Alloc_shared.mode ->

@@ -139,9 +139,9 @@ let choose_register ~order ~order_mask ~forbidden ~tree_used ~special ~score
   done;
   if !k < n then order.(!k) else -1
 
-let allocate_once ?weights ?explain (config : Machine.config) (mode : mode)
+let allocate_once ?explain (config : Machine.config) (mode : mode)
     (p : Ir.proc) =
-  let a = Alloc_shared.analyze ?weights config mode p in
+  let a = Alloc_shared.analyze config mode p in
   let { Alloc_shared.lr; ig; site_arg_locs; honor_contract; usage; _ } = a in
   let ranges = lr.Liverange.ranges and sites = lr.Liverange.call_sites in
   let explained = ref [] in
@@ -393,12 +393,12 @@ let spill_cost (lr : Liverange.t) (assignment : location array) =
     A split is kept only when the new range actually receives a register;
     otherwise the procedure is rolled back, so splitting can never make
     the code worse. *)
-let allocate ?weights ?explain (config : Machine.config) (mode : mode)
+let allocate ?explain (config : Machine.config) (mode : mode)
     (p : Ir.proc) : result * Usage.info option * stats =
   let attempted = Hashtbl.create 8 in
   let rec go ~attempts ~kept =
     let result, info, stats, loops, lr =
-      allocate_once ?weights ?explain config mode p
+      allocate_once ?explain config mode p
     in
     if attempts >= max_split_attempts || kept >= max_splits_kept then
       (result, info, stats, kept)
@@ -415,9 +415,7 @@ let allocate ?weights ?explain (config : Machine.config) (mode : mode)
           (* trials never record an explanation: the audit trail always
              reflects the allocation that is actually returned, which comes
              from the [allocate_once] at the top of the final iteration *)
-          let trial, _, _, _, trial_lr =
-            allocate_once ?weights config mode p
-          in
+          let trial, _, _, _, trial_lr = allocate_once config mode p in
           let before = spill_cost lr result.r_assignment in
           let after = spill_cost trial_lr trial.r_assignment in
           if trial.r_assignment.(v') = Lstack || after +. 2. >= before then begin

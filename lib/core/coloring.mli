@@ -60,13 +60,10 @@ type explanation = range_explain list ref
 
 val pp_explanation : Format.formatter -> range_explain list -> unit
 
-(** [allocate ?weights ?explain config mode p] colors one procedure.
-    [weights] overrides the static [10^loop-depth] block frequencies
-    (profile feedback); [explain], when given, receives the decision trail
-    of the final run.  Returns the allocation, the usage summary to publish
+(** [allocate ?explain config mode p] colors one procedure.  [explain],
+    when given, receives the decision trail of the final run.  Returns the allocation, the usage summary to publish
     when the procedure is closed, and diagnostics. *)
 val allocate :
-  ?weights:float array ->
   ?explain:explanation ->
   Machine.config ->
   mode ->

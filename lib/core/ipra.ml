@@ -34,17 +34,12 @@ type t = {
 
 let find t name = List.assoc_opt name t.results
 
-(** [allocate_program ?profile ...] optionally takes measured block
-    frequencies per procedure (the paper's "feedback of profile data to the
-    register allocator", §8 future work); procedures without a profile keep
-    the static loop-depth estimates.  [jobs] is the parallelism used for
-    each wave (a fresh pool, ignored when [pool] supplies a shared one).
-    [strategy] selects the allocation policy (default the paper's priority
+(** [allocate_program ...]: [jobs] is the parallelism used for each wave
+    (a fresh pool, ignored when [pool] supplies a shared one).  [strategy]
+    selects the allocation policy (default the paper's priority
     coloring); every strategy flows through the same IPRA publication. *)
 let allocate_program ?(ipra = false) ?(shrinkwrap = false)
-    ?(strategy = Allocator.Chow)
-    ?(profile = fun (_ : string) -> (None : float array option)) ?(jobs = 1)
-    ?pool ?explain (config : Machine.config) (prog : Ir.prog) =
+    ?(strategy = Allocator.Chow) ?(jobs = 1) ?pool ?explain (config : Machine.config) (prog : Ir.prog) =
   let callgraph = Callgraph.build prog in
   let usage = Usage.create_table () in
   let results = ref [] in
@@ -53,7 +48,6 @@ let allocate_program ?(ipra = false) ?(shrinkwrap = false)
     let name = p.Ir.pname in
     let is_open = (not ipra) || Callgraph.is_open callgraph name in
     let mode = { Coloring.ipra; shrinkwrap; is_open; usage } in
-    let weights = profile name in
     let explain =
       match explain with
       | Some (target, buf) when target = name -> Some buf
@@ -71,8 +65,8 @@ let allocate_program ?(ipra = false) ?(shrinkwrap = false)
             ]
           ("alloc:" ^ name)
           (fun () ->
-            Allocator.allocate strategy ?weights ?explain config mode p)
-      else Allocator.allocate strategy ?weights ?explain config mode p
+            Allocator.allocate strategy ?explain config mode p)
+      else Allocator.allocate strategy ?explain config mode p
     in
     (name, result, info, st)
   in

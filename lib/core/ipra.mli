@@ -13,10 +13,8 @@ type t = {
 
 val find : t -> string -> Alloc_types.result option
 
-(** [allocate_program ?ipra ?shrinkwrap ?profile ?jobs ?pool config prog].
-    [profile] optionally supplies measured block frequencies per procedure
-    (§8 future work); procedures without one keep the static loop-depth
-    estimates.  Each call-graph wave is colored concurrently: [jobs] sets
+(** [allocate_program ?ipra ?shrinkwrap ?jobs ?pool config prog].
+    Each call-graph wave is colored concurrently: [jobs] sets
     the parallelism of a pool created for this call (default 1 —
     sequential), while [pool] supplies a shared pool instead (and [jobs]
     is ignored).  The result is bit-for-bit independent of the
@@ -29,7 +27,6 @@ val allocate_program :
   ?ipra:bool ->
   ?shrinkwrap:bool ->
   ?strategy:Allocator.strategy ->
-  ?profile:(string -> float array option) ->
   ?jobs:int ->
   ?pool:Chow_support.Pool.t ->
   ?explain:string * Coloring.explanation ->

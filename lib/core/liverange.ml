@@ -3,8 +3,8 @@
     blocks it is live or referenced in, its frequency-weighted use/def
     counts, and the call sites its range spans.  Frequencies are static
     estimates: a block at loop depth [d] weighs [10^min(d,5)], the classic
-    Uopt heuristic (measured profiles can be substituted; see
-    {!val:weights_of_profile}). *)
+    Uopt heuristic.  Measured block counts were tried in their place and
+    lost as often as they won (EXPERIMENTS.md, "Profile feedback"). *)
 
 module Bitset = Chow_support.Bitset
 module Ir = Chow_ir.Ir
@@ -44,18 +44,10 @@ let default_weights (p : Ir.proc) (loops : Loops.t) =
   Array.init (Ir.nblocks p) (fun l ->
       depth_weight.(min (Loops.depth loops l) 5))
 
-(** Substitute measured block frequencies (profile feedback, the paper's
-    "future work" §8): callers normalise counts so the entry block is 1. *)
-let weights_of_profile counts =
-  let entry = max 1. counts.(Ir.entry_label) in
-  Array.map (fun c -> c /. entry) counts
-
-let compute ?weights (p : Ir.proc) (loops : Loops.t) (lv : Liveness.t)
+let compute (p : Ir.proc) (loops : Loops.t) (lv : Liveness.t)
     (ig : Interference.t) =
   let nb = Ir.nblocks p in
-  let weights =
-    match weights with Some w -> w | None -> default_weights p loops
-  in
+  let weights = default_weights p loops in
   let live_across = Interference.live_across ig in
   let blocks = Array.init p.nvregs (fun _ -> Bitset.create nb) in
   let refs = Array.make p.nvregs 0. in

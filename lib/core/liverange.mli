@@ -36,16 +36,11 @@ type t = {
 (** Static estimate: [10^min(loop-depth, 5)] per block. *)
 val default_weights : Ir.proc -> Chow_ir.Loops.t -> float array
 
-(** Normalise measured block counts so the entry block weighs 1 (profile
-    feedback, §8 future work). *)
-val weights_of_profile : float array -> float array
-
-(** [compute ?weights p loops liveness ig]; [weights] overrides the
-    static estimate.  Each call's live-across set is the one the
+(** [compute p loops liveness ig] weighs each block by
+    {!default_weights}.  Each call's live-across set is the one the
     interference walk recorded ({!Interference.live_across}), shared, not
     copied. *)
 val compute :
-  ?weights:float array ->
   Ir.proc ->
   Chow_ir.Loops.t ->
   Liveness.t ->

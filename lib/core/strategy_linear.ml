@@ -42,10 +42,10 @@ let interval (r : Liverange.range) =
     r.Liverange.blocks;
   (!lo, !hi)
 
-let allocate ?weights ?explain:_ (config : Machine.config)
+let allocate ?explain:_ (config : Machine.config)
     (mode : Alloc_shared.mode) (p : Ir.proc) :
     result * Usage.info option * Alloc_shared.stats =
-  let a = Alloc_shared.analyze ?weights config mode p in
+  let a = Alloc_shared.analyze config mode p in
   let lr = a.Alloc_shared.lr in
   let assignment = Array.make p.Ir.nvregs Lstack in
   (* registers clobbered by at least one call each range spans: the scan

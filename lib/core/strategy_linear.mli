@@ -9,7 +9,6 @@
 val name : string
 
 val allocate :
-  ?weights:float array ->
   ?explain:Coloring.explanation ->
   Chow_machine.Machine.config ->
   Alloc_shared.mode ->

@@ -22,10 +22,10 @@ open Alloc_types
 
 let name = "spill-all"
 
-let allocate ?weights ?explain:_ (config : Machine.config)
+let allocate ?explain:_ (config : Machine.config)
     (mode : Alloc_shared.mode) (p : Ir.proc) :
     result * Usage.info option * Alloc_shared.stats =
-  let a = Alloc_shared.analyze ?weights config mode p in
+  let a = Alloc_shared.analyze config mode p in
   let assignment = Array.make p.Ir.nvregs Lstack in
   let result, info, stats = Alloc_shared.finish config mode p a assignment in
   Alloc_shared.publish_metrics result stats;

@@ -69,7 +69,7 @@
     pages it writes.
 
     The decoded engine is behaviourally identical to {!Sim.run_reference}
-    — same outcomes, counters, block profiles and [Runtime_error] messages
+    — same outcomes, counters, per-pc counts and [Runtime_error] messages
     — which the differential test suite enforces on every workload, under
     every allocator, and on random and mutated programs.
 
@@ -109,9 +109,6 @@ type outcome = {
   save_stores : int;
   call_save_loads : int;  (** the around-call subset of [save_loads] *)
   call_save_stores : int;
-  block_counts : ((string * Ir.label) * int) list;
-      (** execution count of each basic block, when run with
-          [profile = true]; empty otherwise *)
   proc_cycles : (string * int) list;
       (** cycles attributed to each procedure (in address order, with a
           ["<stub>"] entry for startup code when it executed), when run
@@ -164,7 +161,7 @@ let relop_code = function
 
 type t = {
   code : int array;  (** four words per pc: opcode, a, b, c *)
-  prog : Asm.program;  (** retained for data layout and block pcs *)
+  prog : Asm.program;  (** retained for data layout and procedure names *)
   entries : int array;  (** procedure entries sorted by address *)
   names : string array;
   meta_of_pc : int array;  (** pc -> index into the meta arrays, or -1 *)
@@ -547,23 +544,24 @@ let[@inline] b_le regs a b = get regs a <= get regs b
 let[@inline] b_gt regs a b = get regs a > get regs b
 let[@inline] b_ge regs a b = get regs a >= get regs b
 
+(* a caller-supplied buffer makes per-pc counts observable without
+   adding fields to the outcome; [profile] alone uses a private one *)
+let pc_counts ~profile pc_buf ncode =
+  match pc_buf with
+  | Some a ->
+      if Array.length a < ncode then
+        invalid_arg "pc_buf shorter than the code";
+      Array.fill a 0 (Array.length a) 0;
+      a
+  | None -> if profile then Array.make ncode 0 else [||]
+
 let execute ?(fuel = default_fuel) ?(mem_words = 1 lsl 20) ?(check = true)
     ?(profile = false) ?hooks ?pc_buf (t : t) : outcome =
   let prog = t.prog in
   let code = t.code in
   let ncode = Array.length code / 4 in
-  (* a caller-supplied buffer makes per-pc counts observable without
-     adding fields to the outcome; [profile] alone uses a private one *)
   let count_pcs = profile || pc_buf <> None in
-  let pc_counts =
-    match pc_buf with
-    | Some a ->
-        if Array.length a < ncode then
-          invalid_arg "Decode.execute: pc_buf shorter than the code";
-        Array.fill a 0 (Array.length a) 0;
-        a
-    | None -> if profile then Array.make ncode 0 else [||]
-  in
+  let pc_counts = pc_counts ~profile pc_buf ncode in
   (* a negative size fails as the flat image's allocation did *)
   if mem_words < 0 then invalid_arg "Array.make";
   let zero = zero_page in
@@ -1134,11 +1132,6 @@ let execute ?(fuel = default_fuel) ?(mem_words = 1 lsl 20) ?(check = true)
         pc := (Array.unsafe_get closures i) (fuel - cy);
         cycles := fuel - !left
   done;
-  let block_counts =
-    if profile then
-      List.map (fun (pc, key) -> (key, pc_counts.(pc))) prog.Asm.block_pcs
-    else []
-  in
   let proc_cycles =
     if profile then attribute_cycles prog pc_counts else []
   in
@@ -1155,7 +1148,6 @@ let execute ?(fuel = default_fuel) ?(mem_words = 1 lsl 20) ?(check = true)
       save_stores = stores.(2) + stores.(3);
       call_save_loads = loads.(3);
       call_save_stores = stores.(3);
-      block_counts;
       proc_cycles;
     }
   in

@@ -55,9 +55,6 @@ type outcome = {
   save_stores : int;
   call_save_loads : int;  (** the around-call subset of [save_loads] *)
   call_save_stores : int;
-  block_counts : ((string * Chow_ir.Ir.label) * int) list;
-      (** execution count of each basic block, when run with
-          [profile = true]; empty otherwise *)
   proc_cycles : (string * int) list;
       (** cycles attributed to each procedure (in address order, with a
           ["<stub>"] entry for startup code when it executed), when run
@@ -141,6 +138,12 @@ val proc_name_of : Chow_codegen.Asm.program -> int -> string
     ["<stub>"] for the startup stub, ["<unknown>"] when the program
     publishes no procedure addresses.  Error-path helper shared by both
     engines so trap messages agree. *)
+
+val pc_counts : profile:bool -> int array option -> int -> int array
+(** [pc_counts ~profile pc_buf ncode] is the per-pc count array of a run
+    over [ncode] instructions: [pc_buf] zeroed (raising [Invalid_argument]
+    when it is shorter than the code), else a fresh array when [profile]
+    is set, else [[||]].  Shared by both engines. *)
 
 val attribute_cycles :
   Chow_codegen.Asm.program -> int array -> (string * int) list

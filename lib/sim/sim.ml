@@ -29,9 +29,9 @@
     allocates only the pages it stores to.  {!run_reference} is the original
     direct interpreter over {!Asm.inst} variants, retained as the
     executable specification; the differential test suite holds the two to
-    identical outcomes — outputs, cycle counts, per-tag traffic, block
-    profiles and [Runtime_error] messages — on every workload and on
-    random programs. *)
+    identical outcomes — outputs, cycle counts, per-tag traffic, per-pc
+    execution counts and [Runtime_error] messages — on every workload and
+    on random programs. *)
 
 module Machine = Chow_machine.Machine
 module Asm = Chow_codegen.Asm
@@ -62,10 +62,6 @@ type outcome = Decode.outcome = {
   save_stores : int;
   call_save_loads : int;  (** the around-call subset of [save_loads] *)
   call_save_stores : int;
-  block_counts : ((string * Ir.label) * int) list;
-      (** execution count of each basic block, when run with
-          [profile = true]; empty otherwise.  The raw material for the
-          profile-feedback extension (§8 "future work"). *)
   proc_cycles : (string * int) list;
       (** cycles attributed to each procedure (address order, ["<stub>"]
           first when startup code ran), when run with [profile = true];
@@ -111,11 +107,13 @@ let default_fuel = Decode.default_fuel
     Kept as the executable specification the decoded engine is
     differentially tested against. *)
 let run_reference ?(fuel = default_fuel) ?(mem_words = 1 lsl 20)
-    ?(check = true) ?(profile = false) (prog : Asm.program) : outcome =
+    ?(check = true) ?(profile = false) ?pc_buf (prog : Asm.program) : outcome
+    =
   Chow_obs.Event.span "sim-reference" @@ fun () ->
   let code = prog.Asm.code in
   let ncode = Array.length code in
-  let pc_counts = if profile then Array.make ncode 0 else [||] in
+  let count_pcs = profile || pc_buf <> None in
+  let pc_counts = Decode.pc_counts ~profile pc_buf ncode in
   let mem = Array.make mem_words 0 in
   List.iter (fun (addr, v) -> mem.(addr) <- v) prog.Asm.data_init;
   let regs = Array.make Machine.nregs 0 in
@@ -197,7 +195,7 @@ let run_reference ?(fuel = default_fuel) ?(mem_words = 1 lsl 20)
       error "out of fuel after %d cycles (pc %d, in %s)" fuel !pc
         (Decode.proc_name_of prog !pc);
     if !pc < 0 || !pc >= ncode then error "pc out of range: %d" !pc;
-    if profile then pc_counts.(!pc) <- pc_counts.(!pc) + 1;
+    if count_pcs then pc_counts.(!pc) <- pc_counts.(!pc) + 1;
     counters.cycles <- counters.cycles + 1;
     let next = !pc + 1 in
     (match code.(!pc) with
@@ -241,11 +239,6 @@ let run_reference ?(fuel = default_fuel) ?(mem_words = 1 lsl 20)
     | Asm.Print r -> output := get r :: !output; pc := next
     | Asm.Halt -> running := false)
   done;
-  let block_counts =
-    if profile then
-      List.map (fun (pc, key) -> (key, pc_counts.(pc))) prog.Asm.block_pcs
-    else []
-  in
   let l = counters.loads and s = counters.stores in
   let outcome =
     {
@@ -260,7 +253,6 @@ let run_reference ?(fuel = default_fuel) ?(mem_words = 1 lsl 20)
       save_stores = s.(2) + s.(3);
       call_save_loads = l.(3);
       call_save_stores = s.(3);
-      block_counts;
       proc_cycles =
         (if profile then Decode.attribute_cycles prog pc_counts else []);
     }

@@ -22,9 +22,6 @@ type outcome = Decode.outcome = {
   save_stores : int;
   call_save_loads : int;  (** the around-call subset of [save_loads] *)
   call_save_stores : int;
-  block_counts : ((string * Chow_ir.Ir.label) * int) list;
-      (** per-block execution counts when run with [profile = true];
-          empty otherwise *)
   proc_cycles : (string * int) list;
       (** cycles attributed to each procedure (address order, ["<stub>"]
           first when startup code ran), when run with [profile = true];
@@ -43,7 +40,8 @@ val default_fuel : int
       usage mask) promises to preserve are unchanged, that the stack
       pointer is balanced, and that control returns to the call site; it
       also rejects calls that do not land on a procedure entry.
-    - [profile] (default false) collects per-block execution counts.
+    - [profile] (default false) attributes cycles to procedures
+      ([proc_cycles]).
     - [fuel] bounds executed instructions; [mem_words] sizes memory.
 
     Raises {!Runtime_error} on traps, contract violations, or exhausted
@@ -71,11 +69,14 @@ val run :
     variants, retained as the executable specification.  Same parameters,
     semantics, counters and error messages as {!run}; the differential
     test suite holds the two engines to identical outcomes on every
-    workload and on random programs. *)
+    workload and on random programs.  [pc_buf] receives the per-pc
+    execution counts exactly as {!Decode.execute}'s does, so the decoded
+    engine's counts can be held against these. *)
 val run_reference :
   ?fuel:int ->
   ?mem_words:int ->
   ?check:bool ->
   ?profile:bool ->
+  ?pc_buf:int array ->
   Chow_codegen.Asm.program ->
   outcome

@@ -1,9 +1,10 @@
 (** The differential check shared by the simulator suites: the decoded
     engine ({!Sim.run}) against the reference engine ({!Sim.run_reference})
-    on one program, with block profiling off (the path [simulate], [pawnc
-    run] and the daemon take) and on. *)
+    on one program, with profiling off (the path [simulate], [pawnc run]
+    and the daemon take) and on, per-pc counts included. *)
 
 module Sim = Chow_sim.Sim
+module Decode = Chow_sim.Decode
 
 let capture f = try Ok (f ()) with Sim.Runtime_error m -> Error m
 
@@ -27,27 +28,38 @@ let same name (r : Sim.outcome) (d : Sim.outcome) =
     d.Sim.call_save_loads;
   Alcotest.(check int) (name ^ ": call-save stores") r.Sim.call_save_stores
     d.Sim.call_save_stores;
-  Alcotest.(check bool) (name ^ ": block counts") true
-    (d.Sim.block_counts = r.Sim.block_counts);
   Alcotest.(check (list (pair string int)))
     (name ^ ": proc cycles") r.Sim.proc_cycles d.Sim.proc_cycles
 
 (** [agree ?fuel ?mem_words ?check name prog] runs both engines with
     profiling off, then on, and insists on identical outcomes each time
-    (output, cycles, calls, every traffic counter, block profiles and
-    per-procedure cycles) or the very same [Runtime_error] message.
-    [check] (default true) arms or disarms both engines' contract checker.
-    It returns the decoded engine's profiled result. *)
+    (output, cycles, calls, every traffic counter and per-procedure
+    cycles) or the very same [Runtime_error] message.  The profiled runs
+    also count per pc ([pc_buf]), and the two count arrays must be equal
+    whole, up to a trap as well as to [halt].  [check] (default true) arms
+    or disarms both engines' contract checker.  It returns the decoded
+    engine's profiled result. *)
 let agree ?fuel ?mem_words ?check name prog =
+  let n = Array.length prog.Chow_codegen.Asm.code in
+  let d_counts = Array.make n 0 and r_counts = Array.make n 0 in
   let run profile =
     let name = Printf.sprintf "%s (profile %b)" name profile in
     let decoded =
-      capture (fun () -> Sim.run ?fuel ?mem_words ?check ~profile prog)
+      capture (fun () ->
+          if profile then
+            Decode.execute ?fuel ?mem_words ?check ~profile ~pc_buf:d_counts
+              (Decode.decode prog)
+          else Sim.run ?fuel ?mem_words ?check prog)
     in
     let reference =
       capture (fun () ->
-          Sim.run_reference ?fuel ?mem_words ?check ~profile prog)
+          if profile then
+            Sim.run_reference ?fuel ?mem_words ?check ~profile
+              ~pc_buf:r_counts prog
+          else Sim.run_reference ?fuel ?mem_words ?check prog)
     in
+    if profile then
+      Alcotest.(check (array int)) (name ^ ": per-pc counts") r_counts d_counts;
     (match (decoded, reference) with
     | Ok d, Ok r -> same name r d
     | Error d, Error r -> Alcotest.(check string) (name ^ ": error") r d

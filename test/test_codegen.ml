@@ -180,11 +180,7 @@ proc main() { var p = &f; print(p(10)); print(f(1)); }
       | _ -> ())
     prog.Asm.code;
   Alcotest.(check bool) "metas for both procs + main" true
-    (List.length prog.Asm.metas = 2);
-  Alcotest.(check bool) "block map nonempty" true (prog.Asm.block_pcs <> []);
-  let pcs = List.map fst prog.Asm.block_pcs in
-  Alcotest.(check (list int)) "block map in ascending pc order"
-    (List.sort compare pcs) pcs
+    (List.length prog.Asm.metas = 2)
 
 (* hand-built procedures, as a tampered artifact could carry them *)
 let proc name items = { Asm.pc_name = name; pc_items = items }

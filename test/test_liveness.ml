@@ -323,6 +323,35 @@ let test_workloads_match_reference () =
           .Ir.procs)
     Chow_workloads.Workloads.all
 
+(* loops nested 0 to 6 deep: a block at depth [d] weighs exactly
+   [10^min(d,5)], so the depth-6 body weighs what the depth-5 one does *)
+let test_static_weights () =
+  let rec nest d =
+    if d = 6 then "s = s + 1;"
+    else
+      Printf.sprintf "var i%d = 0; while (i%d < 2) { %s i%d = i%d + 1; }" d d
+        (nest (d + 1)) d d
+  in
+  let src =
+    Printf.sprintf "proc main() { var s = 0; %s print(s); }" (nest 0)
+  in
+  let p = List.hd (Chow_frontend.Lower.compile_unit src).Ir.procs in
+  let cfg = Cfg.of_proc p in
+  let loops = Loops.compute cfg (Dom.compute cfg) in
+  let _, _, lr = analyse p in
+  let expected = [| 1.; 10.; 100.; 1000.; 10000.; 100000.; 100000. |] in
+  let seen = Array.make 7 false in
+  Array.iteri
+    (fun l w ->
+      let d = Loops.depth loops l in
+      seen.(d) <- true;
+      Alcotest.(check (float 0.))
+        (Printf.sprintf "block %d at depth %d" l d)
+        expected.(d) w)
+    lr.Liverange.weights;
+  Alcotest.(check (array bool)) "every depth 0..6 present"
+    (Array.make 7 true) seen
+
 let suite =
   ( "liveness",
     [
@@ -332,6 +361,8 @@ let suite =
       Alcotest.test_case "interference" `Quick test_interference_basic;
       Alcotest.test_case "mov copy exemption" `Quick test_mov_exemption;
       Alcotest.test_case "parameters interfere" `Quick test_params_interfere;
+      Alcotest.test_case "static weights are 10^min(depth,5)" `Quick
+        test_static_weights;
       QCheck_alcotest.to_alcotest prop_range_covers_refs;
       QCheck_alcotest.to_alcotest prop_matches_reference;
       Alcotest.test_case "workloads match the naive reference" `Quick

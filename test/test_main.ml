@@ -21,7 +21,6 @@ let () =
       Test_pipeline.suite;
       Test_workloads.suite;
       Test_golden.suite;
-      Test_profile.suite;
       Test_penalty.suite;
       Test_inline.suite;
       Test_pgo.suite;

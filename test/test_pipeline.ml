@@ -80,15 +80,6 @@ proc main() { print(sq(4)); print(remember(2)); print(remember(3)); }
     (Pipeline.run plain).Sim.output
     (Pipeline.run promoted).Sim.output
 
-let test_profiled_compile_of_modules_program () =
-  let src =
-    "proc tri(n) { var s = 0; var i = 0; while (i <= n) { s = s + i; i = i \
-     + 1; } return s; } proc main() { print(tri(10)); }"
-  in
-  let c, training = Pipeline.compile_with_profile Config.o3_sw src in
-  Alcotest.(check (list int)) "training" [ 55 ] training.Sim.output;
-  Alcotest.(check (list int)) "recompiled" [ 55 ] (Pipeline.run c).Sim.output
-
 let suite =
   ( "pipeline",
     [
@@ -98,6 +89,4 @@ let suite =
       Alcotest.test_case "data layout" `Quick test_data_layout;
       Alcotest.test_case "options compose with modules" `Quick
         test_compile_modules_options;
-      Alcotest.test_case "profile-guided recompilation" `Quick
-        test_profiled_compile_of_modules_program;
     ] )

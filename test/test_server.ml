@@ -669,10 +669,13 @@ let test_server_client_vanishes () =
      The connection fd is refcounted, so the worker's send hits the
      still-open (peer-closed) socket and fails with EPIPE — it can never
      write into a recycled descriptor number — and the books count the
-     request failed, never completed *)
+     request failed, never completed.  The job runs 10^8 cycles (a few
+     hundred ms, under the default fuel): for its reply to beat the close
+     and count the request completed, this process would have to stall
+     between the send and the close for longer than the whole run *)
   with_server "vanish" (fun socket_path ->
       let slow_src =
-        "proc main() { var i = 0; while (i < 100000) { i = i + 1; } \
+        "proc main() { var i = 0; while (i < 25000000) { i = i + 1; } \
          print(i); }"
       in
       let c = Client.connect ~socket_path in

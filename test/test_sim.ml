@@ -40,7 +40,6 @@ let link_procs procs =
         procs entries;
     data_size = 0;
     data_init = [];
-    block_pcs = [];
   }
 
 (* [body] inside a one-word frame that saves and restores ra, then returns *)
@@ -159,7 +158,6 @@ let test_unlinked_instruction_rejected () =
       metas = [];
       data_size = 0;
       data_init = [];
-      block_pcs = [];
     }
   in
   match Sim.run prog with
@@ -241,20 +239,6 @@ let test_diff_division_by_zero () =
   in
   check_engines_agree "division by zero" prog
 
-let test_diff_profile_counts () =
-  (* unit check that the decoded engine's profile = true block counts equal
-     the reference's, on a real workload *)
-  let w = Option.get (Chow_workloads.Workloads.find "nim") in
-  let prog =
-    Pipeline.program
-      (Pipeline.compile_source Config.o3_sw (Pipeline.Src w.Chow_workloads.Workloads.source))
-  in
-  let d = Sim.run ~profile:true prog in
-  let r = Sim.run_reference ~profile:true prog in
-  Alcotest.(check bool) "profiles nonempty" true (d.Sim.block_counts <> []);
-  Alcotest.(check bool) "profiles equal" true
-    (d.Sim.block_counts = r.Sim.block_counts)
-
 (* ---- chains: straight-line runs and their budget -------------------- *)
 
 (* a program with no procedure table: traps name "<unknown>" *)
@@ -266,7 +250,6 @@ let bare code =
     metas = [];
     data_size = 0;
     data_init = [];
-    block_pcs = [];
   }
 
 (* every fuel from 0 past the program's cycle count: each budget stops
@@ -858,8 +841,6 @@ let suite =
       Alcotest.test_case "diff: wild call" `Quick test_diff_wild_call;
       Alcotest.test_case "diff: division by zero" `Quick
         test_diff_division_by_zero;
-      Alcotest.test_case "diff: profile block counts" `Quick
-        test_diff_profile_counts;
       Alcotest.test_case "chains: fuel sweep over a small workload" `Quick
         test_fuel_sweep;
       Alcotest.test_case "chains: jump into the middle of a run" `Quick

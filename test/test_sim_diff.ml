@@ -2,9 +2,9 @@
     reference engine ({!Sim.run_reference}) on all thirteen workloads,
     under the baseline configuration and under -O3+sw with each register
     allocator (each publishes different usage masks, so the decoded
-    engine prunes different contracts), with block profiling off and on.
+    engine prunes different contracts), with profiling off and on.
     Outcomes must match exactly: output, cycle count, calls, every
-    per-tag load/store counter, block profiles and per-procedure cycles.
+    per-tag load/store counter, per-pc counts and per-procedure cycles.
     A second group runs each workload at -O3+sw with fuel one short of
     its cycle count, equal to it and one past it: the first must trap
     with the reference's exact message, the others complete.  A third
@@ -141,7 +141,6 @@ let test_pair_traps (first, second, at) () =
       metas = [];
       data_size = 0;
       data_init = [];
-      block_pcs = [];
     }
   in
   Alcotest.(check bool)
