@@ -4,7 +4,9 @@
     what kind of traffic it is, which is how the simulator reproduces the
     paper's "scalar loads/stores" metric (§8: loads and stores attributed to
     scalar variables and register saves/restores — exactly the traffic a
-    perfect register allocator could remove). *)
+    perfect register allocator could remove).  What the simulator and the
+    profiler read of a linked program besides its instructions — the
+    procedure, contract and class of each pc — is {!Linked}'s. *)
 
 module Ir = Chow_ir.Ir
 module Machine = Chow_machine.Machine
@@ -63,31 +65,14 @@ type program = {
   data_init : (int * int) list;  (** address, initial value *)
 }
 
-(** Array-friendly views of the link-time metadata, for consumers (the
-    decoded simulator) that index by pc instead of searching association
-    lists.  Both are total on any well-formed linked program. *)
-
-(** [proc_table p] is the procedure entry points sorted by address, as
-    parallel arrays [(entries, names)] — the input to "which procedure is
-    executing at pc" attribution. *)
-let proc_table (p : program) : int array * string array =
-  let sorted =
-    List.sort (fun (_, a) (_, b) -> compare (a : int) b) p.proc_addrs
-  in
-  ( Array.of_list (List.map snd sorted),
-    Array.of_list (List.map fst sorted) )
-
-(** [meta_table p] is [(meta_of_pc, metas)]: [meta_of_pc.(pc)] indexes
-    [metas] when [pc] is a procedure entry with a published contract, and is
-    [-1] everywhere else. *)
-let meta_table (p : program) : int array * meta array =
-  let metas = Array.of_list (List.map snd p.metas) in
-  let meta_of_pc = Array.make (Array.length p.code) (-1) in
-  List.iteri
-    (fun i (pc, _) ->
-      if pc >= 0 && pc < Array.length meta_of_pc then meta_of_pc.(pc) <- i)
-    p.metas;
-  (meta_of_pc, metas)
+(** Dense numbering of the traffic tags: data, scalar, save, callsave,
+    stackarg. *)
+let tag_index = function
+  | Tdata -> 0
+  | Tscalar -> 1
+  | Tsave -> 2
+  | Tcallsave -> 3
+  | Tstackarg -> 4
 
 let pp_tag ppf t =
   Format.pp_print_string ppf

@@ -583,11 +583,6 @@ let compile_result ?global_promo ?explain ?cache ?pgo config source =
     using the default pre-decoded engine. *)
 let run ?fuel ?check (c : compiled) = Sim.run ?fuel ?check c.c_program
 
-(** [run_reference c] is {!run} on the reference (specification) engine —
-    the slow path kept for differential testing and benchmarking. *)
-let run_reference ?fuel ?check (c : compiled) =
-  Sim.run_reference ?fuel ?check c.c_program
-
 (** [profile_penalty c] runs the program under the dynamic penalty
     profiler: per-site save/restore attribution and a call-path tree. *)
 let profile_penalty ?fuel ?check ?trace ?trace_depth ?trace_limit

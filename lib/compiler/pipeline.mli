@@ -162,9 +162,6 @@ val link_units : Objfile.t list -> Asm.program
     contract checking on by default. *)
 val run : ?fuel:int -> ?check:bool -> compiled -> Sim.outcome
 
-(** [run_reference c] is {!run} on the reference (specification) engine. *)
-val run_reference : ?fuel:int -> ?check:bool -> compiled -> Sim.outcome
-
 (** [profile_penalty c] runs the compiled program under the dynamic
     penalty profiler ({!Chow_sim.Profile}): save/restore attribution per
     call site, a call-path tree, and optional simulated-time trace spans.

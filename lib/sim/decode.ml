@@ -47,13 +47,16 @@
     bumps its own count.  Each opcode keeps one definition: an arm, or an
     inlined effect helper that the single and the fused closures share.
 
-    Decode also proves, from the linked code alone, which registers each
-    procedure's activation may write ([may_write]), and keeps of each
-    published contract only [preserved ∩ may_write], in contract order.
-    The checker snapshots and compares just those: a register that no
+    Decode also builds the program's static view ({!Linked}), which
+    proves from the linked code alone which registers each procedure's
+    activation may write ([may_write]).  Decode keeps of each published
+    contract only [preserved ∩ may_write], in contract order, and the
+    checker snapshots and compares just those: a register that no
     instruction reachable in the activation writes cannot differ at
     return, so every verdict, and the first clobbered register a message
-    names, are those of the full check.
+    names, are those of the full check.  Trap messages name a pc's
+    procedure through the same view, and per-procedure cycles sum the
+    per-pc counts by its procedure index.
 
     The dynamic contract checker is allocation-free: the shadow stack is
     one flat int array of four ints per frame (return pc, sp at entry,
@@ -66,22 +69,12 @@
     run keeps its own table of 4096-word pages, every entry starting at
     one shared, never-written [zero_page], and a store gives its page a
     fresh array the first time it touches it, so a run allocates only the
-    pages it writes.
-
-    The decoded engine is behaviourally identical to {!Sim.run_reference}
-    — same outcomes, counters, per-pc counts and [Runtime_error] messages
-    — which the differential test suite enforces on every workload, under
-    every allocator, and on random and mutated programs.
-
-    Decode is total on linked programs: the only {!Asm.inst} constructors
-    it cannot specialize ([Jal], [Lproc]) are pre-link artifacts, decoded
-    to a poison opcode that traps exactly like the reference engine does,
-    and only if actually executed.  An instruction naming a register
-    outside the file decodes to a second poison opcode, which raises the
-    [Invalid_argument] the reference engine's register access raises. *)
+    pages it writes.  Totality on pre-link and bad-register instructions,
+    and identity with {!Sim.run_reference}, are as decode.mli states. *)
 
 module Machine = Chow_machine.Machine
 module Asm = Chow_codegen.Asm
+module Linked = Chow_codegen.Linked
 module Ir = Chow_ir.Ir
 module Event = Chow_obs.Event
 module Metrics = Chow_obs.Metrics
@@ -90,29 +83,19 @@ exception Runtime_error of string
 
 let error fmt = Format.kasprintf (fun m -> raise (Runtime_error m)) fmt
 
-let tag_index = function
-  | Asm.Tdata -> 0
-  | Asm.Tscalar -> 1
-  | Asm.Tsave -> 2
-  | Asm.Tcallsave -> 3
-  | Asm.Tstackarg -> 4
-
 type outcome = {
   output : int list;
   cycles : int;
   calls : int;
   data_loads : int;
   data_stores : int;
-  scalar_loads : int;  (** scalar + save/restore + stack-arg loads *)
+  scalar_loads : int;
   scalar_stores : int;
-  save_loads : int;  (** the save/restore component alone, both kinds *)
+  save_loads : int;
   save_stores : int;
-  call_save_loads : int;  (** the around-call subset of [save_loads] *)
+  call_save_loads : int;
   call_save_stores : int;
   proc_cycles : (string * int) list;
-      (** cycles attributed to each procedure (in address order, with a
-          ["<stub>"] entry for startup code when it executed), when run
-          with [profile = true]; empty otherwise *)
 }
 
 (* Opcode numbering: dense from 0 so the closure builder's match compiles
@@ -161,24 +144,14 @@ let relop_code = function
 
 type t = {
   code : int array;  (** four words per pc: opcode, a, b, c *)
-  prog : Asm.program;  (** retained for data layout and procedure names *)
-  entries : int array;  (** procedure entries sorted by address *)
-  names : string array;
-  meta_of_pc : int array;  (** pc -> index into the meta arrays, or -1 *)
-  meta_name : string array;  (** last slot is the "<unknown>" sentinel *)
+  linked : Linked.t;
   meta_checked : int array array;
-      (** the preserved registers each activation may write, in contract
-          order; -1 stands for a register outside the file *)
-  unknown_meta : int;
-  has_metas : bool;
+      (** per meta of [linked], the preserved registers its activation may
+          write, in contract order; -1 stands for a register outside the
+          file.  One extra last slot, empty, serves calls when the program
+          publishes no contract. *)
 }
 
-(** Call-path probes, fired only on the call/return path (never per
-    instruction): the executing cycle count and the running save/restore
-    totals at the moment of the transfer, so a profiler can segment them
-    by activation.  [h_call]'s [site] is the pc of the call instruction;
-    both counters snapshots are taken after the transfer instruction
-    itself has been counted. *)
 type hooks = {
   h_call :
     site:int ->
@@ -198,24 +171,6 @@ type hooks = {
     unit;
 }
 
-let valid r = r >= 0 && r < Machine.nregs
-
-let operands_valid = function
-  | Asm.Halt | Asm.Lproc _ | Asm.Jal _ | Asm.J _ | Asm.Jal_pc _ | Asm.Jr ->
-      true
-  | Asm.Li (r, _) | Asm.Jalr r | Asm.Print r -> valid r
-  | Asm.Move (d, s)
-  | Asm.Neg (d, s)
-  | Asm.Not (d, s)
-  | Asm.Binopi (_, d, s, _)
-  | Asm.Cmpi (_, d, s, _)
-  | Asm.Lw (d, s, _, _)
-  | Asm.Sw (d, s, _, _)
-  | Asm.B (_, d, s, _) ->
-      valid d && valid s
-  | Asm.Binop (_, d, a, b) | Asm.Cmp (_, d, a, b) ->
-      valid d && valid a && valid b
-
 (* Writes to the hardwired zero register are discarded by redirecting them
    to a dump slot one past the real register file; reads then never need a
    zero check because regs.(0) is never written. *)
@@ -232,90 +187,14 @@ let decode_inst = function
   | Asm.Binopi (op, d, a, imm) -> (k_addi + binop_code op, dst d, a, imm)
   | Asm.Cmp (op, d, a, b) -> (k_cmp + relop_code op, dst d, a, b)
   | Asm.Cmpi (op, d, a, imm) -> (k_cmpi + relop_code op, dst d, a, imm)
-  | Asm.Lw (d, b, off, tag) -> (k_lw + tag_index tag, dst d, b, off)
-  | Asm.Sw (s, b, off, tag) -> (k_sw + tag_index tag, s, b, off)
+  | Asm.Lw (d, b, off, tag) -> (k_lw + Asm.tag_index tag, dst d, b, off)
+  | Asm.Sw (s, b, off, tag) -> (k_sw + Asm.tag_index tag, s, b, off)
   | Asm.B (op, a, b, l) -> (k_b + relop_code op, a, b, l)
   | Asm.J l -> (k_j, l, 0, 0)
   | Asm.Jal_pc t -> (k_jal, t, 0, 0)
   | Asm.Jalr r -> (k_jalr, r, 0, 0)
   | Asm.Jr -> (k_jr, 0, 0, 0)
   | Asm.Print r -> (k_print, r, 0, 0)
-
-(** [may_write code meta_entry meta_of_pc] is, for each meta, a bitmask of
-    the registers its activation may write, from the call that enters it
-    to the return that pops its frame.  Reachability runs from the entry
-    over fall-through, [B] and [J] targets (into any procedure's body:
-    layout is not trusted) and call continuations.  An instruction writes
-    its destination; [jal] and [jalr] write [ra].  A static [jal] to a meta
-    entry adds that meta's set, a [jalr] every meta's set (a call that
-    lands elsewhere is a wild-call trap), to a fixpoint.  A path ends at
-    [halt], at [jr] (the checker pops this frame there, having verified
-    the return target), and at an instruction that traps unconditionally:
-    an unlinked or bad-register one, or an out-of-range pc. *)
-let may_write code meta_entry meta_of_pc =
-  let n = Array.length code / 4 in
-  let nm = Array.length meta_entry in
-  let may = Array.make nm 0 in
-  let indirect = Array.make nm false in
-  let callees = Array.make nm [||] in
-  let seen = Array.make n (-1) in
-  (* each pc is pushed at most once per meta, and holds at most one call *)
-  let work = Array.make n 0 and found = Array.make n 0 in
-  let ra_bit = 1 lsl Machine.ra in
-  for m = 0 to nm - 1 do
-    let top = ref 0 and nfound = ref 0 and mask = ref 0 in
-    let push pc =
-      if pc >= 0 && pc < n && seen.(pc) <> m then begin
-        seen.(pc) <- m;
-        work.(!top) <- pc;
-        incr top
-      end
-    in
-    push meta_entry.(m);
-    while !top > 0 do
-      decr top;
-      let pc = work.(!top) in
-      let op = code.(4 * pc) and a = code.((4 * pc) + 1) in
-      if op >= k_li && op < k_sw && a < Machine.nregs then
-        mask := !mask lor (1 lsl a);
-      if op = k_halt || op = k_jr || op = k_unlinked || op = k_badreg then ()
-      else if op >= k_b && op < k_j then begin
-        push (pc + 1);
-        push code.((4 * pc) + 3)
-      end
-      else if op = k_j then push a
-      else begin
-        if op = k_jalr then begin
-          mask := !mask lor ra_bit;
-          indirect.(m) <- true
-        end
-        else if op = k_jal then begin
-          mask := !mask lor ra_bit;
-          if a >= 0 && a < n && meta_of_pc.(a) >= 0 then begin
-            found.(!nfound) <- meta_of_pc.(a);
-            incr nfound
-          end
-        end;
-        push (pc + 1)
-      end
-    done;
-    may.(m) <- !mask;
-    callees.(m) <- Array.sub found 0 !nfound
-  done;
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    let any = Array.fold_left ( lor ) 0 may in
-    for m = 0 to nm - 1 do
-      let v = ref (if indirect.(m) then may.(m) lor any else may.(m)) in
-      Array.iter (fun c -> v := !v lor may.(c)) callees.(m);
-      if !v <> may.(m) then begin
-        may.(m) <- !v;
-        changed := true
-      end
-    done
-  done;
-  may
 
 let decode (prog : Asm.program) : t =
   let insts = prog.Asm.code in
@@ -324,92 +203,32 @@ let decode (prog : Asm.program) : t =
   Array.iteri
     (fun i inst ->
       let op, a, b, c =
-        if operands_valid inst then decode_inst inst else (k_badreg, 0, 0, 0)
+        if Linked.operands_valid inst then decode_inst inst
+        else (k_badreg, 0, 0, 0)
       in
       code.(4 * i) <- op;
       code.((4 * i) + 1) <- a;
       code.((4 * i) + 2) <- b;
       code.((4 * i) + 3) <- c)
     insts;
-  let entries, names = Asm.proc_table prog in
-  let meta_of_pc, metas = Asm.meta_table prog in
-  let nmetas = Array.length metas in
-  let may =
-    may_write code (Array.of_list (List.map fst prog.Asm.metas)) meta_of_pc
+  let linked = Linked.make prog in
+  let may = linked.Linked.may_write in
+  let checked i (m : Asm.meta) =
+    Array.of_list
+      (List.filter_map
+         (fun r ->
+           if r < 0 || r >= Machine.nregs then Some (-1)
+           else if may.(i) land (1 lsl r) <> 0 then Some r
+           else None)
+         m.Asm.m_preserved)
   in
-  let meta_name = Array.make (nmetas + 1) "<unknown>" in
-  let meta_checked = Array.make (nmetas + 1) [||] in
-  Array.iteri
-    (fun i (m : Asm.meta) ->
-      meta_name.(i) <- m.Asm.m_name;
-      meta_checked.(i) <-
-        Array.of_list
-          (List.filter_map
-             (fun r ->
-               if not (valid r) then Some (-1)
-               else if may.(i) land (1 lsl r) <> 0 then Some r
-               else None)
-             m.Asm.m_preserved))
-    metas;
-  {
-    code;
-    prog;
-    entries;
-    names;
-    meta_of_pc;
-    meta_name;
-    meta_checked;
-    unknown_meta = nmetas;
-    has_metas = nmetas > 0;
-  }
+  let meta_checked =
+    Array.append (Array.mapi checked linked.Linked.metas) [| [||] |]
+  in
+  { code; linked; meta_checked }
 
-(** Which procedure the given pc belongs to: the nearest entry at or below
-    it.  Traps use it to give their source context, and {!Profile} to name
-    the procedure of each pc against a table it computes once per run. *)
-let attribute_pc (entries : int array) (names : string array) pc =
-  let n = Array.length entries in
-  if n = 0 then "<unknown>"
-  else if pc < entries.(0) then "<stub>"
-  else begin
-    (* binary search for the greatest entry <= pc *)
-    let lo = ref 0 and hi = ref (n - 1) in
-    while !lo < !hi do
-      let mid = (!lo + !hi + 1) / 2 in
-      if entries.(mid) <= pc then lo := mid else hi := mid - 1
-    done;
-    names.(!lo)
-  end
-
-let proc_name_of (prog : Asm.program) pc =
-  let entries, names = Asm.proc_table prog in
-  attribute_pc entries names pc
-
-(** [attribute_cycles prog pc_counts] folds a per-pc execution profile into
-    per-procedure cycle totals, in address order.  Cycles spent before the
-    first procedure entry (the startup stub) are reported under
-    ["<stub>"] when nonzero. *)
-let attribute_cycles (prog : Asm.program) (pc_counts : int array) :
-    (string * int) list =
-  let entries, names = Asm.proc_table prog in
-  let n = Array.length entries in
-  if n = 0 then []
-  else begin
-    let ncode = Array.length pc_counts in
-    let sum lo hi =
-      let acc = ref 0 in
-      for pc = lo to min hi (ncode - 1) do
-        acc := !acc + pc_counts.(pc)
-      done;
-      !acc
-    in
-    let procs =
-      List.init n (fun i ->
-          let hi = if i + 1 < n then entries.(i + 1) - 1 else ncode - 1 in
-          (names.(i), sum entries.(i) hi))
-    in
-    let stub = sum 0 (entries.(0) - 1) in
-    if stub > 0 then ("<stub>", stub) :: procs else procs
-  end
+let linked t = t.linked
+let meta_checked t m = t.meta_checked.(m)
 
 (* counter handles shared by both engines: same names, same totals *)
 let m_runs = Metrics.counter "sim.runs"
@@ -424,9 +243,6 @@ let m_save_stores = Metrics.counter "sim.save_stores"
 let m_call_save_loads = Metrics.counter "sim.call_save_loads"
 let m_call_save_stores = Metrics.counter "sim.call_save_stores"
 
-(** Publish an outcome's counters into the metrics registry (used by both
-    engines after a completed run, so the totals match whichever engine
-    executed). *)
 let publish_metrics (o : outcome) =
   if Metrics.is_on () then begin
     Metrics.incr m_runs;
@@ -557,7 +373,14 @@ let pc_counts ~profile pc_buf ncode =
 
 let execute ?(fuel = default_fuel) ?(mem_words = 1 lsl 20) ?(check = true)
     ?(profile = false) ?hooks ?pc_buf (t : t) : outcome =
-  let prog = t.prog in
+  let v = t.linked in
+  let prog = v.Linked.prog and meta_of_pc = v.Linked.meta_of_pc in
+  (* meta index [nmetas] is the empty contract of calls in a program that
+     publishes none *)
+  let nmetas = Array.length v.Linked.metas in
+  let meta_name m =
+    if m < nmetas then v.Linked.metas.(m).Asm.m_name else "<unknown>"
+  in
   let code = t.code in
   let ncode = Array.length code / 4 in
   let count_pcs = profile || pc_buf <> None in
@@ -622,7 +445,7 @@ let execute ?(fuel = default_fuel) ?(mem_words = 1 lsl 20) ?(check = true)
     end
   in
   let overflow_limit = prog.Asm.data_size + 64 in
-  let where pc = attribute_pc t.entries t.names pc in
+  let where pc = Linked.proc_name v pc in
   (* the trap of a [lw] or [sw] at [pc] whose address, register [b] plus
      [c], lies outside memory *)
   let oob b c pc =
@@ -658,12 +481,12 @@ let execute ?(fuel = default_fuel) ?(mem_words = 1 lsl 20) ?(check = true)
     | None -> ());
     if check then begin
       let m =
-        let m = t.meta_of_pc.(target) in
+        let m = meta_of_pc.(target) in
         if m >= 0 then m
-        else if t.has_metas then
+        else if nmetas > 0 then
           error "call to %d, which is not a procedure entry (pc %d, in %s)"
             target pc (where pc)
-        else t.unknown_meta
+        else nmetas
       in
       push_frame return_pc m t.meta_checked.(m)
     end;
@@ -687,9 +510,9 @@ let execute ?(fuel = default_fuel) ?(mem_words = 1 lsl 20) ?(check = true)
       let m = Array.unsafe_get fr (f + 2) in
       let base = Array.unsafe_get fr (f + 3) in
       if target <> ret then
-        error "%s: returned to %d, expected %d" t.meta_name.(m) target ret;
+        error "%s: returned to %d, expected %d" (meta_name m) target ret;
       if regs.(Machine.sp) <> sp then
-        error "%s: stack pointer not restored (%d <> %d)" t.meta_name.(m)
+        error "%s: stack pointer not restored (%d <> %d)" (meta_name m)
           regs.(Machine.sp) sp;
       let checked = t.meta_checked.(m) in
       let sn = !snap in
@@ -697,8 +520,7 @@ let execute ?(fuel = default_fuel) ?(mem_words = 1 lsl 20) ?(check = true)
         let r = checked.(k) in
         if regs.(r) <> sn.(base + k) then
           error "%s: clobbered preserved register %s (%d <> %d)"
-            t.meta_name.(m) (Machine.name r) regs.(r)
-            sn.(base + k)
+            (meta_name m) (Machine.name r) regs.(r) sn.(base + k)
       done;
       snap_top := base
     end;
@@ -941,8 +763,8 @@ let execute ?(fuel = default_fuel) ?(mem_words = 1 lsl 20) ?(check = true)
     | 53 (* j *) ->
         let inside = in_code a in
         fun n -> jump left closures n inside a
-    | 54 (* jal *) when direct_calls && in_code a && t.meta_of_pc.(a) >= 0 ->
-        let m = t.meta_of_pc.(a) in
+    | 54 (* jal *) when direct_calls && in_code a && meta_of_pc.(a) >= 0 ->
+        let m = meta_of_pc.(a) in
         let checked = t.meta_checked.(m) in
         fun n ->
           incr calls;
@@ -1133,7 +955,7 @@ let execute ?(fuel = default_fuel) ?(mem_words = 1 lsl 20) ?(check = true)
         cycles := fuel - !left
   done;
   let proc_cycles =
-    if profile then attribute_cycles prog pc_counts else []
+    if profile then Linked.proc_cycles v pc_counts else []
   in
   let outcome =
     {

@@ -2,33 +2,17 @@
 
     [decode] compiles a linked program once into one flat int array, four
     words per pc (an opcode with the binop/relop/tag variant folded in,
-    then pre-resolved operands), with every register operand validated
-    and a per-pc procedure-meta index.  It also proves, from the code
-    alone, which registers each procedure's activation may write, and
-    keeps of each preserved-register contract only the registers that can
-    change.
+    then pre-resolved operands), with every register operand validated,
+    and builds the program's static view ({!Chow_codegen.Linked}).  Of each
+    preserved-register contract it keeps only the registers the view
+    finds the activation may write.
 
     [execute] compiles every pc, once per run, into one operand-specialised
-    closure that captures that run's registers, page table and counters,
-    so no two runs share state.  Each closure takes a budget of
-    instructions still allowed, executes its instruction, and tail-calls
-    the closure of the next pc — through branches, jumps, calls and
-    returns — until the budget is spent, [halt] or a poison opcode is
-    reached, or control leaves the code; it then returns that pc and
-    leaves its unspent budget in one cell.  The main loop checks fuel and
-    the pc's range as the reference engine does, executes [halt] and the
-    poison opcodes, and enters every other pc with a budget of
-    [fuel - cycles].  Calls and returns run inside their closures with the
-    exact cycle count, so cycles are exact wherever they are observed: at
-    every call and return hook, at a fuel trap (which names the exact pc),
-    and in the outcome.  A few kinds of frequent adjacent pair ([li] then
-    [b], [addi] then [lw], [addi] or [subi] then [sw], [lw] then [addi],
-    [move] then [move] or [j]) share one closure that executes both,
-    stops after the first when the budget allows only one, and names the
-    pc of the instruction that traps.  Per-pc counts are bumped by each
-    closure before it executes, so they stay exact after a trap; with
-    them on, no pair is fused.  The contract checker is
-    allocation-free and covers the pruned contracts; memory is paged, so a
+    closure over that run's registers, page table and counters, which
+    tail-calls the next pc's closure — through branches, jumps, calls and
+    returns, and through a few kinds of fused adjacent pair — under a
+    budget of instructions, so cycles, fuel traps and per-pc counts stay
+    exact.  The contract checker is allocation-free; memory is paged, so a
     run allocates only the pages it stores to.  Behaviourally identical to
     {!Sim.run_reference}, which the differential test suite enforces. *)
 
@@ -36,10 +20,6 @@ exception Runtime_error of string
 
 val error : ('a, Format.formatter, unit, 'b) format4 -> 'a
 (** Raise {!Runtime_error} with a formatted message. *)
-
-val tag_index : Chow_codegen.Asm.tag -> int
-(** Dense numbering of the traffic tags: data, scalar, save, callsave,
-    stackarg. *)
 
 type outcome = {
   output : int list;
@@ -73,7 +53,8 @@ type t
     transfer (with the call instruction's pc as [site] and the callee
     entry as [target]), [h_return] once per return, each carrying the
     executed-cycle count and the running contract / around-call
-    save-restore totals at that moment.  The hooks never fire on the
+    save-restore totals at that moment, the transfer itself counted, so a
+    profiler can segment them by activation.  The hooks never fire on the
     straight-line path, so execution without them is unchanged. *)
 type hooks = {
   h_call :
@@ -95,6 +76,17 @@ type hooks = {
 }
 
 val decode : Chow_codegen.Asm.program -> t
+
+val linked : t -> Chow_codegen.Linked.t
+(** The static view of the program, built by [decode]: procedure names
+    for trap messages and per-procedure cycles, the meta index of each
+    pc, and the may-write sets the checker prunes its contracts by. *)
+
+val meta_checked : t -> int -> int array
+(** [meta_checked t m] is the registers the contract checker snapshots
+    and compares for meta [m] of {!linked}: the contract's preserved
+    registers that its activation may write, in contract order, with -1
+    standing for a register outside the file. *)
 
 val default_fuel : int
 (** The default [fuel] of both engines, 500 000 000 cycles; re-exported as
@@ -126,30 +118,11 @@ val execute :
     a hook) share a page.  An out-of-range [data_init] address raises
     [Invalid_argument "index out of bounds"], as the flat image did. *)
 
-val attribute_pc : int array -> string array -> int -> string
-(** [attribute_pc entries names pc] names the procedure whose entry is
-    the greatest in [entries] at or below [pc], by binary search over
-    [entries] sorted as {!Chow_codegen.Asm.proc_table} returns them;
-    ["<stub>"] below the first entry, ["<unknown>"] when [entries] is
-    empty.  For callers that look up many pcs against one table. *)
-
-val proc_name_of : Chow_codegen.Asm.program -> int -> string
-(** The procedure containing the given pc (nearest entry at or below it),
-    ["<stub>"] for the startup stub, ["<unknown>"] when the program
-    publishes no procedure addresses.  Error-path helper shared by both
-    engines so trap messages agree. *)
-
 val pc_counts : profile:bool -> int array option -> int -> int array
 (** [pc_counts ~profile pc_buf ncode] is the per-pc count array of a run
     over [ncode] instructions: [pc_buf] zeroed (raising [Invalid_argument]
     when it is shorter than the code), else a fresh array when [profile]
     is set, else [[||]].  Shared by both engines. *)
-
-val attribute_cycles :
-  Chow_codegen.Asm.program -> int array -> (string * int) list
-(** Fold a per-pc execution profile into per-procedure cycle totals in
-    address order, a ["<stub>"] entry prepended when startup code ran.
-    Shared by both engines so their attributions agree exactly. *)
 
 val publish_metrics : outcome -> unit
 (** Publish a completed run's counters into {!Chow_obs.Metrics} (a no-op

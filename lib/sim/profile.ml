@@ -1,18 +1,21 @@
 (** See profile.mli.
 
-    The key economy: penalty *classification* is static per pc (the
-    {!Asm.tag} split decides entry-save / exit-restore / call-site-save /
-    call-site-restore / spill / stack-arg / data), so class totals and the
-    around-call share of every call site come from the per-pc execution
-    counts after the run — no per-instruction hook.  Only two things are
-    dynamic and use the {!Decode.hooks} call-path probes: charging each
-    activation's *contract* operations to the call site that created it
-    (segment accounting over the running totals: contract traffic executes
-    only while its activation is on top, so the delta between two
-    call/return boundaries belongs to the frame on top in between), and
-    the call tree itself. *)
+    The key economy: penalty *classification* is static per pc.  The
+    program's static view ({!Linked}) gives each pc's class (the
+    {!Asm.tag} split into entry-save / exit-restore / call-site-save /
+    call-site-restore / spill / stack-arg / data) and the call each
+    around-call operation brackets inside its procedure, so class totals
+    and the around-call share of every call site come from the per-pc
+    execution counts after the run — no per-instruction hook.  Only two
+    things are dynamic and use the {!Decode.hooks} call-path probes:
+    charging each activation's *contract* operations to the call site that
+    created it (segment accounting over the running totals: contract
+    traffic executes only while its activation is on top, so the delta
+    between two call/return boundaries belongs to the frame on top in
+    between), and the call tree itself. *)
 
 module Asm = Chow_codegen.Asm
+module Linked = Chow_codegen.Linked
 module Event = Chow_obs.Event
 module Metrics = Chow_obs.Metrics
 module Wire = Chow_support.Wire
@@ -65,29 +68,6 @@ type report = {
 let penalty_total c =
   c.entry_saves + c.exit_restores + c.call_saves + c.call_restores
 
-let is_call = function Asm.Jal_pc _ | Asm.Jalr _ -> true | _ -> false
-
-(* The call a [Tcallsave] operation brackets: emission places the saves
-   immediately before their call and the restores immediately after it,
-   with no other call in between, so the nearest call instruction after a
-   save (before a restore) is the forcing site. *)
-let site_of_callsave code pc ~store =
-  let n = Array.length code in
-  if store then begin
-    let i = ref (pc + 1) in
-    while !i < n && not (is_call code.(!i)) do
-      incr i
-    done;
-    if !i < n then !i else -1
-  end
-  else begin
-    let i = ref (pc - 1) in
-    while !i >= 0 && not (is_call code.(!i)) do
-      decr i
-    done;
-    !i
-  end
-
 let m_p_entry_saves = Metrics.counter "sim.penalty.entry_saves"
 let m_p_exit_restores = Metrics.counter "sim.penalty.exit_restores"
 let m_p_call_saves = Metrics.counter "sim.penalty.call_saves"
@@ -119,9 +99,9 @@ let run ?fuel ?mem_words ?check ?trace ?(trace_depth = 16)
     (prog : Asm.program) : report =
   let code = prog.Asm.code in
   let ncode = Array.length code in
-  let entries, names = Asm.proc_table prog in
-  let proc_at pc = Decode.attribute_pc entries names pc in
   let t = Event.span "decode" (fun () -> Decode.decode prog) in
+  let v = Decode.linked t in
+  let proc_at pc = Linked.proc_name v pc in
   let pc_buf = Array.make (max ncode 1) 0 in
   (* ----- call-tree nodes, id order = creation order (parents first) ----- *)
   let cap = ref 64 in
@@ -283,49 +263,36 @@ let run ?fuel ?mem_words ?check ?trace ?(trace_depth = 16)
     pop_frame outcome.Decode.cycles
   done;
   (* ----- static classification over the per-pc counts ----- *)
-  let c_es = ref 0 and c_xr = ref 0 in
-  let c_as = ref 0 and c_ar = ref 0 in
-  let c_sl = ref 0 and c_ss = ref 0 in
-  let c_al = ref 0 and c_ast = ref 0 in
-  let c_dl = ref 0 and c_ds = ref 0 in
+  let by_class = Array.make Linked.nclasses 0 in
   let site_as = Array.make (max ncode 1) 0 in
   let site_ar = Array.make (max ncode 1) 0 in
   let site_calls = Array.make (max ncode 1) 0 in
   for pc = 0 to ncode - 1 do
     let k = pc_buf.(pc) in
-    if k > 0 then
-      match code.(pc) with
-      | Asm.Lw (_, _, _, Asm.Tsave) -> c_xr := !c_xr + k
-      | Asm.Sw (_, _, _, Asm.Tsave) -> c_es := !c_es + k
-      | Asm.Lw (_, _, _, Asm.Tcallsave) ->
-          c_ar := !c_ar + k;
-          let s = site_of_callsave code pc ~store:false in
-          if s >= 0 then site_ar.(s) <- site_ar.(s) + k
-      | Asm.Sw (_, _, _, Asm.Tcallsave) ->
-          c_as := !c_as + k;
-          let s = site_of_callsave code pc ~store:true in
-          if s >= 0 then site_as.(s) <- site_as.(s) + k
-      | Asm.Lw (_, _, _, Asm.Tscalar) -> c_sl := !c_sl + k
-      | Asm.Sw (_, _, _, Asm.Tscalar) -> c_ss := !c_ss + k
-      | Asm.Lw (_, _, _, Asm.Tstackarg) -> c_al := !c_al + k
-      | Asm.Sw (_, _, _, Asm.Tstackarg) -> c_ast := !c_ast + k
-      | Asm.Lw (_, _, _, Asm.Tdata) -> c_dl := !c_dl + k
-      | Asm.Sw (_, _, _, Asm.Tdata) -> c_ds := !c_ds + k
-      | Asm.Jal_pc _ | Asm.Jalr _ -> site_calls.(pc) <- k
-      | _ -> ()
+    if k > 0 then begin
+      let c = v.Linked.cls.(pc) and s = v.Linked.bracket.(pc) in
+      by_class.(c) <- by_class.(c) + k;
+      if s >= 0 then begin
+        if c = Linked.store Asm.Tcallsave then site_as.(s) <- site_as.(s) + k
+        else site_ar.(s) <- site_ar.(s) + k
+      end;
+      if c = Linked.call || c = Linked.call_indirect then site_calls.(pc) <- k
+    end
   done;
+  let loads tag = by_class.(Linked.load tag)
+  and stores tag = by_class.(Linked.store tag) in
   let counters =
     {
-      entry_saves = !c_es;
-      exit_restores = !c_xr;
-      call_saves = !c_as;
-      call_restores = !c_ar;
-      spill_loads = !c_sl;
-      spill_stores = !c_ss;
-      stackarg_loads = !c_al;
-      stackarg_stores = !c_ast;
-      data_loads = !c_dl;
-      data_stores = !c_ds;
+      entry_saves = stores Asm.Tsave;
+      exit_restores = loads Asm.Tsave;
+      call_saves = stores Asm.Tcallsave;
+      call_restores = loads Asm.Tcallsave;
+      spill_loads = loads Asm.Tscalar;
+      spill_stores = stores Asm.Tscalar;
+      stackarg_loads = loads Asm.Tstackarg;
+      stackarg_stores = stores Asm.Tstackarg;
+      data_loads = loads Asm.Tdata;
+      data_stores = stores Asm.Tdata;
     }
   in
   publish counters;
@@ -499,28 +466,7 @@ type artifact = {
 
 let artifact ~source_digest ~config_fp (prog : Asm.program) (r : report) :
     artifact =
-  let code = prog.Asm.code in
-  let ncode = Array.length code in
-  let entries, names = Asm.proc_table prog in
-  (* call-site pc -> (caller, callee, ordinal).  The ordinal counts the
-     caller's direct calls to the same callee in ascending pc order; the
-     emitter lays blocks out in label order, so the same ordinal resolves
-     the same site in the caller's IR (Inline.find_site). *)
-  let site_tbl : (int, string * string * int) Hashtbl.t = Hashtbl.create 64 in
-  let nprocs = Array.length entries in
-  for i = 0 to nprocs - 1 do
-    let hi = if i + 1 < nprocs then entries.(i + 1) else ncode in
-    let ord : (string, int) Hashtbl.t = Hashtbl.create 8 in
-    for pc = entries.(i) to hi - 1 do
-      match code.(pc) with
-      | Asm.Jal_pc t ->
-          let callee = Decode.attribute_pc entries names t in
-          let o = Option.value ~default:0 (Hashtbl.find_opt ord callee) in
-          Hashtbl.replace ord callee (o + 1);
-          Hashtbl.replace site_tbl pc (names.(i), callee, o)
-      | _ -> ()
-    done
-  done;
+  let ordinal = (Linked.make prog).Linked.ordinal in
   (* cycles spent below each site, summed over the call-tree paths that
      pass through it — the tie-breaking rank signal after penalty *)
   let cyc : (int, int) Hashtbl.t = Hashtbl.create 64 in
@@ -535,14 +481,14 @@ let artifact ~source_digest ~config_fp (prog : Asm.program) (r : report) :
     List.filter_map
       (fun s ->
         (* stub and jalr sites have no (caller, callee, ordinal) identity *)
-        match Hashtbl.find_opt site_tbl s.s_site with
-        | None -> None
-        | Some (caller, callee, ordinal) ->
+        match ordinal.(s.s_site) with
+        | -1 -> None
+        | o ->
             Some
               {
-                r_caller = caller;
-                r_callee = callee;
-                r_ordinal = ordinal;
+                r_caller = s.s_caller;
+                r_callee = s.s_callee;
+                r_ordinal = o;
                 r_calls = s.s_calls;
                 r_penalty =
                   s.s_entry_saves + s.s_exit_restores + s.s_call_saves

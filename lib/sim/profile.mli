@@ -37,10 +37,10 @@ type counters = {
 }
 
 (** One call site's share of the penalty.  Around-call operations are
-    attributed statically (the save/restore instructions bracket their
-    call), contract operations dynamically: each activation's entry
-    saves and exit restores are charged to the call site that created
-    it. *)
+    attributed statically to the call they bracket in their procedure (an
+    operation with no call to bracket there is counted in {!counters}
+    only), contract operations dynamically: each activation's entry saves
+    and exit restores are charged to the call site that created it. *)
 type site = {
   s_site : int;  (** pc of the call instruction; the stub's call is 0 *)
   s_caller : string;

@@ -18,23 +18,18 @@
     compose correctly.
 
     Two engines implement the same semantics.  {!run} is the pre-decoded
-    threaded engine ({!Decode}): a one-time pass specializes the program
-    into a flat int-coded array, each run compiles every pc into an
-    operand-specialised closure that tail-calls the next pc's, through
-    branches, calls and returns, under an instruction budget (so fuel
-    traps and cycle counts stay exact), and
-    the pass proves statically which preserved registers each procedure's
-    activation may write, so its allocation-free contract checker
-    snapshots and compares only those; its memory is paged, so a run
-    allocates only the pages it stores to.  {!run_reference} is the original
-    direct interpreter over {!Asm.inst} variants, retained as the
-    executable specification; the differential test suite holds the two to
-    identical outcomes — outputs, cycle counts, per-tag traffic, per-pc
-    execution counts and [Runtime_error] messages — on every workload and
-    on random programs. *)
+    threaded engine ({!Decode}).  {!run_reference} is the original direct
+    interpreter over {!Asm.inst} variants, retained as the executable
+    specification: it keeps its own full-snapshot contract checker and
+    takes from the program's static view ({!Linked}) only the procedure
+    names its traps and [proc_cycles] report.  The differential test suite
+    holds the two to identical outcomes — outputs, cycle counts, per-tag
+    traffic, per-pc execution counts and [Runtime_error] messages — on
+    every workload and on random programs. *)
 
 module Machine = Chow_machine.Machine
 module Asm = Chow_codegen.Asm
+module Linked = Chow_codegen.Linked
 module Ir = Chow_ir.Ir
 
 exception Runtime_error = Decode.Runtime_error
@@ -48,24 +43,19 @@ type counters = {
   stores : int array;
 }
 
-let tag_index = Decode.tag_index
-
 type outcome = Decode.outcome = {
   output : int list;
   cycles : int;
   calls : int;
   data_loads : int;
   data_stores : int;
-  scalar_loads : int;  (** scalar + save/restore + stack-arg loads *)
+  scalar_loads : int;
   scalar_stores : int;
-  save_loads : int;  (** the save/restore component alone, both kinds *)
+  save_loads : int;
   save_stores : int;
-  call_save_loads : int;  (** the around-call subset of [save_loads] *)
+  call_save_loads : int;
   call_save_stores : int;
   proc_cycles : (string * int) list;
-      (** cycles attributed to each procedure (address order, ["<stub>"]
-          first when startup code ran), when run with [profile = true];
-          empty otherwise *)
 }
 
 (** Pending activation for the contract checker (reference engine; the
@@ -128,21 +118,21 @@ let run_reference ?(fuel = default_fuel) ?(mem_words = 1 lsl 20)
   List.iter (fun (pc, m) -> Hashtbl.replace metas pc m) prog.Asm.metas;
   let stack : activation list ref = ref [] in
   let pc = ref prog.Asm.entry in
+  let linked = Linked.make prog in
+  let where pc = Linked.proc_name linked pc in
   let mem_access addr =
     if addr < 0 || addr >= mem_words then
       error "memory access out of bounds: %d (pc %d, in %s)" addr !pc
-        (Decode.proc_name_of prog !pc)
+        (where !pc)
   in
-  let trap what =
-    error "%s (pc %d, in %s)" what !pc (Decode.proc_name_of prog !pc)
-  in
+  let trap what = error "%s (pc %d, in %s)" what !pc (where !pc) in
   let do_call target_pc return_pc =
     counters.calls <- counters.calls + 1;
     if regs.(Machine.sp) <= prog.Asm.data_size + 64 then
       trap "stack overflow";
     if target_pc < 0 || target_pc >= ncode then
       error "call to invalid address %d (pc %d, in %s)" target_pc !pc
-        (Decode.proc_name_of prog !pc);
+        (where !pc);
     set Machine.ra return_pc;
     if check then begin
       let callee, preserved =
@@ -153,7 +143,7 @@ let run_reference ?(fuel = default_fuel) ?(mem_words = 1 lsl 20)
                jump through a non-procedure value is a wild call *)
             error "call to %d, which is not a procedure entry (pc %d, in %s)"
               target_pc !pc
-              (Decode.proc_name_of prog !pc)
+              (where !pc)
         | None -> ("<unknown>", [])
       in
       stack :=
@@ -193,7 +183,7 @@ let run_reference ?(fuel = default_fuel) ?(mem_words = 1 lsl 20)
   while !running do
     if counters.cycles >= fuel then
       error "out of fuel after %d cycles (pc %d, in %s)" fuel !pc
-        (Decode.proc_name_of prog !pc);
+        (where !pc);
     if !pc < 0 || !pc >= ncode then error "pc out of range: %d" !pc;
     if count_pcs then pc_counts.(!pc) <- pc_counts.(!pc) + 1;
     counters.cycles <- counters.cycles + 1;
@@ -202,7 +192,7 @@ let run_reference ?(fuel = default_fuel) ?(mem_words = 1 lsl 20)
     | Asm.Li (r, n) -> set r n; pc := next
     | Asm.Lproc _ | Asm.Jal _ ->
         error "unlinked instruction at %d (in %s)" !pc
-          (Decode.proc_name_of prog !pc)
+          (where !pc)
     | Asm.Move (d, s) -> set d (get s); pc := next
     | Asm.Neg (d, s) -> set d (-get s); pc := next
     | Asm.Not (d, s) -> set d (if get s = 0 then 1 else 0); pc := next
@@ -222,13 +212,15 @@ let run_reference ?(fuel = default_fuel) ?(mem_words = 1 lsl 20)
         let addr = get b + off in
         mem_access addr;
         set d mem.(addr);
-        counters.loads.(tag_index tag) <- counters.loads.(tag_index tag) + 1;
+        counters.loads.(Asm.tag_index tag) <-
+          counters.loads.(Asm.tag_index tag) + 1;
         pc := next
     | Asm.Sw (s, b, off, tag) ->
         let addr = get b + off in
         mem_access addr;
         mem.(addr) <- get s;
-        counters.stores.(tag_index tag) <- counters.stores.(tag_index tag) + 1;
+        counters.stores.(Asm.tag_index tag) <-
+          counters.stores.(Asm.tag_index tag) + 1;
         pc := next
     | Asm.B (op, a, b, l) ->
         pc := (if eval_relop op (get a) (get b) then l else next)
@@ -254,7 +246,7 @@ let run_reference ?(fuel = default_fuel) ?(mem_words = 1 lsl 20)
       call_save_loads = l.(3);
       call_save_stores = s.(3);
       proc_cycles =
-        (if profile then Decode.attribute_cycles prog pc_counts else []);
+        (if profile then Linked.proc_cycles linked pc_counts else []);
     }
   in
   Decode.publish_metrics outcome;

@@ -5,6 +5,9 @@
     property — -O3+sw executes strictly fewer save/restore memory
     operations than -O2 on the largest workload. *)
 
+module Asm = Chow_codegen.Asm
+module Linked = Chow_codegen.Linked
+module Machine = Chow_machine.Machine
 module Config = Chow_compiler.Config
 module Pipeline = Chow_compiler.Pipeline
 module Sim = Chow_sim.Sim
@@ -221,6 +224,52 @@ let test_tree_cap_reported () =
   Alcotest.(check bool) "calltree trailer names the collapse" true
     (contains "collapsed" trailer)
 
+(** An around-call save or restore is charged only to a call it brackets
+    in its own procedure.  In this hand-built program [main] brackets its
+    call to [g] with a save and a restore of [ra].  Its stray restore
+    follows only the stub's call, and its stray save precedes only [f]'s
+    (never run), both in other procedures, so neither brackets a site: the
+    class totals count them, and no site is charged for them. *)
+let test_bracket_bounded () =
+  let t0 = Machine.t0 and sp = Machine.sp and ra = Machine.ra in
+  let prog =
+    {
+      Asm.code =
+        [|
+          Asm.Jal_pc 2 (* stub *);
+          Asm.Halt;
+          Asm.Lw (t0, sp, -2, Asm.Tcallsave) (* main: stray restore *);
+          Asm.Sw (ra, sp, -1, Asm.Tcallsave);
+          Asm.Jal_pc 8;
+          Asm.Lw (ra, sp, -1, Asm.Tcallsave);
+          Asm.Sw (t0, sp, -2, Asm.Tcallsave) (* stray save *);
+          Asm.Jr;
+          Asm.Jr (* g *);
+          Asm.Jal_pc 8 (* f *);
+          Asm.Jr;
+        |];
+      entry = 0;
+      proc_addrs = [ ("main", 2); ("g", 8); ("f", 9) ];
+      metas = [];
+      data_size = 0;
+      data_init = [];
+    }
+  in
+  Alcotest.(check (array int))
+    "bracketed calls" [| -1; -1; -1; 4; -1; 4; -1; -1; -1; -1; -1 |]
+    (Linked.make prog).Linked.bracket;
+  let r = Profile.run prog in
+  Alcotest.(check int) "call saves" 2 r.Profile.counters.Profile.call_saves;
+  Alcotest.(check int) "call restores" 2
+    r.Profile.counters.Profile.call_restores;
+  Alcotest.(check (list (list int)))
+    "sites: calls, call saves, call restores"
+    [ [ 4; 1; 1; 1 ]; [ 0; 1; 0; 0 ] ]
+    (List.map
+       (fun s ->
+         Profile.[ s.s_site; s.s_calls; s.s_call_saves; s.s_call_restores ])
+       r.Profile.sites)
+
 let suite =
   ( "penalty",
     [
@@ -232,6 +281,8 @@ let suite =
       Alcotest.test_case "truncation trailer" `Quick
         test_report_truncation_trailer;
       Alcotest.test_case "tree cap reported" `Quick test_tree_cap_reported;
+      Alcotest.test_case "call-site brackets stay in their procedure" `Quick
+        test_bracket_bounded;
       Alcotest.test_case "parallel determinism (uopt)" `Slow
         test_parallel_deterministic;
       Alcotest.test_case "call-tree invariants (uopt)" `Slow

@@ -707,12 +707,14 @@ let test_paged_touch_proportional () =
 
 let allocatable = Array.of_list Machine.full.Machine.allocatable
 
-let mutate rng (prog : Asm.program) =
+(* [kind], when given, picks the mutation instead of [rng] *)
+let mutate ?kind rng (prog : Asm.program) =
   let code = Array.copy prog.Asm.code in
   let n = Array.length code in
   let pc = 2 + Random.State.int rng (max 1 (n - 2)) in
+  let k = match kind with Some k -> k | None -> Random.State.int rng 6 in
   let kind, inst =
-    match Random.State.int rng 6 with
+    match k with
     | 0 -> ("divzero", Asm.Binopi (Ir.Div, Machine.t0, Machine.t0, 0))
     | 1 ->
         ( "oob",
@@ -750,6 +752,26 @@ let prop_differential =
             (Printf.sprintf "seed %d %s check %b" seed mname check)
             mutated)
         [ true; false ];
+      true)
+
+(* The static view against its oracles on the same random programs, each
+   also under every mutation kind: procedure names, per-procedure sums and
+   the checked registers of every contract. *)
+let prop_view_oracles =
+  QCheck.Test.make ~count:40
+    ~name:"static view equals its oracles on random and mutated programs"
+    (QCheck.make (QCheck.Gen.int_bound 1_000_000) ~print:(fun seed ->
+         Printf.sprintf "seed %d:\n%s" seed (Genprog.generate ~seed ())))
+    (fun seed ->
+      let src = Genprog.generate ~seed () in
+      let rng = Random.State.make [| seed; 0x5ee |] in
+      let config = if seed mod 2 = 0 then Config.o3_sw else Config.baseline in
+      let prog = Pipeline.program (Pipeline.compile_source config (Pipeline.Src src)) in
+      Linked_oracle.check (Printf.sprintf "seed %d" seed) prog;
+      for kind = 0 to 5 do
+        let mname, mutated = mutate ~kind rng prog in
+        Linked_oracle.check (Printf.sprintf "seed %d %s" seed mname) mutated
+      done;
       true)
 
 (* Wild-memory fuzz: mutate one instruction the program executes into a
@@ -875,4 +897,5 @@ let suite =
         `Quick test_paged_touch_proportional;
       QCheck_alcotest.to_alcotest prop_differential;
       QCheck_alcotest.to_alcotest prop_wild_memory;
+      QCheck_alcotest.to_alcotest prop_view_oracles;
     ] )

@@ -13,7 +13,8 @@
     cycles on a small OCaml stack.  A fifth cuts a short program holding
     every pair kind the decoded engine fuses at every fuel from 1 to one
     past its cycle count, and traps the load or store of each memory
-    pair.
+    pair.  A sixth holds the static view of every workload, under every
+    configuration and allocator, to the oracles of {!Linked_oracle}.
 
     This is its own test executable (see test/dune) so plain
     [dune runtest] always exercises the engine equivalence even when the
@@ -53,6 +54,22 @@ let test_workload (w : W.t) () =
     :: List.map
          (fun a -> Config.with_alloc a Config.o3_sw)
          Chow_core.Allocator.all)
+
+(* Procedure names, per-procedure sums and checked contracts: the static
+   view against the oracles, 13 workloads x [Config.all] x 3 allocators. *)
+let test_view (w : W.t) () =
+  List.iter
+    (fun (config : Config.t) ->
+      List.iter
+        (fun alloc ->
+          let config = Config.with_alloc alloc config in
+          let c = Pipeline.compile_source config (Pipeline.Src w.W.source) in
+          Linked_oracle.check
+            (Printf.sprintf "%s/%s/%s" w.W.name config.Config.name
+               (Chow_core.Allocator.to_string alloc))
+            (Pipeline.program c))
+        Chow_core.Allocator.all)
+    Config.all
 
 let test_fuel_edges (w : W.t) () =
   let prog = compile_o3_sw w.W.source in
@@ -283,4 +300,8 @@ let () =
       ( "long run",
         [ Alcotest.test_case "loop and call, 21 M cycles" `Quick test_long_run ]
       );
+      ( "static view",
+        List.map
+          (fun w -> Alcotest.test_case w.W.name `Quick (test_view w))
+          W.all );
     ]
