@@ -30,6 +30,7 @@ module Link = Chow_codegen.Link
 module Asm = Chow_codegen.Asm
 module Objfile = Chow_codegen.Objfile
 module Sim = Chow_sim.Sim
+module Decode = Chow_sim.Decode
 module Profile = Chow_sim.Profile
 module Inline = Chow_ir.Inline
 module Callgraph = Chow_core.Callgraph
@@ -57,6 +58,9 @@ type compiled = {
   c_allocs : Ipra.t list;  (** freshly allocated units only *)
   c_program : Asm.program;
   c_units : Objfile.t list;  (** one artifact per compilation unit *)
+  c_decoded : Decode.t option Atomic.t;
+      (** the decoded program, built by the first {!run}; two domains
+          that race to build it build equal values *)
 }
 
 let config c = c.c_config
@@ -436,6 +440,7 @@ let compile_irs ?(global_promo = false) ?explain (config : Config.t)
     c_allocs = allocs;
     c_program = program;
     c_units = arts;
+    c_decoded = Atomic.make None;
   }
 
 (** Incremental separate compilation: each source unit is resolved against
@@ -514,6 +519,7 @@ let compile_srcs_cached ?global_promo ?pgo ~cache (config : Config.t)
     c_allocs = List.filter_map snd pairs;
     c_program = program;
     c_units = arts;
+    c_decoded = Atomic.make None;
   }
 
 type source = Src of string | Srcs of string list | Ir of Ir.prog | Units of Ir.prog list
@@ -580,8 +586,19 @@ let compile_result ?global_promo ?explain ?cache ?pgo config source =
       compile_source ?global_promo ?explain ?cache ?pgo config source)
 
 (** [run c] simulates the compiled program with contract checking on,
-    using the default pre-decoded engine. *)
-let run ?fuel ?check (c : compiled) = Sim.run ?fuel ?check c.c_program
+    using the default pre-decoded engine.  The program is decoded by the
+    first run and the decoded form kept, so later runs pay only
+    [Decode.execute]; decoding never moves into [compile]. *)
+let run ?fuel ?check (c : compiled) =
+  let t =
+    match Atomic.get c.c_decoded with
+    | Some t -> t
+    | None ->
+        let t = Event.span "decode" (fun () -> Decode.decode c.c_program) in
+        Atomic.set c.c_decoded (Some t);
+        t
+  in
+  Event.span "sim" (fun () -> Decode.execute ?fuel ?check t)
 
 (** [profile_penalty c] runs the program under the dynamic penalty
     profiler: per-site save/restore attribution and a call-path tree. *)

@@ -159,7 +159,9 @@ val link_units : Objfile.t list -> Asm.program
 (** {2 Execution} *)
 
 (** [run c] simulates the compiled program on the pre-decoded engine with
-    contract checking on by default. *)
+    contract checking on by default.  The first run of [c] decodes it and
+    keeps the decoded form, so later runs only execute; domains that race
+    to decode it build equal values, and one of them is kept. *)
 val run : ?fuel:int -> ?check:bool -> compiled -> Sim.outcome
 
 (** [profile_penalty c] runs the compiled program under the dynamic

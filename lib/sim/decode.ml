@@ -24,28 +24,32 @@
     [fuel - left].
 
     Cycles stay exact wherever they are observed.  Calls and returns run
-    [do_call] and [do_return] inside their closure, where the
-    instructions before them number [fuel - n], so a hook sees
-    [fuel - n + 1], the count including the transfer.  The budget stops
-    the chain right after the last instruction fuel allows, so the fuel
-    trap names the pc control moved to.  A trap inside a closure leaves
-    [cycles] stale, which nothing observes: the run raises.  When per-pc
-    counts are on, each closure bumps its pc's count before it executes,
-    so counts after a trap are exact too.
+    [do_call] and [do_return] (or their fast paths, below) inside their
+    closure, where the instructions before them number [fuel - n], so a
+    hook sees [fuel - n + 1], the count including the transfer.  The
+    budget stops the chain right after the last instruction fuel allows,
+    so the fuel trap names the pc control moved to.  A trap inside a
+    closure leaves [cycles] stale, which nothing observes: the run
+    raises.  When per-pc counts are on, each closure bumps its pc's count
+    before it executes, so counts after a trap are exact too.
 
-    Six kinds of adjacent pair share one closure: [li] then [b], [addi]
-    then [lw], [addi] or [subi] then [sw], [lw] then [addi], [move] then
-    [move], and [move] then [j].  They are among the most frequent pairs
-    of the workloads at -O2 and -O3+sw, and their instructions do little
-    work of their own (EXPERIMENTS).  The closure of the first pc
-    executes both and runs on with [n - 2]; at [n = 1] it executes only
-    the first and stops at the second's pc, as its own closure would, so
-    the budget stays exact.  A trap names the pc of the instruction that
-    raised it.  The second pc keeps its own closure, for control that
-    enters it directly.  No call or return is fused, so the hooks' path
-    is unchanged, and with per-pc counts on nothing is fused, so every pc
-    bumps its own count.  Each opcode keeps one definition: an arm, or an
-    inlined effect helper that the single and the fused closures share.
+    Fourteen kinds of adjacent pair share one closure: [li] then [b],
+    [addi] then [lw], [addi] or [subi] then [sw], [lw] then [addi],
+    [move] then [move], [j], [li] or [lw], [lw] or [addi] then [move],
+    [move] or [sw] then a direct [jal], and [addi] or [move] then [jr].
+    They are among the most frequent pairs of the workloads at -O3+sw,
+    and their instructions do little work of their own (EXPERIMENTS).
+    The closure of the first pc executes both and runs on with [n - 2];
+    at [n = 1] it executes only the first and stops at the second's pc,
+    as its own closure would, so the budget stays exact.  A trap names
+    the pc of the instruction that raised it.  The second pc keeps its
+    own closure, for control that enters it directly.  Calls and returns
+    fuse only where they take their fast paths (the checker on, no hook,
+    no tracing), so the hooks' path, tracing and [check = false] are
+    unchanged; with per-pc counts on nothing is fused, so every pc bumps
+    its own count.  Each opcode keeps one definition: an arm, or an
+    inlined effect helper that the single and the fused closures share;
+    a call or a return keeps a second, its fast path.
 
     Decode also builds the program's static view ({!Linked}), which
     proves from the linked code alone which registers each procedure's
@@ -63,14 +67,21 @@
     meta index, snapshot base) and the per-call register snapshots live in
     one flat int buffer indexed by frame; both grow geometrically, are
     reused across the run, and are written unchecked once a capacity test
-    has passed.  A [jal] whose static target is a procedure entry takes
-    that entry's meta index and checked registers when its closure is
-    built, and pushes its frame without a lookup.  Memory is paged: each
-    run keeps its own table of 4096-word pages, every entry starting at
-    one shared, never-written [zero_page], and a store gives its page a
-    fresh array the first time it touches it, so a run allocates only the
-    pages it writes.  Totality on pre-link and bad-register instructions,
-    and identity with {!Sim.run_reference}, are as decode.mli states. *)
+    has passed.  With no hook or tracing listening, a [jal] whose static
+    target is a procedure entry takes that entry's meta index and checked
+    registers when its closure is built and pushes its frame without a
+    lookup ([call]), and a [jr] compares and pops the top frame inline
+    ([return]); each leaves a trap, a stack that must grow and a -1 slot
+    to [do_call] or [do_return], so every message is theirs.  Memory is
+    paged: each run keeps its own table of 4096-word pages, every entry
+    starting at one shared, never-written [zero_page], and a store gives
+    its page a fresh array the first time it touches it, so a run
+    allocates only the pages it writes.  That first store, like a store
+    outside memory, leaves the inlined [sw] helper for a slow path the
+    closure tail-calls, so no memory closure needs a stack frame (the
+    [-S] output shows none).  Totality on pre-link and bad-register
+    instructions, and identity with {!Sim.run_reference}, are as
+    decode.mli states. *)
 
 module Machine = Chow_machine.Machine
 module Asm = Chow_codegen.Asm
@@ -282,9 +293,8 @@ let own_page pages n =
   p
 
 (* unchecked: the caller has bounds-checked [addr] against [mem_words].
-   [zero] is [zero_page], passed in so the loop compares against a local
-   instead of reloading the global on every store. *)
-let[@inline] store zero pages addr v =
+   The path of [data_init] and of a store's first touch of a page. *)
+let store zero pages addr v =
   let n = addr lsr page_bits in
   let p = Array.unsafe_get pages n in
   let p = if p == zero then own_page pages n else p in
@@ -328,9 +338,12 @@ let[@inline] move regs a b = set regs a (get regs b)
 let[@inline] addi regs a b imm = set regs a (get regs b + imm)
 let[@inline] subi regs a b imm = set regs a (get regs b - imm)
 
-(* A load or store is true when its address lies inside memory, and
-   false, without effect, when it does not.  The caller then traps with
-   [oob] in tail position, so the closure needs no stack frame. *)
+(* A load is true when its address lies inside memory, and false, without
+   effect, when it does not; the caller then traps with [oob] in tail
+   position, so the closure needs no stack frame.  A store is false,
+   without effect, on the same address and on a page no store has touched
+   yet ([zero]); the caller then tail-calls [execute]'s [sw_slow], which
+   traps or owns the page, so no store closure needs a frame either. *)
 let[@inline] lw regs pages loads mem_words tg a b c =
   let addr = get regs b + c in
   addr >= 0 && addr < mem_words
@@ -346,9 +359,86 @@ let[@inline] lw regs pages loads mem_words tg a b c =
 let[@inline] sw regs zero pages stores mem_words tg a b c =
   let addr = get regs b + c in
   addr >= 0 && addr < mem_words
+  &&
+  let p = Array.unsafe_get pages (addr lsr page_bits) in
+  p != zero
   && begin
-       store zero pages addr (get regs a);
+       Array.unsafe_set p (addr land page_mask) (get regs a);
        Array.unsafe_set stores tg (Array.unsafe_get stores tg + 1);
+       true
+     end
+
+(* A run's call-path state: the call count, the [sp] at or below which a
+   call overflows the stack, and the contract checker's shadow stack,
+   allocation-free: [frames] holds four ints per frame (return pc, sp at
+   entry, meta index, snapshot base), [snap] the register snapshots,
+   indexed by frame.  Both grow geometrically and are reused for the
+   whole run. *)
+type shadow = {
+  mutable calls : int;
+  limit : int;
+  mutable frames : int array;
+  mutable depth : int;
+  mutable snap : int array;
+  mutable snap_top : int;
+}
+
+(* A call to a procedure entry whose meta [m] and checked registers
+   [checked] (none of them -1) are known: count it, set [ra] to [ret],
+   push the frame and snapshot [checked].  False, without effect, when
+   [sp] is at the overflow limit or either stack must grow; the caller
+   then tail-calls [do_call], which traps or grows the same way. *)
+let[@inline] call regs (sh : shadow) ret m (checked : int array) =
+  let d = sh.depth and top = sh.snap_top in
+  let f = d lsl 2 and nc = Array.length checked in
+  get regs Machine.sp > sh.limit
+  && f + 4 <= Array.length sh.frames
+  && top + nc <= Array.length sh.snap
+  && begin
+       sh.calls <- sh.calls + 1;
+       set regs Machine.ra ret;
+       let fr = sh.frames and sn = sh.snap in
+       Array.unsafe_set fr f ret;
+       Array.unsafe_set fr (f + 1) (get regs Machine.sp);
+       Array.unsafe_set fr (f + 2) m;
+       Array.unsafe_set fr (f + 3) top;
+       sh.depth <- d + 1;
+       for k = 0 to nc - 1 do
+         Array.unsafe_set sn (top + k) (get regs (Array.unsafe_get checked k))
+       done;
+       sh.snap_top <- top + nc;
+       true
+     end
+
+(* A return that passes the checker: a frame to pop, [ra] its return pc,
+   [sp] restored and every checked register equal to its snapshot.  Pops
+   the frame and is true; false, without effect, when any test fails or a
+   checked slot is -1, and the caller then tail-calls [do_return], which
+   raises the message. *)
+let[@inline] return regs (sh : shadow) (meta_checked : int array array) =
+  let d = sh.depth - 1 in
+  d >= 0
+  &&
+  let fr = sh.frames and f = d lsl 2 in
+  Array.unsafe_get fr f = get regs Machine.ra
+  && Array.unsafe_get fr (f + 1) = get regs Machine.sp
+  &&
+  let checked = Array.unsafe_get meta_checked (Array.unsafe_get fr (f + 2)) in
+  let base = Array.unsafe_get fr (f + 3) and sn = sh.snap in
+  let nc = Array.length checked in
+  let k = ref 0 in
+  while
+    !k < nc
+    &&
+    let r = Array.unsafe_get checked !k in
+    r >= 0 && get regs r = Array.unsafe_get sn (base + !k)
+  do
+    incr k
+  done;
+  !k = nc
+  && begin
+       sh.depth <- d;
+       sh.snap_top <- base;
        true
      end
 
@@ -398,53 +488,53 @@ let execute ?(fuel = default_fuel) ?(mem_words = 1 lsl 20) ?(check = true)
      the zero register (see [dst]) *)
   let regs = Array.make (Machine.nregs + 1) 0 in
   regs.(Machine.sp) <- mem_words;
-  let calls = ref 0 in
   let loads = Array.make 5 0 and stores = Array.make 5 0 in
   let output = ref [] in
-  (* contract-checker shadow stack, allocation-free: one flat int array
-     of four ints per frame (return pc, sp at entry, meta index, snapshot
-     base), and one flat buffer of register snapshots indexed by frame;
-     both grow geometrically and are reused for the whole run.  Frame
-     slots and snapshot writes go unchecked once the capacity or depth
-     test has passed. *)
-  let frames = ref (Array.make (4 * 64) 0) in
-  let depth = ref 0 in
-  let snap = ref (Array.make 256 0) in
-  let snap_top = ref 0 in
+  (* the call-path state (see [shadow]); frame slots and snapshot writes
+     go unchecked once the capacity test has passed *)
+  let sh =
+    {
+      calls = 0;
+      limit = prog.Asm.data_size + 64;
+      frames = Array.make (4 * 64) 0;
+      depth = 0;
+      snap = Array.make 256 0;
+      snap_top = 0;
+    }
+  in
   let grow a need =
-    let c = ref (2 * Array.length !a) in
+    let c = ref (2 * Array.length a) in
     while !c < need do
       c := !c * 2
     done;
     let n = Array.make !c 0 in
-    Array.blit !a 0 n 0 (Array.length !a);
-    a := n
+    Array.blit a 0 n 0 (Array.length a);
+    n
   in
   (* push the frame of an activation of meta [m] that returns to [ret];
      [checked] is [t.meta_checked.(m)], whose registers it snapshots *)
   let push_frame ret m checked =
-    let d = !depth in
+    let d = sh.depth in
     let f = d lsl 2 in
-    if f + 4 > Array.length !frames then grow frames (f + 4);
-    let fr = !frames in
+    if f + 4 > Array.length sh.frames then sh.frames <- grow sh.frames (f + 4);
+    let fr = sh.frames in
     Array.unsafe_set fr f ret;
     Array.unsafe_set fr (f + 1) (get regs Machine.sp);
     Array.unsafe_set fr (f + 2) m;
-    Array.unsafe_set fr (f + 3) !snap_top;
-    depth := d + 1;
+    Array.unsafe_set fr (f + 3) sh.snap_top;
+    sh.depth <- d + 1;
     let n = Array.length checked in
     if n > 0 then begin
-      let top = !snap_top in
-      if top + n > Array.length !snap then grow snap (top + n);
-      let sn = !snap in
+      let top = sh.snap_top in
+      if top + n > Array.length sh.snap then sh.snap <- grow sh.snap (top + n);
+      let sn = sh.snap in
       for k = 0 to n - 1 do
         (* checked: -1 stands for a register outside the file *)
         Array.unsafe_set sn (top + k) regs.(Array.unsafe_get checked k)
       done;
-      snap_top := top + n
+      sh.snap_top <- top + n
     end
   in
-  let overflow_limit = prog.Asm.data_size + 64 in
   let where pc = Linked.proc_name v pc in
   (* the trap of a [lw] or [sw] at [pc] whose address, register [b] plus
      [c], lies outside memory *)
@@ -459,16 +549,16 @@ let execute ?(fuel = default_fuel) ?(mem_words = 1 lsl 20) ?(check = true)
   let tr = Event.trace_on () in
   (* [pc] is the call instruction's, [cycles] the count including it *)
   let do_call pc cycles target =
-    incr calls;
-    if tr && !calls land 255 = 0 then
+    sh.calls <- sh.calls + 1;
+    if tr && sh.calls land 255 = 0 then
       Event.counter "sim.traffic"
         [
           ("cycles", cycles);
-          ("calls", !calls);
+          ("calls", sh.calls);
           ("scalar_loads", loads.(1) + loads.(2) + loads.(3) + loads.(4));
           ("scalar_stores", stores.(1) + stores.(2) + stores.(3) + stores.(4));
         ];
-    if regs.(Machine.sp) <= overflow_limit then stack_overflow pc;
+    if regs.(Machine.sp) <= sh.limit then stack_overflow pc;
     if target < 0 || target >= ncode then
       error "call to invalid address %d (pc %d, in %s)" target pc (where pc);
     let return_pc = pc + 1 in
@@ -501,11 +591,11 @@ let execute ?(fuel = default_fuel) ?(mem_words = 1 lsl 20) ?(check = true)
           ~call_restores:loads.(3)
     | None -> ());
     if check then begin
-      let d = !depth - 1 in
+      let d = sh.depth - 1 in
       if d < 0 then
         error "return with empty call stack (pc %d, in %s)" pc (where pc);
-      depth := d;
-      let fr = !frames and f = d lsl 2 in
+      sh.depth <- d;
+      let fr = sh.frames and f = d lsl 2 in
       let ret = Array.unsafe_get fr f and sp = Array.unsafe_get fr (f + 1) in
       let m = Array.unsafe_get fr (f + 2) in
       let base = Array.unsafe_get fr (f + 3) in
@@ -515,25 +605,36 @@ let execute ?(fuel = default_fuel) ?(mem_words = 1 lsl 20) ?(check = true)
         error "%s: stack pointer not restored (%d <> %d)" (meta_name m)
           regs.(Machine.sp) sp;
       let checked = t.meta_checked.(m) in
-      let sn = !snap in
+      let sn = sh.snap in
       for k = 0 to Array.length checked - 1 do
         let r = checked.(k) in
         if regs.(r) <> sn.(base + k) then
           error "%s: clobbered preserved register %s (%d <> %d)"
             (meta_name m) (Machine.name r) regs.(r) sn.(base + k)
       done;
-      snap_top := base
+      sh.snap_top <- base
     end;
     target
   in
-  (* A [jal] to a procedure entry, when the checker is on and no hook or
-     tracing listens, runs [do_call]'s steps that apply to it (count,
-     overflow trap, [ra], frame push) with the entry's meta index and
-     checked registers taken when its closure is built: no lookup, no
-     range, hook or tracing test.  Worth 7-8% of [simulate] time, measured
-     with and without it (EXPERIMENTS).  Every other call takes
-     [do_call]. *)
+  (* With the checker on and no hook or tracing listening, calls and
+     returns take fast paths: the [call] helper for a [jal] to a procedure
+     entry (its meta index and checked registers taken when its closure
+     is built: no lookup, no range, hook or tracing test), and the
+     [return] helper for every [jr].  Each falls back to [do_call] or
+     [do_return] (through [call_slow] and [return_slow]) for a trap, a
+     stack that must grow or a -1 slot, so every message is theirs.  Only
+     under this condition are calls and returns fused.  The direct [jal]
+     was worth 7-8% of [simulate] time when it came in (EXPERIMENTS). *)
   let direct_calls = check && hooks = None && not tr in
+  (* [direct target] is the meta index of a [jal]'s static [target] when
+     the [call] helper serves it, else -1 *)
+  let direct target =
+    if direct_calls && target >= 0 && target < ncode then
+      let m = meta_of_pc.(target) in
+      if m >= 0 && Array.for_all (fun r -> r >= 0) t.meta_checked.(m) then m
+      else -1
+    else -1
+  in
   let by_zero what k = error "%s by zero (pc %d, in %s)" what k (where k) in
   (* Every pc has one closure of type [int -> int].  Its argument is a
      budget [n >= 1], the instructions it may still execute, this one
@@ -551,12 +652,34 @@ let execute ?(fuel = default_fuel) ?(mem_words = 1 lsl 20) ?(check = true)
     left := n;
     pc
   in
+  let in_code pc = pc >= 0 && pc < ncode in
+  (* The slow paths the fast ones tail-call, so that no closure keeps a
+     stack frame for them: the general call from [k] to [target] and the
+     general return at [k], each at budget [n], and the store at [k] that
+     traps on an address outside memory or owns a never-written page
+     first, then runs on into [next], the closure of [k + 1]. *)
+  let call_slow k target n =
+    jump left closures n true (do_call k (fuel - n + 1) target)
+  in
+  let return_slow k n =
+    let target = do_return k (fuel - n + 1) in
+    jump left closures n (in_code target) target
+  in
+  let sw_slow k tg a b c n next =
+    let addr = get regs b + c in
+    if addr < 0 || addr >= mem_words then oob b c k
+    else begin
+      store zero pages addr (get regs a);
+      Array.unsafe_set stores tg (Array.unsafe_get stores tg + 1);
+      step left n (k + 1) next
+    end
+  in
   (* [op k next] is the closure for the instruction at [k], [next] that of
      [k + 1]; a trap inside it names [k].  Each arm, or the effect helper
-     it shares with [pair], is the opcode's one definition, except for the
-     direct [jal] arm (see [direct_calls]), and indexes registers
-     unchecked: [decode] validated every operand. *)
-  let in_code pc = pc >= 0 && pc < ncode in
+     it shares with [pair], is the opcode's one definition, and indexes
+     registers unchecked: [decode] validated every operand.  A call or
+     return has a second, its fast helper (see [direct_calls]), which
+     leaves every case it does not serve to the first. *)
   let op k next : int -> int =
     let base = k lsl 2 in
     let o = code.(base) in
@@ -729,7 +852,7 @@ let execute ?(fuel = default_fuel) ?(mem_words = 1 lsl 20) ?(check = true)
         fun n ->
           if sw regs zero pages stores mem_words tg a b c then
             step left n nx next
-          else oob b c k
+          else sw_slow k tg a b c n next
     | 47 (* b eq *) ->
         let inside = in_code c in
         fun n ->
@@ -763,39 +886,39 @@ let execute ?(fuel = default_fuel) ?(mem_words = 1 lsl 20) ?(check = true)
     | 53 (* j *) ->
         let inside = in_code a in
         fun n -> jump left closures n inside a
-    | 54 (* jal *) when direct_calls && in_code a && meta_of_pc.(a) >= 0 ->
-        let m = meta_of_pc.(a) in
+    | 54 (* jal *) when direct a >= 0 ->
+        let m = direct a in
         let checked = t.meta_checked.(m) in
         fun n ->
-          incr calls;
-          if get regs Machine.sp <= overflow_limit then stack_overflow k;
-          set regs Machine.ra nx;
-          push_frame nx m checked;
-          jump left closures n true a
+          if call regs sh nx m checked then
+            jump left closures n true a
+          else call_slow k a n
     (* [do_call] traps on a target outside the code *)
-    | 54 (* jal *) ->
-        fun n -> jump left closures n true (do_call k (fuel - n + 1) a)
-    | 55 (* jalr *) ->
+    | 54 (* jal *) -> fun n -> call_slow k a n
+    | 55 (* jalr *) -> fun n -> call_slow k (get regs a) n
+    | 56 (* jr *) when direct_calls ->
         fun n ->
-          jump left closures n true (do_call k (fuel - n + 1) (get regs a))
-    | 56 (* jr *) ->
-        fun n ->
-          let target = do_return k (fuel - n + 1) in
-          jump left closures n (target >= 0 && target < ncode) target
+          if return regs sh t.meta_checked then
+            let target = get regs Machine.ra in
+            jump left closures n (target >= 0 && target < ncode) target
+          else return_slow k n
+    | 56 (* jr *) -> fun n -> return_slow k n
     | 57 (* print *) ->
         fun n ->
           output := get regs a :: !output;
           step left n nx next
     | _ -> assert false
   in
-  (* [pair k next2] is one closure for the instructions at [k] and
+  (* [pair k next next2] is one closure for the instructions at [k] and
      [k + 1] when their opcodes form one of the pairs below, else [None];
-     [next2] is the closure of [k + 2].  It executes both and runs on from
-     the second with [n - 1], so the pc after the pair is entered with
-     [n - 2]; at [n = 1] it executes only the first and stops at [k + 1],
-     as [k]'s own closure would.  A trap names the pc of the instruction
-     that raised it. *)
-  let pair k next2 : (int -> int) option =
+     [next] is the closure of [k + 1], [next2] that of [k + 2].  It
+     executes both and runs on from the second with [n - 1], so the pc
+     after the pair is entered with [n - 2]; at [n = 1] it executes only
+     the first and stops at [k + 1], as [k]'s own closure would.  A trap
+     names the pc of the instruction that raised it, and a slow path
+     entered from the first instruction runs on into [next].  A pair that
+     ends in a call or a return is fused only under [direct_calls]. *)
+  let pair k next next2 : (int -> int) option =
     let base = k lsl 2 in
     let a = code.(base + 1) and b = code.(base + 2) and c = code.(base + 3) in
     let a2 = code.(base + 5) and b2 = code.(base + 6) in
@@ -867,7 +990,7 @@ let execute ?(fuel = default_fuel) ?(mem_words = 1 lsl 20) ?(check = true)
             if n <= 1 then stop left nx
             else if sw regs zero pages stores mem_words tg a2 b2 c2 then
               step left (n - 1) nx2 next2
-            else oob b2 c2 nx)
+            else sw_slow nx tg a2 b2 c2 (n - 1) next2)
     | 16, ((42 | 43 | 44 | 45 | 46) as o2) (* subi; sw *) ->
         let tg = o2 - k_sw in
         Some
@@ -876,7 +999,7 @@ let execute ?(fuel = default_fuel) ?(mem_words = 1 lsl 20) ?(check = true)
             if n <= 1 then stop left nx
             else if sw regs zero pages stores mem_words tg a2 b2 c2 then
               step left (n - 1) nx2 next2
-            else oob b2 c2 nx)
+            else sw_slow nx tg a2 b2 c2 (n - 1) next2)
     | ((37 | 38 | 39 | 40 | 41) as o), 15 (* lw; addi *) ->
         let tg = o - k_lw in
         Some
@@ -904,6 +1027,84 @@ let execute ?(fuel = default_fuel) ?(mem_words = 1 lsl 20) ?(check = true)
               move regs a2 b2;
               step left (n - 1) nx2 next2
             end)
+    | ((37 | 38 | 39 | 40 | 41) as o), 2 (* lw; move *) ->
+        let tg = o - k_lw in
+        Some
+          (fun n ->
+            if lw regs pages loads mem_words tg a b c then
+              if n <= 1 then stop left nx
+              else begin
+                move regs a2 b2;
+                step left (n - 1) nx2 next2
+              end
+            else oob b c k)
+    | 2, ((37 | 38 | 39 | 40 | 41) as o2) (* move; lw *) ->
+        let tg = o2 - k_lw in
+        Some
+          (fun n ->
+            move regs a b;
+            if n <= 1 then stop left nx
+            else if lw regs pages loads mem_words tg a2 b2 c2 then
+              step left (n - 1) nx2 next2
+            else oob b2 c2 nx)
+    | 2, 1 (* move; li *) ->
+        Some
+          (fun n ->
+            move regs a b;
+            if n <= 1 then stop left nx
+            else begin
+              li regs a2 b2;
+              step left (n - 1) nx2 next2
+            end)
+    | 15, 2 (* addi; move *) ->
+        Some
+          (fun n ->
+            addi regs a b c;
+            if n <= 1 then stop left nx
+            else begin
+              move regs a2 b2;
+              step left (n - 1) nx2 next2
+            end)
+    | 2, 54 (* move; jal *) when direct a2 >= 0 ->
+        let m = direct a2 in
+        let checked = t.meta_checked.(m) in
+        Some
+          (fun n ->
+            move regs a b;
+            if n <= 1 then stop left nx
+            else if call regs sh nx2 m checked then
+              jump left closures (n - 1) true a2
+            else call_slow nx a2 (n - 1))
+    | (42 | 43 | 44 | 45 | 46) as o, 54 (* sw; jal *) when direct a2 >= 0 ->
+        let tg = o - k_sw in
+        let m = direct a2 in
+        let checked = t.meta_checked.(m) in
+        Some
+          (fun n ->
+            if sw regs zero pages stores mem_words tg a b c then
+              if n <= 1 then stop left nx
+              else if call regs sh nx2 m checked then
+                jump left closures (n - 1) true a2
+              else call_slow nx a2 (n - 1)
+            else sw_slow k tg a b c n next)
+    | 15, 56 (* addi; jr *) when direct_calls ->
+        Some
+          (fun n ->
+            addi regs a b c;
+            if n <= 1 then stop left nx
+            else if return regs sh t.meta_checked then
+              let target = get regs Machine.ra in
+              jump left closures (n - 1) (target >= 0 && target < ncode) target
+            else return_slow nx (n - 1))
+    | 2, 56 (* move; jr *) when direct_calls ->
+        Some
+          (fun n ->
+            move regs a b;
+            if n <= 1 then stop left nx
+            else if return regs sh t.meta_checked then
+              let target = get regs Machine.ra in
+              jump left closures (n - 1) (target >= 0 && target < ncode) target
+            else return_slow nx (n - 1))
     | _ -> None
   in
   (* built back to front, so each closure captures the next one; the last
@@ -915,7 +1116,8 @@ let execute ?(fuel = default_fuel) ?(mem_words = 1 lsl 20) ?(check = true)
   let next_of k = if k + 1 < ncode then closures.(k + 1) else exit_at ncode in
   for k = ncode - 1 downto 0 do
     let fused =
-      if count_pcs || k + 1 >= ncode then None else pair k (next_of (k + 1))
+      if count_pcs || k + 1 >= ncode then None
+      else pair k closures.(k + 1) (next_of (k + 1))
     in
     closures.(k) <-
       (match fused with
@@ -961,7 +1163,7 @@ let execute ?(fuel = default_fuel) ?(mem_words = 1 lsl 20) ?(check = true)
     {
       output = List.rev !output;
       cycles = !cycles;
-      calls = !calls;
+      calls = sh.calls;
       data_loads = loads.(0);
       data_stores = stores.(0);
       scalar_loads = loads.(1) + loads.(2) + loads.(3) + loads.(4);

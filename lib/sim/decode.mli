@@ -10,11 +10,16 @@
     [execute] compiles every pc, once per run, into one operand-specialised
     closure over that run's registers, page table and counters, which
     tail-calls the next pc's closure — through branches, jumps, calls and
-    returns, and through a few kinds of fused adjacent pair — under a
-    budget of instructions, so cycles, fuel traps and per-pc counts stay
-    exact.  The contract checker is allocation-free; memory is paged, so a
-    run allocates only the pages it stores to.  Behaviourally identical to
-    {!Sim.run_reference}, which the differential test suite enforces. *)
+    returns, and through fourteen kinds of fused adjacent pair, those that
+    end in a call or a return only while the checker is on and no hook or
+    tracing listens — under a budget of instructions, so cycles, fuel
+    traps and per-pc counts stay exact.  The contract checker is
+    allocation-free, and its direct calls and returns run inline, leaving
+    traps to the general path; memory is paged, so a run allocates only
+    the pages it stores to, and the first store to a page, like a trap,
+    leaves the store's closure by a tail call, so no memory closure keeps
+    a stack frame.  Behaviourally identical to {!Sim.run_reference}, which
+    the differential test suite enforces. *)
 
 exception Runtime_error of string
 

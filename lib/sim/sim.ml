@@ -252,9 +252,10 @@ let run_reference ?(fuel = default_fuel) ?(mem_words = 1 lsl 20)
   Decode.publish_metrics outcome;
   outcome
 
-(** The default engine: pre-decode once, then interpret the specialized
-    form.  The decode cost is linear in code size and amortized over the
-    run (it is included in every [run] call, not cached). *)
+(** The default engine: pre-decode, then interpret the specialized form.
+    The decode cost is linear in code size; [run] pays it on every call,
+    so a caller that runs one program many times keeps the {!Decode.t}
+    ([Pipeline.run] does, once per compiled program). *)
 let run ?fuel ?mem_words ?check ?profile (prog : Asm.program) : outcome =
   let t = Chow_obs.Event.span "decode" (fun () -> Decode.decode prog) in
   Chow_obs.Event.span "sim" (fun () ->

@@ -56,7 +56,8 @@ val default_fuel : int
     only the preserved registers decode finds some reachable instruction
     may write (the others cannot change, so the verdicts are those of the
     full check).  The decode pass and the closure build run on every call
-    and are amortized over the execution. *)
+    and are amortized over the execution; [Pipeline.run] instead decodes a
+    compiled program once, on its first run, and keeps the decoded form. *)
 val run :
   ?fuel:int ->
   ?mem_words:int ->
